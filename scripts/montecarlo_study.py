@@ -11,8 +11,9 @@ failure report into its own subdirectory. Orders >= 3 use a design grid
 starting at 300 Hz: below that, at this aperture, the outermost harmonic
 rows underflow the solver's rank gate and every trial would be refused.
 
-Desk scale (500 trials) takes a few minutes; pass --trials 10000 for a
-full-scale run and expect a long wait.
+Desk scale (500 trials) takes about 15 s for all nine configurations at
+one worker (Python 3.11, 2-vCPU Xeon host); --trials 10000, the full-scale
+run, takes about 6 minutes. More --threads make it slower for now.
 """
 
 import argparse

@@ -1,10 +1,13 @@
 """Bessel functions of the first kind for integer orders.
 
 Real nonnegative arguments only, which is all the modal expansions need
-(the argument is always a normalized aperture ``omega * r / c``). Two
-evaluation regimes: the ascending power series for small arguments and a
-normalized downward (Miller) recurrence beyond, where the series starts
-losing digits to cancellation. Negative orders go through the symmetry
+(the argument is always a normalized aperture ``omega * r / c``).
+`bessel_order_table`, every order over a whole array of arguments in one
+vectorized sweep, serves the design and metrics paths. The scalar
+`bessel_j` is its independent oracle, with two evaluation regimes: the
+ascending power series for small arguments and a normalized downward
+(Miller) recurrence beyond, where the series starts losing digits to
+cancellation. Negative orders go through the symmetry
 ``J_{-n}(x) = (-1)^n J_n(x)`` so it holds exactly as implemented.
 """
 
@@ -16,6 +19,9 @@ import numpy as np
 
 ORDER_CAP = 64
 MIN_QUADRATURE_POINTS = 256
+# the box over which `bessel_order_table` is checked against mpmath
+TABLE_ORDER_CAP = 256
+TABLE_ARGUMENT_CAP = 100.0
 
 # regime switch: the ascending series starts shedding digits to
 # alternating-term cancellation as x grows (~1e-13 by x = 12, enough to
@@ -121,6 +127,31 @@ def bessel_j_table(n_max: int, x: float) -> np.ndarray:
         raise ValueError(f"table order must be in [0, {ORDER_CAP + 1}], got {n_max}")
     x = _check_argument(x)
     return np.array([_jn(k, x) for k in range(n_max + 1)])
+
+
+def bessel_order_table(n_max: int, x) -> np.ndarray:
+    """J_0(x) .. J_{n_max}(x) over an argument array, shape (n_max + 1, *x.shape).
+
+    One downward sweep of the ratios ``r_k = J_k / J_{k-1} = x / (2k - x
+    r_{k+1})``, which cannot overflow, normalized by ``J_0 + 2 sum J_{2k}
+    = 1``. Orders up to 256 and arguments in [0, 100], where it agrees with
+    mpmath to an absolute 1e-14; arguments outside are refused.
+    """
+    n_max = int(n_max)
+    if not 0 <= n_max <= TABLE_ORDER_CAP:
+        raise ValueError(f"table order must be in [0, {TABLE_ORDER_CAP}], got {n_max}")
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0.0) & (x <= TABLE_ARGUMENT_CAP)):
+        raise ValueError(f"argument must lie in [0, {TABLE_ARGUMENT_CAP}], got up to {x.max()!r}")
+    top = max(n_max, math.ceil(x.max(initial=0.0)))
+    steps = top + 12 + int(math.sqrt(40.0 * (top + 1)))
+    ratios = np.empty((steps,) + x.shape)
+    r = np.zeros(x.shape)
+    for k in range(steps, 0, -1):
+        r = ratios[k - 1] = x / (2.0 * k - x * r)
+    to_j0 = np.cumprod(ratios, axis=0)  # J_k / J_0 for k = 1 .. steps
+    j0 = 1.0 / (1.0 + 2.0 * to_j0[1::2].sum(axis=0))
+    return np.concatenate([j0[None], j0 * to_j0[:n_max]])
 
 
 def bessel_j_prime(n: int, x: float) -> float:

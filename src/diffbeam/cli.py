@@ -32,10 +32,12 @@ from .geometry import (
 )
 from .metrics import (
     BEAMPATTERN_FLOOR_DB,
-    DEFAULT_INTEGRATION_POINTS,
+    MIN_INTEGRATION_POINTS,
     beampattern,
-    compute_metrics,
+    check_integration_points,
+    gain_curves,
     magnitude_db,
+    power_db,
 )
 from .montecarlo import STATISTICS_FLOOR_DB, TrialConfig, run_trials
 from .patterns import evaluate_target
@@ -64,6 +66,13 @@ def _angle_count(step_deg: float) -> int:
 def _resolve(base: Path, relative: str) -> Path:
     path = Path(relative)
     return path if path.is_absolute() else base / path
+
+
+def _grid(config: dict, config_path: Path) -> FrequencyGrid:
+    grid_config = config.get("grid_hz")
+    if not grid_config:
+        return DEFAULT_GRID
+    return fileio.grid_from_config(grid_config, context=str(config_path))
 
 
 def _speed_of_sound(args, config: dict, fallback: float = 343.0) -> float:
@@ -107,12 +116,7 @@ def _cmd_design(args) -> int:
     target, pattern_id, coeffs = fileio.pattern_from_config(
         config.get("pattern", {}), context=str(config_path)
     )
-    grid_config = config.get("grid_hz")
-    grid = (
-        fileio.grid_from_config(grid_config, context=str(config_path))
-        if grid_config
-        else DEFAULT_GRID
-    )
+    grid = _grid(config, config_path)
     element_model = str(config.get("element_model", "first_order"))
     c = _speed_of_sound(args, config)
     constants = PhysicalConstants(speed_of_sound=c)
@@ -152,30 +156,21 @@ def _cmd_evaluate(args) -> int:
 
     c = _speed_of_sound(args, config, fallback=manifest.get("speed_of_sound_mps", 343.0))
     constants = PhysicalConstants(speed_of_sound=c)
-    eval_frequency = float(config["eval_frequency_hz"])
     angle_count = _angle_count(float(config.get("angle_step_deg", 1.0)))
-    points = int(config.get("integration_points", DEFAULT_INTEGRATION_POINTS))
+    # DF is exact: the key sets nothing, but values below 512 are still refused
+    check_integration_points(config.get("integration_points", MIN_INTEGRATION_POINTS))
     floor_db = float(config.get("beampattern_floor_db", BEAMPATTERN_FLOOR_DB))
 
     theta_deg = 360.0 * np.arange(angle_count) / angle_count
     theta = np.radians(theta_deg)
-    omega_eval = 2.0 * np.pi * eval_frequency
+    omega_eval = 2.0 * np.pi * float(config["eval_frequency_hz"])
     rendered = beampattern(filt, geometry, constants, omega_eval, theta)
-    pattern_config = dict(manifest["pattern"])
     target, _, _ = fileio.pattern_from_config(
-        {
-            "family": "custom",
-            "order": pattern_config["order"],
-            "steer_deg": pattern_config["steer_deg"],
-            "a": pattern_config["a"],
-        },
-        context="design manifest",
+        {**manifest["pattern"], "family": "custom"}, context="design manifest"
     )
     target_values = evaluate_target(target, theta)
 
-    result = compute_metrics(
-        filt, geometry, constants, angle_count=angle_count, integration_points=points
-    )
+    wng, df = gain_curves(filt, geometry, constants, filt.theta_s)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -185,8 +180,8 @@ def _cmd_evaluate(args) -> int:
         magnitude_db(rendered, floor_db=floor_db),
         magnitude_db(target_values, floor_db=floor_db),
     )
-    fileio.write_wng_csv(out_dir / "wng.csv", filt.grid.frequencies_hz, result.wng_db)
-    fileio.write_df_csv(out_dir / "df.csv", filt.grid.frequencies_hz, result.df_db)
+    fileio.write_wng_csv(out_dir / "wng.csv", filt.grid.frequencies_hz, power_db(wng))
+    fileio.write_df_csv(out_dir / "df.csv", filt.grid.frequencies_hz, power_db(df))
     print(out_dir / "beampattern.csv")
     return 0
 
@@ -195,16 +190,12 @@ def _cmd_montecarlo(args) -> int:
     config_path = Path(args.config)
     config = fileio.load_json(config_path)
     pattern = config.get("pattern", {})
-    grid_config = config.get("grid_hz")
-    grid = (
-        fileio.grid_from_config(grid_config, context=str(config_path))
-        if grid_config
-        else DEFAULT_GRID
-    )
+    grid = _grid(config, config_path)
     seed = args.seed if args.seed is not None else config.get("master_seed")
     if seed is None:
         raise ValueError("montecarlo needs a master seed (--seed or config field)")
     custom = pattern.get("a")
+    check_integration_points(config.get("integration_points", MIN_INTEGRATION_POINTS))
     trial_config = TrialConfig(
         trials=int(config["trials"]),
         element_count=int(config["element_count"]),
@@ -220,9 +211,6 @@ def _cmd_montecarlo(args) -> int:
         element_model=str(config.get("element_model", "first_order")),
         speed_of_sound=_speed_of_sound(args, config),
         angle_count=_angle_count(float(config.get("angle_step_deg", 1.0))),
-        integration_points=int(
-            config.get("integration_points", DEFAULT_INTEGRATION_POINTS)
-        ),
         db_floor=float(config.get("db_floor", STATISTICS_FLOOR_DB)),
     )
     stats = run_trials(trial_config, workers=max(1, args.threads))

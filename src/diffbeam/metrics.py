@@ -6,16 +6,22 @@ responses. With all elements omnidirectional it collapses to the bare
 ``h^H d``. White noise gain and directivity factor are power ratios
 against spatially white and 2-D diffuse noise; both are invariant to a
 complex rescaling of the filter.
+
+`gain_curves` computes both over a design grid from the pattern's
+harmonic coefficients; the per-frequency quadrature versions
+`white_noise_gain` and `directivity_factor` are its oracles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidFilterError
 from .geometry import ArrayGeometry, PhysicalConstants, steering_vector
+from .modal import harmonic_tensor
 from .solver import BeamformerFilter
 
 MIN_INTEGRATION_POINTS = 512
@@ -36,6 +42,16 @@ def power_db(values):
     """10*log10 of a linear power ratio."""
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(np.asarray(values, dtype=float))
+
+
+def check_integration_points(points) -> int:
+    """``points`` as an int, refused below the quadrature minimum of 512."""
+    points = int(points)
+    if points < MIN_INTEGRATION_POINTS:
+        raise ValueError(
+            f"integration_points must be >= {MIN_INTEGRATION_POINTS}, got {points}"
+        )
+    return points
 
 
 def beampattern(
@@ -92,12 +108,7 @@ def directivity_factor(
     The angular mean of ``|B|^2`` is taken with the uniform rectangle
     rule over [-pi, pi), spectrally accurate for this periodic integrand.
     """
-    integration_points = int(integration_points)
-    if integration_points < MIN_INTEGRATION_POINTS:
-        raise ValueError(
-            f"integration_points must be >= {MIN_INTEGRATION_POINTS}, "
-            f"got {integration_points}"
-        )
+    integration_points = check_integration_points(integration_points)
     h = filt.weights_at(omega)
     if float(np.vdot(h, h).real) == 0.0:
         raise InvalidFilterError("filter has zero norm at this frequency")
@@ -113,42 +124,28 @@ def gain_curves(
     geometry: ArrayGeometry,
     constants: PhysicalConstants,
     theta_s: float,
-    integration_points: int = DEFAULT_INTEGRATION_POINTS,
+    integration_points: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """White noise gain and directivity factor (linear) over the grid.
 
-    Computes exactly what per-frequency `white_noise_gain` and
-    `directivity_factor` calls would, but hoists the frequency-invariant
-    angle factors (element responses, position-angle cosines) out of the
-    loop; results are bit-identical to the scalar functions.
+    The rendered pattern is ``B(theta) = sum_n c_n e^{jn theta}`` with
+    ``c_n = h^H Xi_n`` from `harmonic_tensor`, so by Parseval the
+    diffuse-noise mean of ``|B|^2`` is ``sum_n |c_n|^2``: both gains are
+    exact, with no angular quadrature. ``integration_points`` is ignored;
+    it remains for callers written against the quadrature version.
     """
-    integration_points = int(integration_points)
-    if integration_points < MIN_INTEGRATION_POINTS:
-        raise ValueError(
-            f"integration_points must be >= {MIN_INTEGRATION_POINTS}, "
-            f"got {integration_points}"
-        )
-    grid_theta = -np.pi + 2.0 * np.pi * np.arange(integration_points) / integration_points
-    cosines = np.cos(grid_theta[None, :] - geometry.position_angles[:, None])
-    responses = geometry.response_matrix(grid_theta)
-    radii = geometry.radii
-    c = constants.speed_of_sound
-    omegas = filt.grid.omegas
-    wng = np.empty(len(omegas))
-    df = np.empty(len(omegas))
-    for i, omega in enumerate(omegas):
-        h = filt.weights[i]
-        norm_sq = float(np.vdot(h, h).real)
-        if norm_sq == 0.0:
-            raise InvalidFilterError("filter has zero norm at this frequency")
-        x = omega * radii / c
-        plane_waves = np.exp(1j * x[:, None] * cosines)
-        field = (h.conj()[:, None] * responses * plane_waves).sum(axis=0)
-        mean_power = float(np.mean(np.abs(field) ** 2))
-        peak = abs(beampattern(filt, geometry, constants, omega, theta_s)) ** 2
-        wng[i] = peak / norm_sq
-        df[i] = peak / mean_power
-    return wng, df
+    norm_sq = np.sum(np.abs(filt.weights) ** 2, axis=1)
+    if np.any(norm_sq == 0.0):
+        raise InvalidFilterError("filter has zero norm at this frequency")
+    # past n ~ x the Bessel terms fall like Ai((n - x) / (x/2)^(1/3)), below 1e-16
+    # 12 units in; at small x the weights grow like 1 / J_N(x), hence the + N + 6
+    x = float(np.max(filt.grid.omegas) * np.max(geometry.radii)) / constants.speed_of_sound
+    order = filt.order + math.ceil(x + 12.0 * (x / 2.0) ** (1.0 / 3.0)) + 6
+    n_values = np.arange(-order, order + 1)
+    xi = harmonic_tensor(geometry, constants, filt.grid.omegas, n_values)
+    coefficients = (xi @ filt.weights.conj()[:, :, None])[:, :, 0]
+    peak = np.abs(coefficients @ np.exp(1j * n_values * theta_s)) ** 2
+    return peak / norm_sq, peak / np.sum(np.abs(coefficients) ** 2, axis=1)
 
 
 @dataclass(frozen=True)
@@ -166,17 +163,14 @@ def compute_metrics(
     geometry: ArrayGeometry,
     constants: PhysicalConstants,
     angle_count: int = 360,
-    integration_points: int = DEFAULT_INTEGRATION_POINTS,
 ) -> MetricsResult:
     """Evaluate all three metrics over the filter's whole design grid."""
     if angle_count < 1:
         raise ValueError("angle_count must be >= 1")
     theta_grid = 2.0 * np.pi * np.arange(angle_count) / angle_count
     omegas = filt.grid.omegas
-    bp = np.empty((len(omegas), angle_count), dtype=complex)
-    for i, omega in enumerate(omegas):
-        bp[i] = beampattern(filt, geometry, constants, omega, theta_grid)
-    wng, df = gain_curves(filt, geometry, constants, filt.theta_s, integration_points)
+    bp = np.array([beampattern(filt, geometry, constants, w, theta_grid) for w in omegas])
+    wng, df = gain_curves(filt, geometry, constants, filt.theta_s)
     return MetricsResult(
         theta_grid=theta_grid,
         beampattern=bp,

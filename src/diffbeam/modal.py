@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_j_table, _jn_signed, _check_argument
+from .bessel import _check_argument, _jn_signed, bessel_order_table
 from .geometry import ArrayGeometry, PhysicalConstants
 from .patterns import SteeredTarget, apply_steering
 
@@ -27,6 +27,8 @@ MIN_COEFFICIENT_QUADRATURE_POINTS = 1024
 # powers of the imaginary unit cycle with period four; indexing this table
 # keeps the phase factors exact instead of round-tripping through exp()
 _J_POWER = (1 + 0j, 1j, -1 + 0j, -1j)
+
+ELEMENT_MODELS = ("first_order", "omni")
 
 
 def unit_imaginary_power(n: int) -> complex:
@@ -103,27 +105,38 @@ def harmonic_coefficient_quadrature(
     return complex(integrand.mean())
 
 
-def _element_coefficient_column(
-    n_values: np.ndarray, x: float, q: float, theta_steer: float, phi: float
+def harmonic_tensor(
+    geometry: ArrayGeometry,
+    constants: PhysicalConstants,
+    omegas,
+    n_values,
+    element_model: str = "first_order",
 ) -> np.ndarray:
-    # shares one Bessel table across all harmonics of an element
-    top = int(np.abs(n_values).max()) + 1
-    table = bessel_j_table(top, x)
+    """Matching-matrix entries for a whole frequency grid at once.
 
-    def j(k: int) -> float:
-        value = table[abs(k)]
-        return -value if (k < 0 and k % 2) else value
-
-    delta = theta_steer - phi
-    out = np.empty(len(n_values), dtype=complex)
-    for i, n in enumerate(n_values):
-        omni = unit_imaginary_power(n) * j(n) * cmath.exp(1j * n * delta)
-        dipole = unit_imaginary_power(n + 1) * 0.5 * (
-            j(n + 1) * cmath.exp(1j * (n + 1) * delta)
-            - j(n - 1) * cmath.exp(1j * (n - 1) * delta)
-        )
-        out[i] = (1.0 - q) * omni + q * dipole
-    return out
+    Entry ``[f, i, m]`` is ``P_{n,m} e^{-jn theta_m}`` for ``n = n_values[i]``
+    at ``omegas[f]`` (rad/s), shape (F, len(n_values), M). With the
+    plane-wave term ``G_k = j^k J_k(x_m) e^{-jk phi_m}`` it equals
+    ``(1-q) G_n + (q/2) (G_{n+1} e^{j theta_m} + G_{n-1} e^{-j theta_m})``,
+    all Bessel values coming from one table over the (F, M) arguments
+    ``x = omega r / c``. The "omni" element model sets every q to zero.
+    """
+    if element_model not in ELEMENT_MODELS:
+        raise ValueError(f"unknown element model {element_model!r}")
+    n_values = np.atleast_1d(np.asarray(n_values, dtype=int))
+    q = geometry.shape_coefficients if element_model == "first_order" else 0.0
+    x = np.multiply.outer(np.atleast_1d(omegas), geometry.radii) / constants.speed_of_sound
+    k = np.arange(n_values.min() - 1, n_values.max() + 2)
+    table = bessel_order_table(int(np.abs(k).max()), x)
+    # j^k, and (-1)^k for the negative orders read off the |k| table
+    units = np.asarray(_J_POWER)[k % 4] * np.where((k < 0) & (k % 2 == 1), -1.0, 1.0)
+    phases = units[:, None] * np.exp(-1j * np.outer(k, geometry.position_angles))
+    g = np.swapaxes(table[np.abs(k)] * phases[:, None, :], 0, 1)
+    rows = n_values - k[0]
+    turn = np.exp(1j * geometry.steer_angles)
+    return (1.0 - q) * g[:, rows] + 0.5 * q * (
+        g[:, rows + 1] * turn + g[:, rows - 1] * turn.conj()
+    )
 
 
 def build_psi_matrix(
@@ -132,24 +145,20 @@ def build_psi_matrix(
     omega: float,
     order: int,
 ) -> np.ndarray:
-    """Matching matrix for omnidirectional elements.
+    """Matching matrix for omnidirectional elements: the oracle for ``q = 0``.
 
-    Entry (row n, column m) is ``j^n J_n(x_m) e^{-jn phi_m}`` with
-    ``x_m = omega r_m / c``.
+    Entry (row n, column m) is the plane-wave (Jacobi-Anger) term ``j^n J_n(x_m)
+    e^{-jn phi_m}``, ``x_m = omega r_m / c``, from the scalar Bessel kernel.
     """
     order = int(order)
     if order < 0:
         raise ValueError("order must be >= 0")
-    n_values = np.arange(-order, order + 1)
-    matrix = np.empty((2 * order + 1, geometry.size), dtype=complex)
-    c = constants.speed_of_sound
-    for m, element in enumerate(geometry.elements):
-        x = omega * element.r / c
-        table = bessel_j_table(order, x)
-        for i, n in enumerate(n_values):
-            jn = table[abs(n)] * (-1.0 if (n < 0 and n % 2) else 1.0)
-            matrix[i, m] = unit_imaginary_power(n) * jn * cmath.exp(-1j * n * element.phi)
-    return matrix
+    x = omega * geometry.radii / constants.speed_of_sound
+    return np.array([
+        [unit_imaginary_power(n) * _jn_signed(n, float(x_m)) * cmath.exp(-1j * n * e.phi)
+         for x_m, e in zip(x, geometry.elements)]
+        for n in range(-order, order + 1)
+    ])
 
 
 def build_xi_matrix(
@@ -158,24 +167,14 @@ def build_xi_matrix(
     omega: float,
     order: int,
 ) -> np.ndarray:
-    """Matching matrix for first-order elements.
+    """Matching matrix for first-order elements: one frequency of `harmonic_tensor`.
 
-    Entry (row n, column m) is ``P_{n,m} e^{-jn theta_m}``. With every
-    shape coefficient zero this reduces elementwise to `build_psi_matrix`.
+    With every shape coefficient zero it reduces elementwise to `build_psi_matrix`.
     """
     order = int(order)
     if order < 0:
         raise ValueError("order must be >= 0")
-    n_values = np.arange(-order, order + 1)
-    matrix = np.empty((2 * order + 1, geometry.size), dtype=complex)
-    c = constants.speed_of_sound
-    for m, element in enumerate(geometry.elements):
-        x = omega * element.r / c
-        column = _element_coefficient_column(
-            n_values, x, element.q, element.theta_steer, element.phi
-        )
-        matrix[:, m] = column * np.exp(-1j * n_values * element.theta_steer)
-    return matrix
+    return harmonic_tensor(geometry, constants, [omega], np.arange(-order, order + 1))[0]
 
 
 @dataclass(frozen=True)
@@ -205,11 +204,7 @@ def build_modal_system(
     ``element_model`` selects the first-order matrix or the
     omnidirectional reduction ("omni").
     """
-    if element_model == "first_order":
-        matrix = build_xi_matrix(geometry, constants, omega, target.order)
-    elif element_model == "omni":
-        matrix = build_psi_matrix(geometry, constants, omega, target.order)
-    else:
-        raise ValueError(f"unknown element model {element_model!r}")
+    n_values = np.arange(-target.order, target.order + 1)
+    matrix = harmonic_tensor(geometry, constants, [omega], n_values, element_model)[0]
     rhs = apply_steering(target.coefficients, target.theta_s)
     return ModalSystem(matrix=matrix, rhs=rhs, omega=float(omega), order=target.order)

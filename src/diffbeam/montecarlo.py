@@ -22,13 +22,7 @@ from .errors import (
     RankDeficientSystemError,
 )
 from .geometry import PhysicalConstants, sample_random_geometry
-from .metrics import (
-    DEFAULT_INTEGRATION_POINTS,
-    beampattern,
-    gain_curves,
-    magnitude_db,
-    power_db,
-)
+from .metrics import beampattern, gain_curves, magnitude_db, power_db
 from .patterns import SteeredTarget, a_to_b, resolve_pattern
 from .solver import FrequencyGrid, design_filter
 
@@ -57,7 +51,6 @@ class TrialConfig:
     element_model: str = "first_order"
     speed_of_sound: float = 343.0
     angle_count: int = 360
-    integration_points: int = DEFAULT_INTEGRATION_POINTS
     db_floor: float = STATISTICS_FLOOR_DB
 
     def __post_init__(self):
@@ -134,12 +127,8 @@ def _run_one(config: TrialConfig, target: SteeredTarget, index: int):
     theta_grid = 2.0 * np.pi * np.arange(config.angle_count) / config.angle_count
     omega_eval = 2.0 * np.pi * config.eval_frequency_hz
     bp = beampattern(filt, geometry, constants, omega_eval, theta_grid)
-    bp_db = magnitude_db(bp, floor_db=config.db_floor)
-
-    wng, df = gain_curves(
-        filt, geometry, constants, filt.theta_s, config.integration_points
-    )
-    return bp_db, power_db(wng), power_db(df)
+    wng, df = gain_curves(filt, geometry, constants, filt.theta_s)
+    return magnitude_db(bp, floor_db=config.db_floor), power_db(wng), power_db(df)
 
 
 def run_trials(config: TrialConfig, workers: int = 1) -> TrialStatistics:
@@ -169,9 +158,7 @@ def run_trials(config: TrialConfig, workers: int = 1) -> TrialStatistics:
             f"all {config.trials} trials failed; first reason: {failures[0].reason}"
         )
 
-    bp = np.stack([s[0] for s in successes])
-    wng = np.stack([s[1] for s in successes])
-    df = np.stack([s[2] for s in successes])
+    bp, wng, df = (np.stack(column) for column in zip(*successes))
     angles_deg = 360.0 * np.arange(config.angle_count) / config.angle_count
     return TrialStatistics(
         angles_deg=angles_deg,

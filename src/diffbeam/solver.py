@@ -2,13 +2,13 @@
 
 The matching system is wide ((2N+1) x M with M >= 2N+1), so after
 conjugating both sides the filter is the minimum-Euclidean-norm solution
-``h = A^H (A A^H)^{-1} rhs`` with ``A = conj(Xi)``. The Gram system is
-solved by complex Cholesky after an exact power-of-two row equilibration
-(which leaves the solution set, and hence the minimum-norm solution,
-unchanged while taming the scale disparity between harmonic rows). Rank
-deficiency is checked on the unscaled Gram matrix and fails loudly: a
-near-singular system means the geometry cannot render the requested
-order, and regularizing silently would hide that.
+``h = A^H (A A^H)^{-1} rhs`` with ``A = conj(Xi)``. The Gram systems of a
+whole grid are solved as one stack after an exact power-of-two row
+equilibration (which leaves the solution set, and hence the minimum-norm
+solution, unchanged while taming the scale disparity between harmonic
+rows). Rank deficiency is checked on the unscaled Gram matrices and fails
+loudly: a near-singular system means the geometry cannot render the
+requested order, and regularizing silently would hide that.
 """
 
 from __future__ import annotations
@@ -17,16 +17,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import FrequencyGridError, RankDeficientSystemError
 from .geometry import ArrayGeometry, PhysicalConstants, geometry_digest
-from .modal import build_modal_system
-from .patterns import SteeredTarget
+from .modal import harmonic_tensor
+from .patterns import SteeredTarget, apply_steering
 
 RANK_RTOL = 1e-10
-
-ELEMENT_MODELS = ("first_order", "omni")
 
 
 @dataclass(frozen=True)
@@ -93,6 +90,42 @@ class BeamformerFilter:
         return self.weights[self.frequency_index(omega)]
 
 
+def rank_gate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rank gate on a stack of (F, R, C) wide systems.
+
+    Returns ``(refused, condition)``, both (F,): a system is refused when the
+    smallest eigenvalue of its unscaled Gram ``A A^H`` falls below 1e-10 times
+    the largest; ``condition`` is their ratio (inf when the smallest is not positive).
+    """
+    eigs = np.linalg.eigvalsh(a @ a.conj().swapaxes(-1, -2))
+    largest, smallest = eigs[:, -1], eigs[:, 0]
+    refused = (largest <= 0.0) | (smallest < RANK_RTOL * largest)
+    condition = np.divide(largest, smallest, out=np.full_like(largest, math.inf),
+                          where=smallest > 0.0)
+    return refused, condition
+
+
+def _solve_wide(a: np.ndarray, b: np.ndarray, frequencies_hz=None) -> np.ndarray:
+    # a: (F, R, C) with R <= C, b: (F, R) or (R,); one stacked call per step
+    refused, conditions = rank_gate(a)
+    if refused.any():
+        i = int(np.argmax(refused))
+        f_hz = None if frequencies_hz is None else float(frequencies_hz[i])
+        where = "" if f_hz is None else f" at {f_hz:.6g} Hz"
+        message = f"modal system is rank deficient (Gram condition ~ {conditions[i]:.3e})"
+        raise RankDeficientSystemError(message + where, float(conditions[i]), f_hz)
+
+    # exact power-of-two row scaling: same constraint set, better-behaved Gram
+    row_norms = np.sqrt(np.sum(np.abs(a) ** 2, axis=-1))
+    scales = np.exp2(np.round(np.log2(row_norms)))
+    a_eq = a / scales[..., None]
+    b_eq = b / scales
+    # numpy has no stacked triangular solve; its general one serves the factors
+    chol = np.linalg.cholesky(a_eq @ a_eq.conj().swapaxes(-1, -2))
+    y = np.linalg.solve(chol.conj().swapaxes(-1, -2), np.linalg.solve(chol, b_eq[..., None]))
+    return (a_eq.conj().swapaxes(-1, -2) @ y)[..., 0]
+
+
 def min_norm_solve(matrix, rhs) -> np.ndarray:
     """Minimum-norm solution of a wide full-row-rank complex system.
 
@@ -110,8 +143,8 @@ def min_norm_solve(matrix, rhs) -> np.ndarray:
     Raises
     ------
     RankDeficientSystemError
-        When the smallest singular value of ``A A^H`` falls below
-        1e-10 times the largest.
+        When the smallest eigenvalue of ``A A^H`` falls below 1e-10
+        times the largest.
     """
     a = np.atleast_2d(np.asarray(matrix, dtype=complex))
     b = np.asarray(rhs, dtype=complex).ravel()
@@ -120,30 +153,7 @@ def min_norm_solve(matrix, rhs) -> np.ndarray:
         raise ValueError(f"system must be wide, got shape {a.shape}")
     if b.shape != (rows,):
         raise ValueError(f"rhs length {b.shape} does not match {rows} rows")
-
-    gram = a @ a.conj().T
-    eigs = np.linalg.eigvalsh(gram)
-    largest = float(eigs[-1])
-    smallest = float(eigs[0])
-    if largest <= 0.0 or smallest < RANK_RTOL * largest:
-        condition = largest / smallest if smallest > 0.0 else math.inf
-        raise RankDeficientSystemError(
-            f"modal system is rank deficient (Gram condition ~ {condition:.3e})",
-            condition=condition,
-        )
-
-    # exact power-of-two row scaling: same constraint set, better-behaved Gram
-    row_norms = np.sqrt(np.sum(np.abs(a) ** 2, axis=1))
-    scales = np.exp2(np.round(np.log2(row_norms)))
-    a_eq = a / scales[:, None]
-    b_eq = b / scales
-    gram_eq = a_eq @ a_eq.conj().T
-    try:
-        factor = scipy.linalg.cho_factor(gram_eq, check_finite=False)
-        y = scipy.linalg.cho_solve(factor, b_eq, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        y = np.linalg.solve(gram_eq, b_eq)
-    return a_eq.conj().T @ y
+    return _solve_wide(a[None], b[None])[0]
 
 
 def design_filter(
@@ -157,16 +167,15 @@ def design_filter(
     """Solve the conjugated matching system at every grid frequency.
 
     Requires M >= 2N+1 and a distortionless-normalized target. The
-    right-hand side is frequency invariant; only the matching matrix is
-    rebuilt per frequency.
+    right-hand side is frequency invariant; the matching matrices of the
+    whole grid come from one `harmonic_tensor` call and are solved as one
+    stack.
 
     Raises
     ------
     RankDeficientSystemError
-        Re-raised with the offending frequency attached.
+        For the lowest refused grid frequency, which it names.
     """
-    if element_model not in ELEMENT_MODELS:
-        raise ValueError(f"unknown element model {element_model!r}")
     rows = 2 * target.order + 1
     if geometry.size < rows:
         raise ValueError(
@@ -179,17 +188,10 @@ def design_filter(
             f"target is not distortionless-normalized (coefficient sum {total!r})"
         )
 
-    weights = np.empty((grid.count, geometry.size), dtype=complex)
-    for i, (f_hz, omega) in enumerate(zip(grid.frequencies_hz, grid.omegas)):
-        system = build_modal_system(geometry, constants, omega, target, element_model)
-        try:
-            weights[i] = min_norm_solve(system.matrix.conj(), system.rhs.conj())
-        except RankDeficientSystemError as err:
-            raise RankDeficientSystemError(
-                f"{err} at {f_hz:.6g} Hz",
-                condition=err.condition,
-                frequency_hz=f_hz,
-            ) from None
+    n_values = np.arange(-target.order, target.order + 1)
+    xi = harmonic_tensor(geometry, constants, grid.omegas, n_values, element_model)
+    rhs = apply_steering(target.coefficients, target.theta_s).conj()
+    weights = _solve_wide(xi.conj(), rhs, grid.frequencies_hz)
     return BeamformerFilter(
         grid=grid,
         weights=weights,

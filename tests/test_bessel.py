@@ -15,7 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffbeam import bessel_j, bessel_j_prime, hansen_bessel_quadrature
-from diffbeam.bessel import ORDER_CAP, bessel_j_table
+from diffbeam.bessel import (
+    ORDER_CAP,
+    TABLE_ARGUMENT_CAP,
+    TABLE_ORDER_CAP,
+    bessel_j_table,
+    bessel_order_table,
+)
 
 
 def series_oracle(n: int, x_num: int, x_den: int, terms: int = 40) -> float:
@@ -156,3 +162,41 @@ class TestProperties:
             return
         centered = (bessel_j(n, x + step) - bessel_j(n, x - step)) / (2 * step)
         assert abs(bessel_j_prime(n, x) - centered) < 1e-8
+
+
+class TestOrderTable:
+    def test_against_mpmath_box(self):
+        # the contract: absolute error < 1e-14 for n <= 256, 0 <= x <= 100
+        xs = np.array([0.0, 1e-8, 0.02, 0.37, 1.47, 3.99, 12.0, 37.0, 50.0, 73.3, 99.0, 100.0])
+        orders = list(range(0, 24)) + list(range(24, TABLE_ORDER_CAP + 1, 11)) + [TABLE_ORDER_CAP]
+        table = bessel_order_table(TABLE_ORDER_CAP, xs)
+        assert table.shape == (TABLE_ORDER_CAP + 1, xs.size)
+        worst = max(
+            abs(table[n, i] - float(mpmath.besselj(n, mpmath.mpf(float(x)))))
+            for n in orders
+            for i, x in enumerate(xs)
+        )
+        assert worst < 1e-14
+
+    def test_agrees_with_scalar_kernel(self):
+        xs = np.array([[0.0, 0.3, 4.0], [11.99, 12.0, 50.0]])
+        table = bessel_order_table(ORDER_CAP, xs)
+        for n in range(ORDER_CAP + 1):
+            for idx in np.ndindex(xs.shape):
+                assert abs(table[(n, *idx)] - bessel_j(n, float(xs[idx]))) < 1e-12
+
+    def test_exact_at_zero(self):
+        table = bessel_order_table(5, np.zeros(3))
+        assert np.array_equal(table[0], np.ones(3))
+        assert np.array_equal(table[1:], np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("bad", [-1e-12, TABLE_ARGUMENT_CAP * (1 + 1e-15) + 1e-12,
+                                     float("nan"), float("inf")])
+    def test_argument_outside_domain_refused(self, bad):
+        with pytest.raises(ValueError, match="argument must lie in"):
+            bessel_order_table(3, np.array([1.0, bad]))
+
+    def test_order_cap(self):
+        bessel_order_table(TABLE_ORDER_CAP, 1.0)
+        with pytest.raises(ValueError, match="table order"):
+            bessel_order_table(TABLE_ORDER_CAP + 1, 1.0)

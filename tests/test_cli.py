@@ -161,13 +161,14 @@ class TestEvaluateCommand:
         assert main(["design", "--config", str(config), "--out", str(out)]) == 0
         return out
 
-    def evaluate(self, workspace, design_dir, out_name="eval"):
+    def evaluate(self, workspace, design_dir, out_name="eval", **extra):
         config = write_json(
             workspace / "evaluate.json",
             {
                 "geometry_file": "geometry.json",
                 "design_manifest": "design/design_manifest.json",
                 "eval_frequency_hz": 1000.0,
+                **extra,
             },
         )
         out = workspace / out_name
@@ -202,6 +203,18 @@ class TestEvaluateCommand:
         ]) == 0
         code, _ = self.evaluate(workspace, design_dir, "eval_mismatch")
         assert code == 1
+
+    def test_integration_points_key_accepted_and_inert(self, workspace, design_dir):
+        _, plain = self.evaluate(workspace, design_dir, "plain")
+        code, keyed = self.evaluate(workspace, design_dir, "keyed", integration_points=4096)
+        assert code == 0
+        for name in ("wng.csv", "df.csv"):
+            assert (plain / name).read_bytes() == (keyed / name).read_bytes()
+
+    def test_integration_points_below_minimum_refused(self, workspace, design_dir, capsys):
+        code, _ = self.evaluate(workspace, design_dir, "few", integration_points=256)
+        assert code == 1
+        assert "integration_points must be >= 512" in capsys.readouterr().err
 
 
 class TestMontecarloCommand:
@@ -241,6 +254,13 @@ class TestMontecarloCommand:
         assert main(["montecarlo", "--config", str(config), "--out", str(out2)]) == 0
         for name in ("bp_stats.csv", "wng_stats.csv", "df_stats.csv", "failures.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_integration_points_below_minimum_refused(self, tmp_path, capsys):
+        config = json.loads(self.mc_config(tmp_path).read_text())
+        config["integration_points"] = 511
+        path = write_json(tmp_path / "few.json", config)
+        assert main(["montecarlo", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert "integration_points must be >= 512" in capsys.readouterr().err
 
     def test_stats_headers(self, tmp_path):
         config = self.mc_config(tmp_path)

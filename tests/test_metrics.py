@@ -232,7 +232,7 @@ class TestPatternMaximum:
 
 
 class TestGainCurves:
-    def test_bit_identical_to_scalar_metrics(self, constants, fixed_geometry):
+    def test_matches_quadrature_oracles(self, constants, fixed_geometry):
         from diffbeam.metrics import gain_curves
 
         target = steered_hypercardioid(2)
@@ -240,11 +240,76 @@ class TestGainCurves:
         filt = design_filter(fixed_geometry, constants, target, grid)
         wng, df = gain_curves(filt, fixed_geometry, constants, target.theta_s)
         for i, omega in enumerate(grid.omegas):
-            assert wng[i] == white_noise_gain(
-                filt, fixed_geometry, constants, omega, target.theta_s
+            assert wng[i] == pytest.approx(
+                white_noise_gain(filt, fixed_geometry, constants, omega, target.theta_s),
+                rel=1e-12,
             )
-            assert df[i] == directivity_factor(
-                filt, fixed_geometry, constants, omega, target.theta_s
+            assert df[i] == pytest.approx(
+                directivity_factor(
+                    filt, fixed_geometry, constants, omega, target.theta_s
+                ),
+                rel=1e-12,
+            )
+
+
+    def test_zero_filter_rejected(self, constants):
+        from diffbeam.metrics import gain_curves
+
+        geom = single_omni()
+        with pytest.raises(InvalidFilterError):
+            gain_curves(manual_filter(geom, [0.0]), geom, constants, 0.0)
+
+
+class TestLargeAperture:
+    """A 0.5 m aperture at 8 kHz reaches x = omega r / c ~ 73, past the
+    scalar Bessel kernel's validated x <= 50."""
+
+    @pytest.fixture(scope="class")
+    def design(self):
+        from diffbeam import PhysicalConstants, sample_random_geometry
+
+        constants = PhysicalConstants()
+        geometry = sample_random_geometry(9, 0.5, 0.05, seed=7)
+        target = steered_hypercardioid(2)
+        filt = design_filter(
+            geometry, constants, target, FrequencyGrid(2000.0, 8000.0, 4)
+        )
+        return geometry, constants, filt
+
+    def test_reaches_past_the_scalar_kernel(self, design):
+        geometry, constants, filt = design
+        x_max = filt.grid.omegas.max() * geometry.radii.max() / constants.speed_of_sound
+        assert x_max > 70.0
+
+    def test_bessel_table_against_mpmath(self, design):
+        import mpmath
+
+        from diffbeam.bessel import bessel_order_table
+
+        geometry, constants, filt = design
+        x = filt.grid.omegas[-1] * geometry.radii / constants.speed_of_sound
+        # every order the DF sum at x ~ 73 keeps, and a margin past it
+        table = bessel_order_table(140, x)
+        worst = max(
+            abs(table[n, m] - float(mpmath.besselj(n, mpmath.mpf(float(x[m])))))
+            for n in range(0, 141, 3)
+            for m in range(geometry.size)
+        )
+        assert worst < 1e-14
+
+    def test_parseval_gains_match_quadrature(self, design):
+        from diffbeam.metrics import gain_curves
+
+        geometry, constants, filt = design
+        wng, df = gain_curves(filt, geometry, constants, filt.theta_s)
+        for i, omega in enumerate(filt.grid.omegas):
+            assert df[i] == pytest.approx(
+                directivity_factor(filt, geometry, constants, omega, filt.theta_s, 8192),
+                rel=1e-12,
+            )
+            assert wng[i] == pytest.approx(
+                white_noise_gain(filt, geometry, constants, omega, filt.theta_s),
+                rel=1e-12,
             )
 
 

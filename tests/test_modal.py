@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffbeam import (
+    PhysicalConstants,
     bessel_j,
     build_modal_system,
     build_psi_matrix,
     build_xi_matrix,
     harmonic_coefficient,
     harmonic_coefficient_quadrature,
+    harmonic_tensor,
     sample_random_geometry,
 )
 from diffbeam.geometry import ArrayElement, ArrayGeometry
@@ -164,3 +166,72 @@ class TestModalSystem:
         geom = sample_random_geometry(5, 0.02, 0.008, seed=5)
         with pytest.raises(ValueError):
             build_modal_system(geom, constants, 1000.0, steered_hypercardioid(1), "cardioid")
+
+
+MIN_SPACING = 0.008
+
+
+@st.composite
+def tensor_cases(draw):
+    """A geometry with the edge cases mixed in, a few frequencies, and a
+    set of harmonic orders."""
+    shape = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    angle = st.floats(0.0, 2 * math.pi, exclude_max=True)
+    elements = [
+        ArrayElement(r=draw(st.floats(0.0, 0.05)), phi=draw(angle), q=draw(shape),
+                     theta_steer=draw(angle))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    if draw(st.booleans()):
+        elements.append(ArrayElement(r=0.0, phi=draw(angle), q=draw(shape),
+                                     theta_steer=draw(angle)))
+    if draw(st.booleans()):
+        # a pair exactly min_spacing apart along one radius
+        r, phi = draw(st.floats(0.0, 0.04)), draw(angle)
+        for radius in (r, r + MIN_SPACING):
+            elements.append(ArrayElement(r=radius, phi=phi, q=draw(shape),
+                                         theta_steer=draw(angle)))
+    geometry = ArrayGeometry(
+        elements=tuple(draw(st.permutations(elements))),
+        aperture_radius=0.1,
+        min_spacing=MIN_SPACING,
+    )
+    # x = omega r / c stays within the scalar kernel's validated x <= 50
+    omegas = draw(st.lists(st.floats(0.0, 2 * math.pi * 50e3), min_size=1, max_size=3))
+    orders = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=6))
+    return geometry, omegas, orders
+
+
+class TestHarmonicTensor:
+    @given(case=tensor_cases(), model=st.sampled_from(["first_order", "omni"]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_coefficients(self, case, model):
+        geometry, omegas, orders = case
+        constants = PhysicalConstants()
+        tensor = harmonic_tensor(geometry, constants, omegas, orders, model)
+        assert tensor.shape == (len(omegas), len(orders), geometry.size)
+        for f, omega in enumerate(omegas):
+            for i, n in enumerate(orders):
+                for m, e in enumerate(geometry.elements):
+                    x = omega * e.r / constants.speed_of_sound
+                    q = e.q if model == "first_order" else 0.0
+                    expected = harmonic_coefficient(
+                        n, x, q, e.theta_steer, e.phi
+                    ) * cmath.exp(-1j * n * e.theta_steer)
+                    assert abs(tensor[f, i, m] - expected) < 1e-12
+
+    def test_xi_matrix_is_the_one_frequency_slice(self, constants):
+        geom = sample_random_geometry(9, 0.02, 0.008, seed=12)
+        omegas = 2 * np.pi * np.array([100.0, 1700.0, 4000.0])
+        tensor = harmonic_tensor(geom, constants, omegas, np.arange(-3, 4))
+        for f, omega in enumerate(omegas):
+            assert np.array_equal(tensor[f], build_xi_matrix(geom, constants, omega, 3))
+
+    def test_rejects_bad_input(self, constants):
+        geom = sample_random_geometry(3, 0.02, 0.008, seed=1)
+        with pytest.raises(ValueError, match="element model"):
+            harmonic_tensor(geom, constants, [1000.0], [0], "cardioid")
+        with pytest.raises(ValueError, match="argument"):
+            harmonic_tensor(geom, constants, [-1.0], [0])
+        with pytest.raises(ValueError, match="argument"):
+            harmonic_tensor(geom, constants, [2 * np.pi * 1e6], [0])

@@ -25,7 +25,6 @@ def small_config(**overrides):
         eval_frequency_hz=1000.0,
         master_seed=555,
         angle_count=90,
-        integration_points=1024,
     )
     defaults.update(overrides)
     return TrialConfig(**defaults)
