@@ -149,7 +149,7 @@ def bessel_order_table(n_max: int, x) -> np.ndarray:
     r = np.zeros(x.shape)
     for k in range(steps, 0, -1):
         r = ratios[k - 1] = x / (2.0 * k - x * r)
-    to_j0 = np.cumprod(ratios, axis=0)  # J_k / J_0 for k = 1 .. steps
+    to_j0 = np.cumprod(ratios, axis=0, out=ratios)  # J_k / J_0 for k = 1 .. steps
     j0 = 1.0 / (1.0 + 2.0 * to_j0[1::2].sum(axis=0))
     return np.concatenate([j0[None], j0 * to_j0[:n_max]])
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,12 @@ _PLACEMENT_CAP = 2000  # candidate draws per element before a full restart
 def wrap_angle(angle: float) -> float:
     """Wrap a finite angle to [0, 2*pi)."""
     return float(angle) % TWO_PI
+
+
+def _frozen(values) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -108,34 +115,35 @@ class ArrayGeometry:
     def size(self) -> int:
         return len(self.elements)
 
-    @property
+    @cached_property
+    def element_values(self) -> np.ndarray:
+        """Rows r, phi, q and theta_steer, shape (4, M), built once and read-only."""
+        return _frozen([
+            [e.r for e in self.elements],
+            [e.phi for e in self.elements],
+            [e.q for e in self.elements],
+            [e.theta_steer for e in self.elements],
+        ])
+
+    @cached_property
     def radii(self) -> np.ndarray:
-        return np.array([e.r for e in self.elements])
+        return self.element_values[0]
 
-    @property
+    @cached_property
     def position_angles(self) -> np.ndarray:
-        return np.array([e.phi for e in self.elements])
+        return self.element_values[1]
 
-    @property
+    @cached_property
     def shape_coefficients(self) -> np.ndarray:
-        return np.array([e.q for e in self.elements])
+        return self.element_values[2]
 
-    @property
+    @cached_property
     def steer_angles(self) -> np.ndarray:
-        return np.array([e.theta_steer for e in self.elements])
+        return self.element_values[3]
 
-    @property
+    @cached_property
     def positions(self) -> np.ndarray:
-        return np.array([e.position for e in self.elements])
-
-    def response_matrix(self, theta) -> np.ndarray:
-        """Per-element responses, shape (M,) for scalar theta or (M, K)."""
-        th = np.asarray(theta, dtype=float)
-        q = self.shape_coefficients
-        steer = self.steer_angles
-        if th.ndim == 0:
-            return (1.0 - q) + q * np.cos(float(th) - steer)
-        return (1.0 - q)[:, None] + q[:, None] * np.cos(th[None, :] - steer[:, None])
+        return _frozen([e.position for e in self.elements])
 
 
 @dataclass(frozen=True)
@@ -203,6 +211,42 @@ def sample_random_geometry(
         rules the request out immediately, or the rejection budget of
         10^6 candidate draws is exhausted.
     """
+    values = sample_element_values(element_count, aperture_radius, min_spacing, seed)
+    elements = tuple(
+        ArrayElement(r=r, phi=phi, q=q, theta_steer=t) for r, phi, q, t in values.T.tolist()
+    )
+    return ArrayGeometry(
+        elements=elements, aperture_radius=aperture_radius, min_spacing=min_spacing
+    )
+
+
+def _uniform_stream(rng: np.random.Generator, block: int):
+    # Uniform[0, 1) doubles in generator order, drawn a block at a time
+    while True:
+        yield from rng.random(block).tolist()
+
+
+def _clear_of(x: float, y: float, placed, min_sq: float) -> bool:
+    # the rejection test: no placed element closer than sqrt(min_sq)
+    for px, py in placed:
+        if (x - px) ** 2 + (y - py) ** 2 < min_sq:
+            return False
+    return True
+
+
+def sample_element_values(
+    element_count: int,
+    aperture_radius: float,
+    min_spacing: float,
+    seed: int,
+) -> np.ndarray:
+    """The element values `sample_random_geometry` draws for ``seed``.
+
+    Rows r, phi, q and theta_steer, shape (4, M), with both angles wrapped
+    to [0, 2pi). Each candidate consumes two doubles of the generator (the
+    radius, then the angle); the M shapes and the M steering angles follow.
+    Raises `InfeasibleGeometryError` as `sample_random_geometry` does.
+    """
     element_count = int(element_count)
     if element_count < 1:
         raise ValueError("element_count must be >= 1")
@@ -211,15 +255,14 @@ def sample_random_geometry(
             f"{element_count} elements with {min_spacing} m spacing cannot fit "
             f"an aperture of radius {aperture_radius} m"
         )
-    rng = np.random.default_rng(seed)
+    uniform = _uniform_stream(np.random.default_rng(seed), 8 * element_count)
     min_sq = min_spacing * min_spacing
     attempts = 0
     while True:
-        polar: list[tuple[float, float]] = []
+        radii: list[float] = []
+        angles: list[float] = []
         cartesian: list[tuple[float, float]] = []
-        dead_end = False
         for _ in range(element_count):
-            placed = False
             for _ in range(_PLACEMENT_CAP):
                 attempts += 1
                 if attempts > SAMPLING_BUDGET:
@@ -228,28 +271,21 @@ def sample_random_geometry(
                         f"for M={element_count}, spacing={min_spacing}, "
                         f"aperture={aperture_radius}"
                     )
-                radius = aperture_radius * math.sqrt(rng.uniform())
-                angle = rng.uniform(0.0, TWO_PI)
+                radius = aperture_radius * math.sqrt(next(uniform))
+                angle = TWO_PI * next(uniform)
                 x, y = radius * math.cos(angle), radius * math.sin(angle)
-                if all((x - px) ** 2 + (y - py) ** 2 >= min_sq for px, py in cartesian):
-                    polar.append((radius, angle))
+                if _clear_of(x, y, cartesian, min_sq):
+                    radii.append(radius)
+                    angles.append(wrap_angle(angle))
                     cartesian.append((x, y))
-                    placed = True
                     break
-            if not placed:
-                dead_end = True
-                break
-        if not dead_end:
+            else:
+                break  # dead end: restart the whole placement
+        else:
             break
-    shapes = rng.uniform(0.0, 1.0, element_count)
-    steers = rng.uniform(0.0, TWO_PI, element_count)
-    elements = tuple(
-        ArrayElement(r=r, phi=phi, q=float(q), theta_steer=float(t))
-        for (r, phi), q, t in zip(polar, shapes, steers)
-    )
-    return ArrayGeometry(
-        elements=elements, aperture_radius=aperture_radius, min_spacing=min_spacing
-    )
+    shapes = [next(uniform) for _ in range(element_count)]
+    steers = [wrap_angle(TWO_PI * next(uniform)) for _ in range(element_count)]
+    return np.array([radii, angles, shapes, steers])
 
 
 def steering_vector(

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidFilterError
-from .geometry import ArrayGeometry, PhysicalConstants, steering_vector
-from .modal import harmonic_tensor
+from .geometry import ArrayGeometry, PhysicalConstants
+from .modal import element_harmonics
 from .solver import BeamformerFilter
 
 MIN_INTEGRATION_POINTS = 512
@@ -71,12 +71,23 @@ def beampattern(
     complex or ndarray
         ``h^H(omega) T(theta) d(omega, theta)``.
     """
-    h = filt.weights_at(omega)
-    d = steering_vector(geometry, constants, omega, theta)
-    t = geometry.response_matrix(theta)
-    if d.ndim == 1:
-        return complex(np.vdot(h, t * d))
-    return (h.conj()[:, None] * t * d).sum(axis=0)
+    th = np.asarray(theta, dtype=float)
+    pattern = render_pattern(
+        filt.weights_at(omega), geometry.element_values, omega, th.ravel(),
+        constants.speed_of_sound,
+    )
+    return complex(pattern[0]) if th.ndim == 0 else pattern
+
+
+def render_pattern(weights, values, omega: float, theta, speed_of_sound: float) -> np.ndarray:
+    """`beampattern` over a stack: weights (..., M) at ``omega`` and element
+    values (4, ..., M) (rows r, phi, q, theta_steer), angles (A,) to (..., A)."""
+    r, phi, q, steer = (v[..., None] for v in np.asarray(values))
+    x = omega * r / speed_of_sound
+    d = np.exp(1j * x * np.cos(theta - phi))
+    pattern = np.asarray(weights).conj()[..., None] * ((1.0 - q) + q * np.cos(theta - steer))
+    pattern *= d
+    return pattern.sum(axis=-2)
 
 
 def white_noise_gain(
@@ -128,24 +139,44 @@ def gain_curves(
 ) -> tuple[np.ndarray, np.ndarray]:
     """White noise gain and directivity factor (linear) over the grid.
 
-    The rendered pattern is ``B(theta) = sum_n c_n e^{jn theta}`` with
-    ``c_n = h^H Xi_n`` from `harmonic_tensor`, so by Parseval the
-    diffuse-noise mean of ``|B|^2`` is ``sum_n |c_n|^2``: both gains are
-    exact, with no angular quadrature. ``integration_points`` is ignored;
-    it remains for callers written against the quadrature version.
+    See `parseval_gains`. ``integration_points`` is ignored; it remains
+    for callers written against the quadrature version.
     """
-    norm_sq = np.sum(np.abs(filt.weights) ** 2, axis=1)
-    if np.any(norm_sq == 0.0):
-        raise InvalidFilterError("filter has zero norm at this frequency")
+    return parseval_gains(
+        filt.weights, geometry.element_values, filt.grid.omegas, filt.order, theta_s,
+        constants.speed_of_sound,
+    )
+
+
+def harmonic_reach(order: int, x: float) -> int:
+    """Highest harmonic |n| the Parseval sums keep for a largest normalized
+    aperture ``x = omega r / c`` and a pattern of order ``order``."""
     # past n ~ x the Bessel terms fall like Ai((n - x) / (x/2)^(1/3)), below 1e-16
     # 12 units in; at small x the weights grow like 1 / J_N(x), hence the + N + 6
-    x = float(np.max(filt.grid.omegas) * np.max(geometry.radii)) / constants.speed_of_sound
-    order = filt.order + math.ceil(x + 12.0 * (x / 2.0) ** (1.0 / 3.0)) + 6
-    n_values = np.arange(-order, order + 1)
-    xi = harmonic_tensor(geometry, constants, filt.grid.omegas, n_values)
-    coefficients = (xi @ filt.weights.conj()[:, :, None])[:, :, 0]
+    return order + math.ceil(x + 12.0 * (x / 2.0) ** (1.0 / 3.0)) + 6
+
+
+def parseval_gains(
+    weights, values, omegas, order: int, theta_s: float, speed_of_sound: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """WNG and DF (linear) of stacked filters: weights (..., F, M) over element
+    values (4, ..., M) (rows r, phi, q, theta_steer) to (..., F) each.
+
+    The rendered pattern is ``B(theta) = sum_n c_n e^{jn theta}`` with
+    ``c_n = h^H Xi_n`` from `element_harmonics`, so by Parseval the
+    diffuse-noise mean of ``|B|^2`` is ``sum_n |c_n|^2``: both gains are
+    exact, with no angular quadrature.
+    """
+    norm_sq = np.sum(np.abs(weights) ** 2, axis=-1)
+    if np.any(norm_sq == 0.0):
+        raise InvalidFilterError("filter has zero norm at this frequency")
+    x = float(np.max(omegas) * np.max(values[0])) / speed_of_sound
+    reach = harmonic_reach(order, x)
+    n_values = np.arange(-reach, reach + 1)
+    xi = element_harmonics(values, omegas, n_values, speed_of_sound)
+    coefficients = (xi @ weights.conj()[..., None])[..., 0]
     peak = np.abs(coefficients @ np.exp(1j * n_values * theta_s)) ** 2
-    return peak / norm_sq, peak / np.sum(np.abs(coefficients) ** 2, axis=1)
+    return peak / norm_sq, peak / np.sum(np.abs(coefficients) ** 2, axis=-1)
 
 
 @dataclass(frozen=True)

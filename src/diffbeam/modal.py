@@ -115,28 +115,52 @@ def harmonic_tensor(
     """Matching-matrix entries for a whole frequency grid at once.
 
     Entry ``[f, i, m]`` is ``P_{n,m} e^{-jn theta_m}`` for ``n = n_values[i]``
-    at ``omegas[f]`` (rad/s), shape (F, len(n_values), M). With the
-    plane-wave term ``G_k = j^k J_k(x_m) e^{-jk phi_m}`` it equals
-    ``(1-q) G_n + (q/2) (G_{n+1} e^{j theta_m} + G_{n-1} e^{-j theta_m})``,
-    all Bessel values coming from one table over the (F, M) arguments
-    ``x = omega r / c``. The "omni" element model sets every q to zero.
+    at ``omegas[f]`` (rad/s), shape (F, len(n_values), M); see
+    `element_harmonics`. The "omni" element model sets every q to zero.
     """
+    values = model_values(geometry.element_values, element_model)
+    return element_harmonics(values, omegas, n_values, constants.speed_of_sound)
+
+
+def model_values(values: np.ndarray, element_model: str) -> np.ndarray:
+    """Element values (rows r, phi, q, theta_steer) as ``element_model`` sees them."""
     if element_model not in ELEMENT_MODELS:
         raise ValueError(f"unknown element model {element_model!r}")
+    if element_model == "omni":
+        values = values.copy()
+        values[2] = 0.0
+    return values
+
+
+def element_harmonics(values, omegas, n_values, speed_of_sound: float) -> np.ndarray:
+    """`harmonic_tensor` over a stack of arrays: values (4, ..., M) to (..., F, K, M).
+
+    ``values`` holds the rows r, phi, q and theta_steer of every element.
+    With the plane-wave term ``G_k = j^k J_k(x_m) e^{-jk phi_m}`` the entry
+    for harmonic n is ``(1-q) G_n + (q/2) (G_{n+1} e^{j theta_m} + G_{n-1}
+    e^{-j theta_m})``, all Bessel values coming from one table over every
+    argument ``x = omega r / c`` of the stack.
+    """
     n_values = np.atleast_1d(np.asarray(n_values, dtype=int))
-    q = geometry.shape_coefficients if element_model == "first_order" else 0.0
-    x = np.multiply.outer(np.atleast_1d(omegas), geometry.radii) / constants.speed_of_sound
+    r, phi, q, steer = (np.asarray(v)[..., None] for v in values)
+    # frequency is the last axis while building, so that the element factors,
+    # shaped (..., M, 1), broadcast along the longest axis; the result is moved
+    # to (..., F, K, M) at the end
+    x = r * np.atleast_1d(omegas) / speed_of_sound
     k = np.arange(n_values.min() - 1, n_values.max() + 2)
     table = bessel_order_table(int(np.abs(k).max()), x)
     # j^k, and (-1)^k for the negative orders read off the |k| table
     units = np.asarray(_J_POWER)[k % 4] * np.where((k < 0) & (k % 2 == 1), -1.0, 1.0)
-    phases = units[:, None] * np.exp(-1j * np.outer(k, geometry.position_angles))
-    g = np.swapaxes(table[np.abs(k)] * phases[:, None, :], 0, 1)
+    along_k = (slice(None),) + (None,) * phi.ndim
+    g = table[np.abs(k)] * (units[along_k] * np.exp(-1j * (k[along_k] * phi)))
     rows = n_values - k[0]
-    turn = np.exp(1j * geometry.steer_angles)
-    return (1.0 - q) * g[:, rows] + 0.5 * q * (
-        g[:, rows + 1] * turn + g[:, rows - 1] * turn.conj()
-    )
+    turn = np.exp(1j * steer)
+    # in place, to hold the temporaries of a large stack down
+    xi = g[rows + 1] * turn
+    xi += g[rows - 1] * turn.conj()
+    xi *= 0.5 * q
+    xi += (1.0 - q) * g[rows]
+    return np.ascontiguousarray(np.moveaxis(xi, (0, -1), (-2, -3)))
 
 
 def build_psi_matrix(

@@ -2,29 +2,29 @@
 
 Each trial draws a fresh geometry from a per-trial seed, designs the
 filter, and evaluates the metrics; mean and standard deviation are
-aggregated in the dB domain across trials. Trials are independent work
-units: per-trial seeds are derived by splitting the master seed with the
-trial index, and the reduction runs in trial-index order, so the
-statistics are identical no matter how many workers execute them.
+aggregated in the dB domain across trials. Trials run in chunks whose
+boundaries depend on the configuration alone; a chunk's geometries,
+designs and metrics are each computed as one stack. Per-trial seeds are
+derived by splitting the master seed with the trial index, and the
+reduction runs in trial-index order, so the statistics are identical no
+matter how many workers execute the chunks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AllTrialsFailedError,
-    InfeasibleGeometryError,
-    RankDeficientSystemError,
-)
-from .geometry import PhysicalConstants, sample_random_geometry
-from .metrics import beampattern, gain_curves, magnitude_db, power_db
+from .errors import AllTrialsFailedError, InfeasibleGeometryError
+from .geometry import sample_element_values
+from .metrics import harmonic_reach, magnitude_db, parseval_gains, power_db, render_pattern
+from .modal import element_harmonics, model_values
 from .patterns import SteeredTarget, a_to_b, resolve_pattern
-from .solver import FrequencyGrid, design_filter
+from .solver import FrequencyGrid, _solve_wide, design_rhs, rank_deficiency
 
 STATISTICS_FLOOR_DB = -120.0
 
@@ -109,34 +109,102 @@ def trial_seed(master_seed: int, index: int) -> int:
     return int(sequence.generate_state(1, np.uint64)[0])
 
 
-def _run_one(config: TrialConfig, target: SteeredTarget, index: int):
-    constants = PhysicalConstants(speed_of_sound=config.speed_of_sound)
-    try:
-        geometry = sample_random_geometry(
-            config.element_count,
-            config.aperture_radius,
-            config.min_spacing,
-            seed=trial_seed(config.master_seed, index),
-        )
-        filt = design_filter(
-            geometry, constants, target, config.grid, config.element_model
-        )
-    except (RankDeficientSystemError, InfeasibleGeometryError) as err:
-        return TrialFailure(index=index, reason=str(err))
+# trials per chunk hold each of a chunk's largest arrays (the harmonic tensor
+# of the Parseval sums, the rendered pattern) to about this many complex
+# values, 1 MiB: past a few MB per chunk the peak memory grows and speed does not
+CHUNK_ELEMENTS = 1 << 16
+
+
+def chunk_trials(config: TrialConfig) -> int:
+    """Trials per chunk, from the sizes of the study alone.
+
+    A trial's largest arrays hold grid points x harmonics x elements values
+    (the Parseval harmonics reach past the largest normalized aperture, the
+    aperture radius at the top of the grid) and elements x angles values
+    (the rendered pattern).
+    """
+    x = float(np.max(config.grid.omegas) * config.aperture_radius) / config.speed_of_sound
+    harmonics = 2 * harmonic_reach(config.order, x) + 1
+    per_trial = config.element_count * max(config.grid.count * harmonics, config.angle_count)
+    return max(1, CHUNK_ELEMENTS // per_trial)
+
+
+@dataclass(frozen=True)
+class _ChunkResult:
+    bp_db: np.ndarray  # (S, K) at eval_frequency_hz, over the chunk's S successes
+    wng_db: np.ndarray  # (S, F)
+    df_db: np.ndarray  # (S, F)
+    failures: list[TrialFailure]
+
+
+def _run_chunk(config: TrialConfig, target: SteeredTarget, indices: range) -> _ChunkResult:
+    """Sample, design and score a run of trials as one stack.
+
+    A trial fails when its geometry cannot be sampled or the rank gate
+    refuses any of its grid frequencies; its reason is the error that
+    `sample_random_geometry` or `design_filter` raises for it.
+    """
+    failures = []
+    kept = []
+    sampled = []
+    for index in indices:
+        try:
+            sampled.append(sample_element_values(
+                config.element_count,
+                config.aperture_radius,
+                config.min_spacing,
+                seed=trial_seed(config.master_seed, index),
+            ))
+        except InfeasibleGeometryError as err:
+            failures.append(TrialFailure(index=index, reason=str(err)))
+        else:
+            kept.append(index)
+    empty = _ChunkResult(
+        np.empty((0, config.angle_count)), np.empty((0, config.grid.count)),
+        np.empty((0, config.grid.count)), failures,
+    )
+    if not sampled:
+        return empty
+
+    values = np.stack(sampled, axis=1)  # (4, T, M)
+    c = config.speed_of_sound
+    grid = config.grid
+    n_values = np.arange(-config.order, config.order + 1)
+    xi = element_harmonics(
+        model_values(values, config.element_model), grid.omegas, n_values, c
+    )
+    weights, refused, condition = _solve_wide(xi.conj(), design_rhs(target))
+    for t in np.flatnonzero(refused.any(axis=1)):
+        f = int(np.argmax(refused[t]))
+        error = rank_deficiency(float(condition[t, f]), float(grid.frequencies_hz[f]))
+        failures.append(TrialFailure(index=kept[t], reason=str(error)))
+    failures.sort(key=lambda failure: failure.index)
+    designed = ~refused.any(axis=1)
+    if not designed.any():
+        return empty
+    weights, values = weights[designed], values[:, designed]
 
     theta_grid = 2.0 * np.pi * np.arange(config.angle_count) / config.angle_count
+    eval_index = int(np.flatnonzero(
+        np.isclose(grid.frequencies_hz, config.eval_frequency_hz, rtol=1e-9, atol=1e-9)
+    )[0])
     omega_eval = 2.0 * np.pi * config.eval_frequency_hz
-    bp = beampattern(filt, geometry, constants, omega_eval, theta_grid)
-    wng, df = gain_curves(filt, geometry, constants, filt.theta_s)
-    return magnitude_db(bp, floor_db=config.db_floor), power_db(wng), power_db(df)
+    bp = render_pattern(weights[:, eval_index], values, omega_eval, theta_grid, c)
+    wng, df = parseval_gains(weights, values, grid.omegas, config.order, target.theta_s, c)
+    return _ChunkResult(
+        magnitude_db(bp, floor_db=config.db_floor), power_db(wng), power_db(df), failures
+    )
 
 
 def run_trials(config: TrialConfig, workers: int = 1) -> TrialStatistics:
     """Run the experiment and aggregate mean/std in the dB domain.
 
-    Failed trials (rank-deficient systems, infeasible geometries) never
-    enter the statistics; they are counted and reported. The result is a
-    pure function of ``config`` regardless of ``workers``.
+    Trials run in chunks of `chunk_trials`, one stack per layer each, and
+    ``workers`` threads share out the chunks. Failed trials (rank-deficient
+    systems, infeasible geometries) never enter the statistics; they are
+    counted and reported. The chunks depend on ``config`` alone and are
+    reduced in trial-index order, so the result is a pure function of
+    ``config`` regardless of ``workers``.
 
     Raises
     ------
@@ -144,21 +212,25 @@ def run_trials(config: TrialConfig, workers: int = 1) -> TrialStatistics:
         When not a single trial produced a design.
     """
     target, _ = config.target()
-    indices = range(config.trials)
+    size = chunk_trials(config)
+    chunks = [range(s, min(s + size, config.trials)) for s in range(0, config.trials, size)]
+    run = functools.partial(_run_chunk, config, target)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: _run_one(config, target, t), indices))
+            results = list(pool.map(run, chunks))
     else:
-        results = [_run_one(config, target, t) for t in indices]
+        results = [run(chunk) for chunk in chunks]
 
-    failures = tuple(r for r in results if isinstance(r, TrialFailure))
-    successes = [r for r in results if not isinstance(r, TrialFailure)]
-    if not successes:
+    failures = tuple(f for r in results for f in r.failures)
+    if len(failures) == config.trials:
         raise AllTrialsFailedError(
             f"all {config.trials} trials failed; first reason: {failures[0].reason}"
         )
 
-    bp, wng, df = (np.stack(column) for column in zip(*successes))
+    bp, wng, df = (
+        np.concatenate([getattr(r, name) for r in results])
+        for name in ("bp_db", "wng_db", "df_db")
+    )
     angles_deg = 360.0 * np.arange(config.angle_count) / config.angle_count
     return TrialStatistics(
         angles_deg=angles_deg,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,13 +43,18 @@ class FrequencyGrid:
         if self.count < 1:
             raise ValueError("count must be >= 1")
 
-    @property
+    # read-only arrays, built once per instance
+    @cached_property
     def frequencies_hz(self) -> np.ndarray:
-        return np.linspace(self.f_min_hz, self.f_max_hz, self.count)
+        frequencies = np.linspace(self.f_min_hz, self.f_max_hz, self.count)
+        frequencies.setflags(write=False)
+        return frequencies
 
-    @property
+    @cached_property
     def omegas(self) -> np.ndarray:
-        return 2.0 * np.pi * self.frequencies_hz
+        omegas = 2.0 * np.pi * self.frequencies_hz
+        omegas.setflags(write=False)
+        return omegas
 
 
 @dataclass(frozen=True)
@@ -91,30 +97,45 @@ class BeamformerFilter:
 
 
 def rank_gate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rank gate on a stack of (F, R, C) wide systems.
+    """The rank gate on a stack of (..., R, C) wide systems.
 
-    Returns ``(refused, condition)``, both (F,): a system is refused when the
-    smallest eigenvalue of its unscaled Gram ``A A^H`` falls below 1e-10 times
-    the largest; ``condition`` is their ratio (inf when the smallest is not positive).
+    Returns ``(refused, condition)``, both shaped like the stack: a system is
+    refused when the smallest eigenvalue of its unscaled Gram ``A A^H`` falls
+    below 1e-10 times the largest; ``condition`` is their ratio (inf when the
+    smallest is not positive).
     """
     eigs = np.linalg.eigvalsh(a @ a.conj().swapaxes(-1, -2))
-    largest, smallest = eigs[:, -1], eigs[:, 0]
+    largest, smallest = eigs[..., -1], eigs[..., 0]
     refused = (largest <= 0.0) | (smallest < RANK_RTOL * largest)
     condition = np.divide(largest, smallest, out=np.full_like(largest, math.inf),
                           where=smallest > 0.0)
     return refused, condition
 
 
-def _solve_wide(a: np.ndarray, b: np.ndarray, frequencies_hz=None) -> np.ndarray:
-    # a: (F, R, C) with R <= C, b: (F, R) or (R,); one stacked call per step
-    refused, conditions = rank_gate(a)
-    if refused.any():
-        i = int(np.argmax(refused))
-        f_hz = None if frequencies_hz is None else float(frequencies_hz[i])
-        where = "" if f_hz is None else f" at {f_hz:.6g} Hz"
-        message = f"modal system is rank deficient (Gram condition ~ {conditions[i]:.3e})"
-        raise RankDeficientSystemError(message + where, float(conditions[i]), f_hz)
+def rank_deficiency(
+    condition: float, frequency_hz: float | None = None
+) -> RankDeficientSystemError:
+    """The error for a system the rank gate refused, naming its frequency if known."""
+    where = "" if frequency_hz is None else f" at {frequency_hz:.6g} Hz"
+    return RankDeficientSystemError(
+        f"modal system is rank deficient (Gram condition ~ {condition:.3e}){where}",
+        condition,
+        frequency_hz,
+    )
 
+
+def _solve_wide(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gate a stack of (..., R, C) wide systems, R <= C, and solve the accepted ones.
+
+    ``b`` broadcasts against (..., R). Returns ``(h, refused, condition)``:
+    ``h`` is (..., C), NaN where the system was refused; the other two come
+    from `rank_gate`. Each step is one stacked call.
+    """
+    refused, condition = rank_gate(a)
+    h = np.full(a.shape[:-2] + a.shape[-1:], np.nan, dtype=complex)
+    accepted = ~refused
+    a = a[accepted]
+    b = np.broadcast_to(b, refused.shape + b.shape[-1:])[accepted]
     # exact power-of-two row scaling: same constraint set, better-behaved Gram
     row_norms = np.sqrt(np.sum(np.abs(a) ** 2, axis=-1))
     scales = np.exp2(np.round(np.log2(row_norms)))
@@ -123,7 +144,8 @@ def _solve_wide(a: np.ndarray, b: np.ndarray, frequencies_hz=None) -> np.ndarray
     # numpy has no stacked triangular solve; its general one serves the factors
     chol = np.linalg.cholesky(a_eq @ a_eq.conj().swapaxes(-1, -2))
     y = np.linalg.solve(chol.conj().swapaxes(-1, -2), np.linalg.solve(chol, b_eq[..., None]))
-    return (a_eq.conj().swapaxes(-1, -2) @ y)[..., 0]
+    h[accepted] = (a_eq.conj().swapaxes(-1, -2) @ y)[..., 0]
+    return h, refused, condition
 
 
 def min_norm_solve(matrix, rhs) -> np.ndarray:
@@ -153,7 +175,21 @@ def min_norm_solve(matrix, rhs) -> np.ndarray:
         raise ValueError(f"system must be wide, got shape {a.shape}")
     if b.shape != (rows,):
         raise ValueError(f"rhs length {b.shape} does not match {rows} rows")
-    return _solve_wide(a[None], b[None])[0]
+    h, refused, condition = _solve_wide(a[None], b[None])
+    if refused[0]:
+        raise rank_deficiency(float(condition[0]))
+    return h[0]
+
+
+def design_rhs(target: SteeredTarget) -> np.ndarray:
+    """Conjugated right-hand side of the matching systems, the same at every
+    frequency; the target must be distortionless-normalized."""
+    total = sum(target.coefficients.b)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(
+            f"target is not distortionless-normalized (coefficient sum {total!r})"
+        )
+    return apply_steering(target.coefficients, target.theta_s).conj()
 
 
 def design_filter(
@@ -182,16 +218,13 @@ def design_filter(
             f"order {target.order} needs at least {rows} elements, "
             f"geometry has {geometry.size}"
         )
-    total = sum(target.coefficients.b)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(
-            f"target is not distortionless-normalized (coefficient sum {total!r})"
-        )
-
+    rhs = design_rhs(target)
     n_values = np.arange(-target.order, target.order + 1)
     xi = harmonic_tensor(geometry, constants, grid.omegas, n_values, element_model)
-    rhs = apply_steering(target.coefficients, target.theta_s).conj()
-    weights = _solve_wide(xi.conj(), rhs, grid.frequencies_hz)
+    weights, refused, condition = _solve_wide(xi.conj(), rhs)
+    if refused.any():
+        i = int(np.argmax(refused))
+        raise rank_deficiency(float(condition[i]), float(grid.frequencies_hz[i]))
     return BeamformerFilter(
         grid=grid,
         weights=weights,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diffbeam.geometry as geometry_module
 from diffbeam import (
     ArrayElement,
     ArrayGeometry,
@@ -16,6 +17,55 @@ from diffbeam import (
     steering_vector,
     validate_geometry,
 )
+
+
+def loop_sample(element_count, aperture_radius, min_spacing, seed):
+    """The sampler as one ``rng.uniform`` call per double: the oracle for the
+    buffered `sample_random_geometry`, which must reproduce it bit for bit."""
+    if element_count * (min_spacing / 2.0) ** 2 > aperture_radius**2:
+        raise InfeasibleGeometryError(
+            f"{element_count} elements with {min_spacing} m spacing cannot fit "
+            f"an aperture of radius {aperture_radius} m"
+        )
+    rng = np.random.default_rng(seed)
+    min_sq = min_spacing * min_spacing
+    attempts = 0
+    while True:
+        polar = []
+        cartesian = []
+        dead_end = False
+        for _ in range(element_count):
+            placed = False
+            for _ in range(geometry_module._PLACEMENT_CAP):
+                attempts += 1
+                if attempts > geometry_module.SAMPLING_BUDGET:
+                    raise InfeasibleGeometryError(
+                        f"rejection budget of {geometry_module.SAMPLING_BUDGET} draws "
+                        f"exhausted for M={element_count}, spacing={min_spacing}, "
+                        f"aperture={aperture_radius}"
+                    )
+                radius = aperture_radius * math.sqrt(rng.uniform())
+                angle = rng.uniform(0.0, 2 * math.pi)
+                x, y = radius * math.cos(angle), radius * math.sin(angle)
+                if all((x - px) ** 2 + (y - py) ** 2 >= min_sq for px, py in cartesian):
+                    polar.append((radius, angle))
+                    cartesian.append((x, y))
+                    placed = True
+                    break
+            if not placed:
+                dead_end = True
+                break
+        if not dead_end:
+            break
+    shapes = rng.uniform(0.0, 1.0, element_count)
+    steers = rng.uniform(0.0, 2 * math.pi, element_count)
+    elements = tuple(
+        ArrayElement(r=r, phi=phi, q=float(q), theta_steer=float(t))
+        for (r, phi), q, t in zip(polar, shapes, steers)
+    )
+    return ArrayGeometry(
+        elements=elements, aperture_radius=aperture_radius, min_spacing=min_spacing
+    )
 
 
 def two_element_geometry(separation: float, min_spacing: float = 0.008):
@@ -132,6 +182,60 @@ class TestSampling:
     def test_sampled_always_valid(self, seed):
         geom = sample_random_geometry(13, 0.02, 0.008, seed=seed)
         assert validate_geometry(geom).ok
+
+
+class TestBufferedSampler:
+    def test_matches_loop_oracle_bit_for_bit(self):
+        for seed in range(500):
+            elements = (3, 5, 7, 9, 13)[seed % 5]
+            expected = loop_sample(elements, 0.02, 0.008, seed)
+            got = sample_random_geometry(elements, 0.02, 0.008, seed=seed)
+            assert got == expected, seed
+
+    def test_restarts_match_loop_oracle(self):
+        # at 17 elements about a third of the seeds hit a dead end (an element
+        # that 2000 candidates cannot place) and restart the whole placement
+        for seed in range(20):
+            expected = loop_sample(17, 0.02, 0.008, seed)
+            assert sample_random_geometry(17, 0.02, 0.008, seed=seed) == expected, seed
+
+    def test_budget_exhaustion_matches_oracle(self, monkeypatch):
+        # 25 elements pass the area heuristic but random placement saturates
+        # near 20, so every seed runs out of draws
+        monkeypatch.setattr(geometry_module, "SAMPLING_BUDGET", 20_000)
+        for seed in range(3):
+            with pytest.raises(InfeasibleGeometryError) as expected:
+                loop_sample(25, 0.02, 0.008, seed)
+            with pytest.raises(InfeasibleGeometryError) as got:
+                sample_random_geometry(25, 0.02, 0.008, seed=seed)
+            assert str(got.value) == str(expected.value)
+            assert "budget of 20000 draws exhausted" in str(got.value)
+
+    def test_element_values_rows(self):
+        values = geometry_module.sample_element_values(9, 0.02, 0.008, seed=4)
+        geom = sample_random_geometry(9, 0.02, 0.008, seed=4)
+        assert np.array_equal(values, geom.element_values)
+        assert np.all((values[1] < 2 * math.pi) & (values[3] < 2 * math.pi))
+
+
+class TestCachedArrays:
+    @pytest.mark.parametrize(
+        "name",
+        ["element_values", "radii", "position_angles", "shape_coefficients",
+         "steer_angles", "positions"],
+    )
+    def test_built_once_and_read_only(self, name):
+        geom = sample_random_geometry(5, 0.02, 0.008, seed=3)
+        array = getattr(geom, name)
+        assert getattr(geom, name) is array
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+    def test_match_elements(self):
+        geom = sample_random_geometry(5, 0.02, 0.008, seed=3)
+        assert geom.radii.tolist() == [e.r for e in geom.elements]
+        assert geom.steer_angles.tolist() == [e.theta_steer for e in geom.elements]
+        assert geom.positions.tolist() == [list(e.position) for e in geom.elements]
 
 
 class TestSteeringVector:

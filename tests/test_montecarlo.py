@@ -5,12 +5,21 @@ import diffbeam.montecarlo as mc
 from diffbeam import (
     AllTrialsFailedError,
     FrequencyGrid,
+    InfeasibleGeometryError,
+    PhysicalConstants,
+    RankDeficientSystemError,
     TrialConfig,
+    beampattern,
     compare_orders,
+    design_filter,
+    gain_curves,
     run_trials,
+    sample_random_geometry,
     trial_seed,
 )
+from diffbeam.metrics import magnitude_db, power_db
 from diffbeam.montecarlo import TrialFailure
+from tests.test_rank_gate import HIGH_ORDER_GRID, STUDY_SEED
 
 
 def small_config(**overrides):
@@ -82,25 +91,70 @@ class TestRunTrials:
         assert stats.successes == config.trials
 
 
+def study_n3_m7(**overrides):
+    # the first 100 trials of tests/test_rank_gate.py's N=3, M=7 study set
+    defaults = dict(
+        trials=100,
+        element_count=7,
+        order=3,
+        grid=HIGH_ORDER_GRID,
+        master_seed=STUDY_SEED,
+        angle_count=360,
+    )
+    defaults.update(overrides)
+    return small_config(**defaults)
+
+
+def oracle_statistics(config):
+    """The study trial by trial through the public per-geometry functions."""
+    target, _ = config.target()
+    constants = PhysicalConstants(speed_of_sound=config.speed_of_sound)
+    theta = 2.0 * np.pi * np.arange(config.angle_count) / config.angle_count
+    omega = 2.0 * np.pi * config.eval_frequency_hz
+    bp, wng, df, failures = [], [], [], []
+    for index in range(config.trials):
+        try:
+            geometry = sample_random_geometry(
+                config.element_count, config.aperture_radius, config.min_spacing,
+                seed=trial_seed(config.master_seed, index),
+            )
+            filt = design_filter(geometry, constants, target, config.grid, config.element_model)
+        except (RankDeficientSystemError, InfeasibleGeometryError) as err:
+            failures.append((index, str(err)))
+            continue
+        pattern = beampattern(filt, geometry, constants, omega, theta)
+        bp.append(magnitude_db(pattern, floor_db=config.db_floor))
+        gains = gain_curves(filt, geometry, constants, filt.theta_s)
+        wng.append(power_db(gains[0]))
+        df.append(power_db(gains[1]))
+    stats = {}
+    for name, rows in (("bp", bp), ("wng", wng), ("df", df)):
+        stats[f"{name}_mean_db"] = np.mean(rows, axis=0)
+        stats[f"{name}_std_db"] = np.std(rows, axis=0)
+    return stats, failures
+
+
+STAT_NAMES = ("bp_mean_db", "bp_std_db", "wng_mean_db", "wng_std_db", "df_mean_db", "df_std_db")
+
+
 class TestFailureAccounting:
-    def test_failures_excluded_from_statistics(self, monkeypatch):
-        from diffbeam.errors import RankDeficientSystemError
-
-        real_design = mc.design_filter
-        calls = {"n": 0}
-
-        def flaky(geometry, constants, target, grid, element_model="first_order", **kw):
-            calls["n"] += 1
-            if calls["n"] % 2 == 1:  # fail every other trial (serial order)
-                raise RankDeficientSystemError("synthetic failure", condition=1e12)
-            return real_design(geometry, constants, target, grid, element_model, **kw)
-
-        monkeypatch.setattr(mc, "design_filter", flaky)
-        stats = run_trials(small_config(trials=6), workers=1)
-        assert len(stats.failures) == 3
-        assert stats.successes == 3
+    def test_failures_excluded_from_statistics(self):
+        # real rank-gate refusals, each reported with the message design_filter
+        # raises for that trial's geometry
+        config = study_n3_m7()
+        stats = run_trials(config)
+        refused = [43, 55, 68, 85, 87, 88, 96]
+        assert [f.index for f in stats.failures] == refused
         assert all(isinstance(f, TrialFailure) for f in stats.failures)
-        assert [f.index for f in stats.failures] == [0, 2, 4]
+        assert stats.successes == 100 - len(refused)
+        target, _ = config.target()
+        for failure in stats.failures:
+            geometry = sample_random_geometry(
+                7, 0.02, 0.008, seed=trial_seed(STUDY_SEED, failure.index)
+            )
+            with pytest.raises(RankDeficientSystemError) as err:
+                design_filter(geometry, PhysicalConstants(), target, HIGH_ORDER_GRID)
+            assert failure.reason == str(err.value)
 
     def test_all_failed_raises(self):
         # order 4 at 50 Hz sits far below the rank gate for every geometry
@@ -113,6 +167,52 @@ class TestFailureAccounting:
         )
         with pytest.raises(AllTrialsFailedError):
             run_trials(config)
+
+
+class TestChunkedAgainstOracle:
+    @pytest.mark.parametrize(
+        "element_model, f_hz, refusals", [("first_order", 300.0, 7), ("omni", 700.0, 16)]
+    )
+    def test_refusals_across_uneven_chunks(self, element_model, f_hz, refusals):
+        # the rank gate refuses trials spread over at least three chunks, the
+        # last one short
+        config = study_n3_m7(
+            grid=FrequencyGrid(f_hz, f_hz, 1),
+            eval_frequency_hz=f_hz,
+            element_model=element_model,
+        )
+        chunk = mc.chunk_trials(config)
+        assert config.trials > 2 * chunk and config.trials % chunk != 0
+        stats = run_trials(config)
+        expected, failures = oracle_statistics(config)
+        assert [(f.index, f.reason) for f in stats.failures] == failures
+        assert len(failures) == refusals
+        for name in STAT_NAMES:
+            assert np.max(np.abs(getattr(stats, name) - expected[name])) <= 1e-9, name
+
+    def test_grid_of_frequencies(self):
+        config = small_config(
+            trials=9,
+            element_count=9,
+            order=2,
+            grid=FrequencyGrid(500.0, 4000.0, 36),
+            angle_count=360,
+        )
+        chunk = mc.chunk_trials(config)
+        assert config.trials > 2 * chunk and config.trials % chunk != 0
+        stats = run_trials(config)
+        expected, failures = oracle_statistics(config)
+        assert failures == [] and stats.failures == ()
+        for name in STAT_NAMES:
+            assert np.max(np.abs(getattr(stats, name) - expected[name])) <= 1e-9, name
+
+    def test_one_and_four_workers_byte_equal(self):
+        config = study_n3_m7(grid=FrequencyGrid(300.0, 300.0, 1), eval_frequency_hz=300.0)
+        serial = run_trials(config, workers=1)
+        threaded = run_trials(config, workers=4)
+        for name in STAT_NAMES:
+            assert getattr(serial, name).tobytes() == getattr(threaded, name).tobytes()
+        assert serial.failures == threaded.failures
 
 
 class TestLowFrequencyBehavior:

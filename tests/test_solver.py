@@ -30,6 +30,14 @@ class TestFrequencyGrid:
     def test_single_point(self):
         assert FrequencyGrid(1000.0, 1000.0, 1).frequencies_hz.tolist() == [1000.0]
 
+    @pytest.mark.parametrize("name", ["frequencies_hz", "omegas"])
+    def test_arrays_built_once_and_read_only(self, name):
+        grid = FrequencyGrid(50.0, 4000.0, 80)
+        array = getattr(grid, name)
+        assert getattr(grid, name) is array
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
     @pytest.mark.parametrize("args", [(0.0, 100.0, 5), (200.0, 100.0, 5), (50.0, 100.0, 0)])
     def test_invalid(self, args):
         with pytest.raises(ValueError):
