@@ -40,6 +40,14 @@ def _check_argument(x: float) -> float:
     return x
 
 
+def _check_kernel_argument(x: float) -> float:
+    # the scalar kernel is tested against mpmath up to the table's cap
+    x = _check_argument(x)
+    if x > TABLE_ARGUMENT_CAP:
+        raise ValueError(f"argument must lie in [0, {TABLE_ARGUMENT_CAP}], got {x!r}")
+    return x
+
+
 def _check_order(n: int) -> int:
     n = int(n)
     if abs(n) > ORDER_CAP:
@@ -108,15 +116,15 @@ def bessel_j(n: int, x: float) -> float:
     n : int
         Integer order, |n| <= 64.
     x : float
-        Nonnegative finite argument.
+        Argument in [0, 100]; larger ones are refused.
 
     Returns
     -------
     float
-        J_n(x), with absolute error below 1e-12 for x <= 50.
+        J_n(x), with absolute error below 1e-12.
     """
     n = _check_order(n)
-    x = _check_argument(x)
+    x = _check_kernel_argument(x)
     return _jn_signed(n, x)
 
 
@@ -125,7 +133,7 @@ def bessel_j_table(n_max: int, x: float) -> np.ndarray:
     n_max = int(n_max)
     if n_max < 0 or n_max > ORDER_CAP + 1:
         raise ValueError(f"table order must be in [0, {ORDER_CAP + 1}], got {n_max}")
-    x = _check_argument(x)
+    x = _check_kernel_argument(x)
     return np.array([_jn(k, x) for k in range(n_max + 1)])
 
 
@@ -155,9 +163,9 @@ def bessel_order_table(n_max: int, x) -> np.ndarray:
 
 
 def bessel_j_prime(n: int, x: float) -> float:
-    """Derivative J'_n(x) = (J_{n-1}(x) - J_{n+1}(x)) / 2."""
+    """Derivative J'_n(x) = (J_{n-1}(x) - J_{n+1}(x)) / 2, for x in [0, 100]."""
     n = _check_order(n)
-    x = _check_argument(x)
+    x = _check_kernel_argument(x)
     return 0.5 * (_jn_signed(n - 1, x) - _jn_signed(n + 1, x))
 
 

@@ -10,6 +10,8 @@ complex rescaling of the filter.
 `gain_curves` computes both over a design grid from the pattern's
 harmonic coefficients; the per-frequency quadrature versions
 `white_noise_gain` and `directivity_factor` are its oracles.
+`equispaced_pattern` samples the pattern from the same coefficients by
+an inverse FFT; `beampattern` is the direct element sum.
 """
 
 from __future__ import annotations
@@ -162,21 +164,60 @@ def parseval_gains(
     """WNG and DF (linear) of stacked filters: weights (..., F, M) over element
     values (4, ..., M) (rows r, phi, q, theta_steer) to (..., F) each.
 
-    The rendered pattern is ``B(theta) = sum_n c_n e^{jn theta}`` with
-    ``c_n = h^H Xi_n`` from `element_harmonics`, so by Parseval the
-    diffuse-noise mean of ``|B|^2`` is ``sum_n |c_n|^2``: both gains are
-    exact, with no angular quadrature.
+    Builds the coefficients ``c_n = h^H Xi_n`` from `element_harmonics` for
+    every ``|n|`` up to `harmonic_reach` and scores them with
+    `coefficient_gains`.
     """
-    norm_sq = np.sum(np.abs(weights) ** 2, axis=-1)
-    if np.any(norm_sq == 0.0):
-        raise InvalidFilterError("filter has zero norm at this frequency")
     x = float(np.max(omegas) * np.max(values[0])) / speed_of_sound
     reach = harmonic_reach(order, x)
     n_values = np.arange(-reach, reach + 1)
     xi = element_harmonics(values, omegas, n_values, speed_of_sound)
-    coefficients = (xi @ weights.conj()[..., None])[..., 0]
+    return coefficient_gains(pattern_coefficients(xi, weights), weights, n_values, theta_s)
+
+
+def pattern_coefficients(xi, weights) -> np.ndarray:
+    """``c_n = h^H Xi_n``: harmonic tensors (..., F, K, M) and weights
+    (..., F, M) to the pattern's coefficients (..., F, K)."""
+    return (xi @ weights.conj()[..., None])[..., 0]
+
+
+def coefficient_gains(
+    coefficients, weights, n_values, theta_s: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """WNG and DF (linear) from pattern coefficients (..., F, K) over
+    harmonics ``n_values`` (K,) and the weights (..., F, M) behind them.
+
+    The rendered pattern is ``B(theta) = sum_n c_n e^{jn theta}``, so by
+    Parseval the diffuse-noise mean of ``|B|^2`` is ``sum_n |c_n|^2``: both
+    gains are exact, with no angular quadrature, once the coefficients reach
+    past every harmonic the pattern holds (`harmonic_reach`).
+    """
+    norm_sq = np.sum(np.abs(weights) ** 2, axis=-1)
+    if np.any(norm_sq == 0.0):
+        raise InvalidFilterError("filter has zero norm at this frequency")
     peak = np.abs(coefficients @ np.exp(1j * n_values * theta_s)) ** 2
     return peak / norm_sq, peak / np.sum(np.abs(coefficients) ** 2, axis=-1)
+
+
+def equispaced_pattern(coefficients, n_values, angle_count: int) -> np.ndarray:
+    """``B(theta_a)`` at ``theta_a = 2 pi a / A``, a = 0 .. A-1, from pattern
+    coefficients (..., K) over the consecutive harmonics ``n_values`` (K,),
+    to (..., A).
+
+    At those angles ``e^{jn theta_a}`` depends on n mod A only, so the
+    coefficients fold onto A residues and ``B = A ifft(folded)``; this is
+    exact for any A, also below the harmonic count K.
+    """
+    n_first = int(n_values[0])
+    k = coefficients.shape[-1]
+    # pad to whole turns of A; position p holds harmonic n_first + p, so the
+    # sum over turns is the fold up to a shift of n_first residues
+    turns = -(-k // angle_count)
+    padded = np.zeros(coefficients.shape[:-1] + (turns * angle_count,), dtype=complex)
+    padded[..., :k] = coefficients
+    folded = padded.reshape(coefficients.shape[:-1] + (turns, angle_count)).sum(axis=-2)
+    folded = np.roll(folded, n_first % angle_count, axis=-1)
+    return angle_count * np.fft.ifft(folded, axis=-1)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _check_argument, _jn_signed, bessel_order_table
+from .bessel import _check_argument, _check_kernel_argument, _jn_signed, bessel_order_table
 from .geometry import ArrayGeometry, PhysicalConstants
 from .patterns import SteeredTarget, apply_steering
 
@@ -46,7 +46,7 @@ def harmonic_coefficient(
     n : int
         Harmonic order.
     x : float
-        Normalized aperture omega * r / c, >= 0.
+        Normalized aperture omega * r / c, in [0, 100].
     q : float
         First-order shape coefficient in [0, 1].
     theta_steer, phi : float
@@ -58,7 +58,7 @@ def harmonic_coefficient(
         ``(1-q) j^n J_n(x) e^{jn d} + q j^{n+1} (J_{n+1}(x) e^{j(n+1)d}
         - J_{n-1}(x) e^{j(n-1)d}) / 2`` with ``d = theta_steer - phi``.
     """
-    x = _check_argument(x)
+    x = _check_kernel_argument(x)
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"shape coefficient must lie in [0, 1], got {q!r}")
     if not (math.isfinite(theta_steer) and math.isfinite(phi)):

@@ -21,7 +21,14 @@ import numpy as np
 
 from .errors import AllTrialsFailedError, InfeasibleGeometryError
 from .geometry import sample_element_values
-from .metrics import harmonic_reach, magnitude_db, parseval_gains, power_db, render_pattern
+from .metrics import (
+    coefficient_gains,
+    equispaced_pattern,
+    harmonic_reach,
+    magnitude_db,
+    pattern_coefficients,
+    power_db,
+)
 from .modal import element_harmonics, model_values
 from .patterns import SteeredTarget, a_to_b, resolve_pattern
 from .solver import FrequencyGrid, _solve_wide, design_rhs, rank_deficiency
@@ -109,8 +116,7 @@ def trial_seed(master_seed: int, index: int) -> int:
     return int(sequence.generate_state(1, np.uint64)[0])
 
 
-# trials per chunk hold each of a chunk's largest arrays (the harmonic tensor
-# of the Parseval sums, the rendered pattern) to about this many complex
+# trials per chunk hold a chunk's harmonic tensor to about this many complex
 # values, 1 MiB: past a few MB per chunk the peak memory grows and speed does not
 CHUNK_ELEMENTS = 1 << 16
 
@@ -118,10 +124,12 @@ CHUNK_ELEMENTS = 1 << 16
 def chunk_trials(config: TrialConfig) -> int:
     """Trials per chunk, from the sizes of the study alone.
 
-    A trial's largest arrays hold grid points x harmonics x elements values
-    (the Parseval harmonics reach past the largest normalized aperture, the
-    aperture radius at the top of the grid) and elements x angles values
-    (the rendered pattern).
+    A trial's largest array is its harmonic tensor, grid points x harmonics
+    x elements values (the Parseval harmonics reach past the largest
+    normalized aperture, the aperture radius at the top of the grid). The
+    elements x angles term sized a pattern render that chunks no longer
+    make; it stays so that chunk boundaries, and with them every stacked
+    result bit for bit, stay as they were.
     """
     x = float(np.max(config.grid.omegas) * config.aperture_radius) / config.speed_of_sound
     harmonics = 2 * harmonic_reach(config.order, x) + 1
@@ -169,11 +177,20 @@ def _run_chunk(config: TrialConfig, target: SteeredTarget, indices: range) -> _C
     values = np.stack(sampled, axis=1)  # (4, T, M)
     c = config.speed_of_sound
     grid = config.grid
-    n_values = np.arange(-config.order, config.order + 1)
-    xi = element_harmonics(
-        model_values(values, config.element_model), grid.omegas, n_values, c
-    )
-    weights, refused, condition = _solve_wide(xi.conj(), design_rhs(target))
+    order = config.order
+    # one harmonic tensor over the Parseval reach scores the chunk; its rows
+    # |n| <= N are the first-order design rows
+    reach = harmonic_reach(order, float(np.max(grid.omegas) * np.max(values[0])) / c)
+    n_values = np.arange(-reach, reach + 1)
+    design_rows = slice(reach - order, reach + order + 1)
+    xi = element_harmonics(values, grid.omegas, n_values, c)
+    if config.element_model == "first_order":
+        design_xi = xi[..., design_rows, :]
+    else:
+        design_xi = element_harmonics(
+            model_values(values, config.element_model), grid.omegas, n_values[design_rows], c
+        )
+    weights, refused, condition = _solve_wide(design_xi.conj(), design_rhs(target))
     for t in np.flatnonzero(refused.any(axis=1)):
         f = int(np.argmax(refused[t]))
         error = rank_deficiency(float(condition[t, f]), float(grid.frequencies_hz[f]))
@@ -182,15 +199,13 @@ def _run_chunk(config: TrialConfig, target: SteeredTarget, indices: range) -> _C
     designed = ~refused.any(axis=1)
     if not designed.any():
         return empty
-    weights, values = weights[designed], values[:, designed]
+    coefficients = pattern_coefficients(xi, weights)[designed]  # (S, F, K)
 
-    theta_grid = 2.0 * np.pi * np.arange(config.angle_count) / config.angle_count
     eval_index = int(np.flatnonzero(
         np.isclose(grid.frequencies_hz, config.eval_frequency_hz, rtol=1e-9, atol=1e-9)
     )[0])
-    omega_eval = 2.0 * np.pi * config.eval_frequency_hz
-    bp = render_pattern(weights[:, eval_index], values, omega_eval, theta_grid, c)
-    wng, df = parseval_gains(weights, values, grid.omegas, config.order, target.theta_s, c)
+    bp = equispaced_pattern(coefficients[:, eval_index], n_values, config.angle_count)
+    wng, df = coefficient_gains(coefficients, weights[designed], n_values, target.theta_s)
     return _ChunkResult(
         magnitude_db(bp, floor_db=config.db_floor), power_db(wng), power_db(df), failures
     )

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffbeam import bessel_j, bessel_j_prime, hansen_bessel_quadrature
+from diffbeam import bessel_j, bessel_j_prime, hansen_bessel_quadrature, harmonic_coefficient
 from diffbeam.bessel import (
     ORDER_CAP,
     TABLE_ARGUMENT_CAP,
@@ -102,6 +102,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             bessel_j_prime(0, bad)
 
+    def test_argument_past_the_tested_box_refused(self):
+        bessel_j(3, TABLE_ARGUMENT_CAP)
+        bessel_j_prime(3, TABLE_ARGUMENT_CAP)
+        with pytest.raises(ValueError, match="argument must lie in"):
+            bessel_j(3, 100.5)
+        with pytest.raises(ValueError, match="argument must lie in"):
+            bessel_j_prime(3, 100.5)
+        with pytest.raises(ValueError, match="argument must lie in"):
+            bessel_j_table(3, 100.5)
+        with pytest.raises(ValueError, match="argument must lie in"):
+            harmonic_coefficient(3, 100.5, 0.5, 0.3, 1.1)
+
     def test_order_cap(self):
         bessel_j(ORDER_CAP, 1.0)
         bessel_j(-ORDER_CAP, 1.0)
@@ -116,10 +128,11 @@ class TestValidation:
 
 class TestAccuracy:
     def test_against_mpmath_box(self):
-        # the contract: absolute error < 1e-12 for |n| <= 64, x <= 50
+        # the contract: absolute error < 1e-12 for |n| <= 64, x <= 100
         worst = 0.0
         for n in (0, 1, 2, 3, 5, 8, 13, 21, 34, 50, 64):
-            for x in (0.0, 1e-6, 0.5, 1.0, 3.0, 7.0, 11.9, 12.0, 15.0, 25.0, 37.0, 50.0):
+            for x in (0.0, 1e-6, 0.5, 1.0, 3.0, 7.0, 11.9, 12.0, 15.0, 25.0, 37.0, 50.0,
+                      63.7, 75.0, 88.3, 99.0, TABLE_ARGUMENT_CAP):
                 exact = float(mpmath.besselj(n, mpmath.mpf(x)))
                 worst = max(worst, abs(bessel_j(n, x) - exact))
         assert worst < 1e-12

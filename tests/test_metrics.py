@@ -21,7 +21,15 @@ from diffbeam import (
     white_noise_gain,
 )
 from diffbeam.geometry import ArrayElement, ArrayGeometry
-from diffbeam.metrics import magnitude_db, power_db
+from diffbeam.metrics import (
+    equispaced_pattern,
+    harmonic_reach,
+    magnitude_db,
+    pattern_coefficients,
+    power_db,
+    render_pattern,
+)
+from diffbeam.modal import element_harmonics
 from tests.conftest import angle_grid, steered_hypercardioid
 
 
@@ -258,6 +266,46 @@ class TestGainCurves:
         geom = single_omni()
         with pytest.raises(InvalidFilterError):
             gain_curves(manual_filter(geom, [0.0]), geom, constants, 0.0)
+
+
+class TestEquispacedPattern:
+    @staticmethod
+    def random_stack(rng, trials=5, elements=9):
+        values = np.stack([
+            rng.uniform(0.0, 0.05, (trials, elements)),
+            rng.uniform(0.0, 2 * np.pi, (trials, elements)),
+            rng.uniform(0.0, 1.0, (trials, elements)),
+            rng.uniform(0.0, 2 * np.pi, (trials, elements)),
+        ])
+        weights = rng.normal(size=(trials, elements)) + 1j * rng.normal(size=(trials, elements))
+        return values, weights
+
+    @pytest.mark.parametrize("angle_count", [7, 16, 360, 1440])
+    def test_matches_direct_render(self, angle_count):
+        # 7 and 16 angles are fewer than the 2L + 1 harmonics, so they fold
+        rng = np.random.default_rng(angle_count)
+        values, weights = self.random_stack(rng)
+        omega, c = 2 * np.pi * 3000.0, 343.0
+        reach = harmonic_reach(0, omega * values[0].max() / c)
+        n_values = np.arange(-reach, reach + 1)
+        assert n_values.size > 16
+        xi = element_harmonics(values, [omega], n_values, c)
+        coefficients = pattern_coefficients(xi, weights[:, None, :])[:, 0]
+        theta = 2 * np.pi * np.arange(angle_count) / angle_count
+        got = equispaced_pattern(coefficients, n_values, angle_count)
+        want = render_pattern(weights, values, omega, theta, c)
+        assert got.shape == want.shape == (5, angle_count)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n_first, angle_count", [(-7, 4), (3, 5), (-12, 25), (5, 1)])
+    def test_any_run_of_harmonics(self, n_first, angle_count):
+        rng = np.random.default_rng(angle_count)
+        coefficients = rng.normal(size=(3, 11)) + 1j * rng.normal(size=(3, 11))
+        n_values = np.arange(n_first, n_first + 11)
+        theta = 2 * np.pi * np.arange(angle_count) / angle_count
+        want = coefficients @ np.exp(1j * np.outer(n_values, theta))
+        got = equispaced_pattern(coefficients, n_values, angle_count)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestLargeAperture:

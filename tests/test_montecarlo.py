@@ -17,7 +17,7 @@ from diffbeam import (
     sample_random_geometry,
     trial_seed,
 )
-from diffbeam.metrics import magnitude_db, power_db
+from diffbeam.metrics import harmonic_reach, magnitude_db, power_db
 from diffbeam.montecarlo import TrialFailure
 from tests.test_rank_gate import HIGH_ORDER_GRID, STUDY_SEED
 
@@ -112,6 +112,7 @@ def oracle_statistics(config):
     theta = 2.0 * np.pi * np.arange(config.angle_count) / config.angle_count
     omega = 2.0 * np.pi * config.eval_frequency_hz
     bp, wng, df, failures = [], [], [], []
+    floor_hits = 0
     for index in range(config.trials):
         try:
             geometry = sample_random_geometry(
@@ -124,6 +125,7 @@ def oracle_statistics(config):
             continue
         pattern = beampattern(filt, geometry, constants, omega, theta)
         bp.append(magnitude_db(pattern, floor_db=config.db_floor))
+        floor_hits += np.count_nonzero(magnitude_db(pattern) < config.db_floor)
         gains = gain_curves(filt, geometry, constants, filt.theta_s)
         wng.append(power_db(gains[0]))
         df.append(power_db(gains[1]))
@@ -131,6 +133,7 @@ def oracle_statistics(config):
     for name, rows in (("bp", bp), ("wng", wng), ("df", df)):
         stats[f"{name}_mean_db"] = np.mean(rows, axis=0)
         stats[f"{name}_std_db"] = np.std(rows, axis=0)
+    stats["floor_hits"] = floor_hits
     return stats, failures
 
 
@@ -203,6 +206,36 @@ class TestChunkedAgainstOracle:
         stats = run_trials(config)
         expected, failures = oracle_statistics(config)
         assert failures == [] and stats.failures == ()
+        for name in STAT_NAMES:
+            assert np.max(np.abs(getattr(stats, name) - expected[name])) <= 1e-9, name
+
+    @pytest.mark.parametrize("angle_count", [8, 15, 359])
+    def test_angle_counts_that_fold_or_are_odd(self, angle_count):
+        # the pattern is sampled from its harmonic coefficients; 8 and 15
+        # angles are fewer than the chunk's harmonics (2L + 1 >= 19 at any
+        # radius), so the coefficients fold onto the angles; 15 and 359 are odd
+        config = study_n3_m7(
+            grid=FrequencyGrid(300.0, 300.0, 1), eval_frequency_hz=300.0,
+            angle_count=angle_count,
+        )
+        assert angle_count > 300 or 2 * harmonic_reach(config.order, 0.0) + 1 > angle_count
+        stats = run_trials(config)
+        expected, failures = oracle_statistics(config)
+        assert [(f.index, f.reason) for f in stats.failures] == failures
+        assert stats.bp_mean_db.shape == (angle_count,)
+        for name in STAT_NAMES:
+            assert np.max(np.abs(getattr(stats, name) - expected[name])) <= 1e-9, name
+
+    def test_superdirective_nulls_at_the_floor(self):
+        # N = 3 at 300 Hz on 2 cm: weights in the hundreds and nulls below -50 dB,
+        # where over a hundred samples clamp to the floor
+        config = study_n3_m7(
+            grid=FrequencyGrid(300.0, 300.0, 1), eval_frequency_hz=300.0, db_floor=-50.0
+        )
+        stats = run_trials(config)
+        expected, failures = oracle_statistics(config)
+        assert expected["floor_hits"] > 0
+        assert [(f.index, f.reason) for f in stats.failures] == failures
         for name in STAT_NAMES:
             assert np.max(np.abs(getattr(stats, name) - expected[name])) <= 1e-9, name
 
