@@ -27,11 +27,10 @@ from diffbeam import (
     a_to_b,
     beampattern,
     design_filter,
-    directivity_factor,
     evaluate_target,
+    gain_curves,
     hypercardioid_coefficients,
     sample_random_geometry,
-    white_noise_gain,
 )
 from diffbeam.fileio import save_geometry_file
 from diffbeam.metrics import magnitude_db, power_db
@@ -56,8 +55,7 @@ def sweep(geometry, constants, target, frequencies, angle_count, floor_db):
         )
         for angle_deg, r_db, t_db in zip(360.0 * theta / (2 * np.pi), rendered, target_db):
             pattern_rows.append((f_hz, angle_deg, r_db, t_db))
-        wng = power_db(white_noise_gain(filt, geometry, constants, omega, filt.theta_s))
-        df = power_db(directivity_factor(filt, geometry, constants, omega, filt.theta_s))
+        wng, df = power_db(gain_curves(filt, geometry, constants, filt.theta_s))[:, 0]
         curve_rows.append((f_hz, wng, df))
     return pattern_rows, curve_rows, skipped
 

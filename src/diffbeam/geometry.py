@@ -88,11 +88,6 @@ class ArrayElement:
         return (1.0 - self.q) + self.q * np.cos(np.asarray(theta, dtype=float) - self.theta_steer)
 
 
-def element_response(element: ArrayElement, theta):
-    """Angular response of a single element at plane-wave angle ``theta``."""
-    return element.response(theta)
-
-
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Ordered collection of elements with the aperture constraints they
@@ -124,22 +119,6 @@ class ArrayGeometry:
             [e.q for e in self.elements],
             [e.theta_steer for e in self.elements],
         ])
-
-    @cached_property
-    def radii(self) -> np.ndarray:
-        return self.element_values[0]
-
-    @cached_property
-    def position_angles(self) -> np.ndarray:
-        return self.element_values[1]
-
-    @cached_property
-    def shape_coefficients(self) -> np.ndarray:
-        return self.element_values[2]
-
-    @cached_property
-    def steer_angles(self) -> np.ndarray:
-        return self.element_values[3]
 
     @cached_property
     def positions(self) -> np.ndarray:
@@ -286,40 +265,6 @@ def sample_element_values(
     shapes = [next(uniform) for _ in range(element_count)]
     steers = [wrap_angle(TWO_PI * next(uniform)) for _ in range(element_count)]
     return np.array([radii, angles, shapes, steers])
-
-
-def steering_vector(
-    geometry: ArrayGeometry,
-    constants: PhysicalConstants,
-    omega: float,
-    theta,
-) -> np.ndarray:
-    """Far-field plane-wave response of the bare array positions.
-
-    Entry m is ``exp(j * (omega * r_m / c) * cos(theta - phi_m))``; every
-    entry is a pure phase.
-
-    Parameters
-    ----------
-    omega : float
-        Angular frequency in rad/s, >= 0.
-    theta : float or array
-        Arrival angle(s) in radians.
-
-    Returns
-    -------
-    ndarray
-        Complex, shape (M,) for scalar theta and (M, K) for a K-vector.
-    """
-    omega = float(omega)
-    if not (math.isfinite(omega) and omega >= 0.0):
-        raise ValueError(f"omega must be finite and >= 0, got {omega!r}")
-    x = omega * geometry.radii / constants.speed_of_sound
-    phi = geometry.position_angles
-    th = np.asarray(theta, dtype=float)
-    if th.ndim == 0:
-        return np.exp(1j * x * np.cos(float(th) - phi))
-    return np.exp(1j * x[:, None] * np.cos(th[None, :] - phi[:, None]))
 
 
 def geometry_digest(geometry: ArrayGeometry) -> str:

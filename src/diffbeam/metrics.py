@@ -8,8 +8,8 @@ against spatially white and 2-D diffuse noise; both are invariant to a
 complex rescaling of the filter.
 
 `gain_curves` computes both over a design grid from the pattern's
-harmonic coefficients; the per-frequency quadrature versions
-`white_noise_gain` and `directivity_factor` are its oracles.
+harmonic coefficients; its oracles, the per-frequency quadrature versions
+`white_noise_gain` and `directivity_factor`, live in `diffbeam.oracles`.
 `equispaced_pattern` samples the pattern from the same coefficients by
 an inverse FFT; `beampattern` is the direct element sum.
 """
@@ -17,7 +17,6 @@ an inverse FFT; `beampattern` is the direct element sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .modal import element_harmonics
 from .solver import BeamformerFilter
 
 MIN_INTEGRATION_POINTS = 512
-DEFAULT_INTEGRATION_POINTS = 4096
 BEAMPATTERN_FLOOR_DB = -50.0
 
 
@@ -92,46 +90,6 @@ def render_pattern(weights, values, omega: float, theta, speed_of_sound: float) 
     return pattern.sum(axis=-2)
 
 
-def white_noise_gain(
-    filt: BeamformerFilter,
-    geometry: ArrayGeometry,
-    constants: PhysicalConstants,
-    omega: float,
-    theta_s: float,
-) -> float:
-    """Gain against sensor self-noise, ``|B(theta_s)|^2 / h^H h`` (linear)."""
-    h = filt.weights_at(omega)
-    norm_sq = float(np.vdot(h, h).real)
-    if norm_sq == 0.0:
-        raise InvalidFilterError("filter has zero norm at this frequency")
-    response = beampattern(filt, geometry, constants, omega, theta_s)
-    return abs(response) ** 2 / norm_sq
-
-
-def directivity_factor(
-    filt: BeamformerFilter,
-    geometry: ArrayGeometry,
-    constants: PhysicalConstants,
-    omega: float,
-    theta_s: float,
-    integration_points: int = DEFAULT_INTEGRATION_POINTS,
-) -> float:
-    """Gain against 2-D diffuse noise (linear).
-
-    The angular mean of ``|B|^2`` is taken with the uniform rectangle
-    rule over [-pi, pi), spectrally accurate for this periodic integrand.
-    """
-    integration_points = check_integration_points(integration_points)
-    h = filt.weights_at(omega)
-    if float(np.vdot(h, h).real) == 0.0:
-        raise InvalidFilterError("filter has zero norm at this frequency")
-    grid = -np.pi + 2.0 * np.pi * np.arange(integration_points) / integration_points
-    responses = beampattern(filt, geometry, constants, omega, grid)
-    mean_power = float(np.mean(np.abs(responses) ** 2))
-    peak = abs(beampattern(filt, geometry, constants, omega, theta_s)) ** 2
-    return peak / mean_power
-
-
 def gain_curves(
     filt: BeamformerFilter,
     geometry: ArrayGeometry,
@@ -141,12 +99,19 @@ def gain_curves(
 ) -> tuple[np.ndarray, np.ndarray]:
     """White noise gain and directivity factor (linear) over the grid.
 
-    See `parseval_gains`. ``integration_points`` is ignored; it remains
-    for callers written against the quadrature version.
+    Builds the coefficients ``c_n = h^H Xi_n`` from `element_harmonics` for
+    every ``|n|`` up to `harmonic_reach` and scores them with
+    `coefficient_gains`. ``integration_points`` is ignored; it remains for
+    callers written against the quadrature version.
     """
-    return parseval_gains(
-        filt.weights, geometry.element_values, filt.grid.omegas, filt.order, theta_s,
-        constants.speed_of_sound,
+    omegas = filt.grid.omegas
+    values = geometry.element_values
+    c = constants.speed_of_sound
+    reach = harmonic_reach(filt.order, float(np.max(omegas) * np.max(values[0])) / c)
+    n_values = np.arange(-reach, reach + 1)
+    xi = element_harmonics(values, omegas, n_values, c)
+    return coefficient_gains(
+        pattern_coefficients(xi, filt.weights), filt.weights, n_values, theta_s
     )
 
 
@@ -156,23 +121,6 @@ def harmonic_reach(order: int, x: float) -> int:
     # past n ~ x the Bessel terms fall like Ai((n - x) / (x/2)^(1/3)), below 1e-16
     # 12 units in; at small x the weights grow like 1 / J_N(x), hence the + N + 6
     return order + math.ceil(x + 12.0 * (x / 2.0) ** (1.0 / 3.0)) + 6
-
-
-def parseval_gains(
-    weights, values, omegas, order: int, theta_s: float, speed_of_sound: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """WNG and DF (linear) of stacked filters: weights (..., F, M) over element
-    values (4, ..., M) (rows r, phi, q, theta_steer) to (..., F) each.
-
-    Builds the coefficients ``c_n = h^H Xi_n`` from `element_harmonics` for
-    every ``|n|`` up to `harmonic_reach` and scores them with
-    `coefficient_gains`.
-    """
-    x = float(np.max(omegas) * np.max(values[0])) / speed_of_sound
-    reach = harmonic_reach(order, x)
-    n_values = np.arange(-reach, reach + 1)
-    xi = element_harmonics(values, omegas, n_values, speed_of_sound)
-    return coefficient_gains(pattern_coefficients(xi, weights), weights, n_values, theta_s)
 
 
 def pattern_coefficients(xi, weights) -> np.ndarray:
@@ -218,34 +166,3 @@ def equispaced_pattern(coefficients, n_values, angle_count: int) -> np.ndarray:
     folded = padded.reshape(coefficients.shape[:-1] + (turns, angle_count)).sum(axis=-2)
     folded = np.roll(folded, n_first % angle_count, axis=-1)
     return angle_count * np.fft.ifft(folded, axis=-1)
-
-
-@dataclass(frozen=True)
-class MetricsResult:
-    """Beampattern samples per frequency plus WNG/DF curves in dB."""
-
-    theta_grid: np.ndarray  # (K,) radians, uniform over [0, 2pi)
-    beampattern: np.ndarray  # (F, K) complex
-    wng_db: np.ndarray  # (F,)
-    df_db: np.ndarray  # (F,)
-
-
-def compute_metrics(
-    filt: BeamformerFilter,
-    geometry: ArrayGeometry,
-    constants: PhysicalConstants,
-    angle_count: int = 360,
-) -> MetricsResult:
-    """Evaluate all three metrics over the filter's whole design grid."""
-    if angle_count < 1:
-        raise ValueError("angle_count must be >= 1")
-    theta_grid = 2.0 * np.pi * np.arange(angle_count) / angle_count
-    omegas = filt.grid.omegas
-    bp = np.array([beampattern(filt, geometry, constants, w, theta_grid) for w in omegas])
-    wng, df = gain_curves(filt, geometry, constants, filt.theta_s)
-    return MetricsResult(
-        theta_grid=theta_grid,
-        beampattern=bp,
-        wng_db=power_db(wng),
-        df_db=power_db(df),
-    )

@@ -4,105 +4,30 @@ matching matrices built from them.
 The response of element m to a plane wave from angle theta, propagation
 phase included, expands as ``sum_n P_{n,m} exp(jn(theta - theta_m))``
 about the element's own steering angle. The coefficients have a closed
-form in Bessel functions; `harmonic_coefficient_quadrature` evaluates the
-defining Fourier integral directly and is kept as an independent oracle
-for it. Rows of the matching matrices are ordered n = -N .. N top to
-bottom (harmonic n at row index n + N).
+form in Bessel functions, which `element_harmonics` evaluates for whole
+stacks of arrays and frequencies. Its scalar oracles (the closed form
+`harmonic_coefficient`, the defining Fourier integral
+`harmonic_coefficient_quadrature` and the plane-wave matrix
+`build_psi_matrix`) live in `diffbeam.oracles`. Rows of the matching
+matrices are ordered n = -N .. N top to bottom (harmonic n at row index
+n + N).
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _check_argument, _check_kernel_argument, _jn_signed, bessel_order_table
+from .bessel import bessel_order_table
 from .geometry import ArrayGeometry, PhysicalConstants
 from .patterns import SteeredTarget, apply_steering
-
-MIN_COEFFICIENT_QUADRATURE_POINTS = 1024
 
 # powers of the imaginary unit cycle with period four; indexing this table
 # keeps the phase factors exact instead of round-tripping through exp()
 _J_POWER = (1 + 0j, 1j, -1 + 0j, -1j)
 
 ELEMENT_MODELS = ("first_order", "omni")
-
-
-def unit_imaginary_power(n: int) -> complex:
-    """j**n through the exact four-cycle {1, j, -1, -j}."""
-    return _J_POWER[n % 4]
-
-
-def harmonic_coefficient(
-    n: int, x: float, q: float, theta_steer: float, phi: float
-) -> complex:
-    """Closed-form harmonic coefficient of a first-order element response.
-
-    Parameters
-    ----------
-    n : int
-        Harmonic order.
-    x : float
-        Normalized aperture omega * r / c, in [0, 100].
-    q : float
-        First-order shape coefficient in [0, 1].
-    theta_steer, phi : float
-        Element steering and position angles in radians.
-
-    Returns
-    -------
-    complex
-        ``(1-q) j^n J_n(x) e^{jn d} + q j^{n+1} (J_{n+1}(x) e^{j(n+1)d}
-        - J_{n-1}(x) e^{j(n-1)d}) / 2`` with ``d = theta_steer - phi``.
-    """
-    x = _check_kernel_argument(x)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"shape coefficient must lie in [0, 1], got {q!r}")
-    if not (math.isfinite(theta_steer) and math.isfinite(phi)):
-        raise ValueError("angles must be finite")
-    n = int(n)
-    delta = theta_steer - phi
-    omni = unit_imaginary_power(n) * _jn_signed(n, x) * cmath.exp(1j * n * delta)
-    dipole = unit_imaginary_power(n + 1) * 0.5 * (
-        _jn_signed(n + 1, x) * cmath.exp(1j * (n + 1) * delta)
-        - _jn_signed(n - 1, x) * cmath.exp(1j * (n - 1) * delta)
-    )
-    return (1.0 - q) * omni + q * dipole
-
-
-def harmonic_coefficient_quadrature(
-    n: int,
-    x: float,
-    q: float,
-    theta_steer: float,
-    phi: float,
-    points: int = 4096,
-) -> complex:
-    """Defining Fourier integral of the harmonic coefficient.
-
-    Uniform-rule evaluation of
-    ``(1/2pi) int T(theta) e^{jx cos(theta - phi)} e^{-jn(theta - theta_steer)} dtheta``
-    with ``T(theta) = (1-q) + q cos(theta - theta_steer)``. Independent of
-    the closed form in `harmonic_coefficient`, deliberately: it validates
-    that whole derivation.
-    """
-    points = int(points)
-    if points < MIN_COEFFICIENT_QUADRATURE_POINTS:
-        raise ValueError(
-            f"points must be >= {MIN_COEFFICIENT_QUADRATURE_POINTS}, got {points}"
-        )
-    x = _check_argument(x)
-    theta = -np.pi + 2.0 * np.pi * np.arange(points) / points
-    response = (1.0 - q) + q * np.cos(theta - theta_steer)
-    integrand = (
-        response
-        * np.exp(1j * x * np.cos(theta - phi))
-        * np.exp(-1j * n * (theta - theta_steer))
-    )
-    return complex(integrand.mean())
 
 
 def harmonic_tensor(
@@ -163,28 +88,6 @@ def element_harmonics(values, omegas, n_values, speed_of_sound: float) -> np.nda
     return np.ascontiguousarray(np.moveaxis(xi, (0, -1), (-2, -3)))
 
 
-def build_psi_matrix(
-    geometry: ArrayGeometry,
-    constants: PhysicalConstants,
-    omega: float,
-    order: int,
-) -> np.ndarray:
-    """Matching matrix for omnidirectional elements: the oracle for ``q = 0``.
-
-    Entry (row n, column m) is the plane-wave (Jacobi-Anger) term ``j^n J_n(x_m)
-    e^{-jn phi_m}``, ``x_m = omega r_m / c``, from the scalar Bessel kernel.
-    """
-    order = int(order)
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    x = omega * geometry.radii / constants.speed_of_sound
-    return np.array([
-        [unit_imaginary_power(n) * _jn_signed(n, float(x_m)) * cmath.exp(-1j * n * e.phi)
-         for x_m, e in zip(x, geometry.elements)]
-        for n in range(-order, order + 1)
-    ])
-
-
 def build_xi_matrix(
     geometry: ArrayGeometry,
     constants: PhysicalConstants,
@@ -193,7 +96,8 @@ def build_xi_matrix(
 ) -> np.ndarray:
     """Matching matrix for first-order elements: one frequency of `harmonic_tensor`.
 
-    With every shape coefficient zero it reduces elementwise to `build_psi_matrix`.
+    With every shape coefficient zero it reduces elementwise to the plane-wave
+    matrix (`diffbeam.oracles.build_psi_matrix`).
     """
     order = int(order)
     if order < 0:

@@ -2,12 +2,13 @@
 
 Each trial draws a fresh geometry from a per-trial seed, designs the
 filter, and evaluates the metrics; mean and standard deviation are
-aggregated in the dB domain across trials. Trials run in chunks whose
-boundaries depend on the configuration alone; a chunk's geometries,
-designs and metrics are each computed as one stack. Per-trial seeds are
-derived by splitting the master seed with the trial index, and the
-reduction runs in trial-index order, so the statistics are identical no
-matter how many workers execute the chunks.
+aggregated in the dB domain across trials. Trials run in chunks; a
+chunk's geometries, designs and metrics are each computed as one stack,
+over harmonics fixed by the configuration, so no result depends on where
+the chunk boundaries fall. Per-trial seeds are derived by splitting the
+master seed with the trial index, and the reduction runs in trial-index
+order, so the statistics are identical no matter how many workers execute
+the chunks.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .metrics import (
 )
 from .modal import element_harmonics, model_values
 from .patterns import SteeredTarget, a_to_b, resolve_pattern
-from .solver import FrequencyGrid, _solve_wide, design_rhs, rank_deficiency
+from .solver import FrequencyGrid, design_rhs, rank_deficiency, solve_wide
 
 STATISTICS_FLOOR_DB = -120.0
 
@@ -67,11 +68,7 @@ class TrialConfig:
             raise ValueError(
                 f"order {self.order} needs at least {2 * self.order + 1} elements"
             )
-        grid = self.grid.frequencies_hz
-        if not np.any(np.isclose(grid, self.eval_frequency_hz, rtol=1e-9, atol=1e-9)):
-            raise ValueError(
-                f"evaluation frequency {self.eval_frequency_hz} Hz is not on the grid"
-            )
+        self.grid.index(self.eval_frequency_hz)
 
     def target(self) -> tuple[SteeredTarget, str]:
         coeffs, pattern_id = resolve_pattern(
@@ -121,19 +118,26 @@ def trial_seed(master_seed: int, index: int) -> int:
 CHUNK_ELEMENTS = 1 << 16
 
 
+def _parseval_harmonics(config: TrialConfig) -> np.ndarray:
+    """Harmonics ``n = -L .. L`` every trial of the study is scored over.
+
+    L is the `harmonic_reach` of the largest normalized aperture any trial
+    can have, the aperture radius at the top of the grid, so no result
+    depends on which trials share a chunk.
+    """
+    x = float(np.max(config.grid.omegas) * config.aperture_radius) / config.speed_of_sound
+    reach = harmonic_reach(config.order, x)
+    return np.arange(-reach, reach + 1)
+
+
 def chunk_trials(config: TrialConfig) -> int:
     """Trials per chunk, from the sizes of the study alone.
 
-    A trial's largest array is its harmonic tensor, grid points x harmonics
-    x elements values (the Parseval harmonics reach past the largest
-    normalized aperture, the aperture radius at the top of the grid). The
-    elements x angles term sized a pattern render that chunks no longer
-    make; it stays so that chunk boundaries, and with them every stacked
-    result bit for bit, stay as they were.
+    A trial builds a harmonic tensor of elements x grid points x harmonics
+    values and a pattern of one value per angle.
     """
-    x = float(np.max(config.grid.omegas) * config.aperture_radius) / config.speed_of_sound
-    harmonics = 2 * harmonic_reach(config.order, x) + 1
-    per_trial = config.element_count * max(config.grid.count * harmonics, config.angle_count)
+    harmonics = _parseval_harmonics(config).size
+    per_trial = config.element_count * config.grid.count * harmonics + config.angle_count
     return max(1, CHUNK_ELEMENTS // per_trial)
 
 
@@ -180,8 +184,8 @@ def _run_chunk(config: TrialConfig, target: SteeredTarget, indices: range) -> _C
     order = config.order
     # one harmonic tensor over the Parseval reach scores the chunk; its rows
     # |n| <= N are the first-order design rows
-    reach = harmonic_reach(order, float(np.max(grid.omegas) * np.max(values[0])) / c)
-    n_values = np.arange(-reach, reach + 1)
+    n_values = _parseval_harmonics(config)
+    reach = int(n_values[-1])
     design_rows = slice(reach - order, reach + order + 1)
     xi = element_harmonics(values, grid.omegas, n_values, c)
     if config.element_model == "first_order":
@@ -190,7 +194,7 @@ def _run_chunk(config: TrialConfig, target: SteeredTarget, indices: range) -> _C
         design_xi = element_harmonics(
             model_values(values, config.element_model), grid.omegas, n_values[design_rows], c
         )
-    weights, refused, condition = _solve_wide(design_xi.conj(), design_rhs(target))
+    weights, refused, condition = solve_wide(design_xi.conj(), design_rhs(target))
     for t in np.flatnonzero(refused.any(axis=1)):
         f = int(np.argmax(refused[t]))
         error = rank_deficiency(float(condition[t, f]), float(grid.frequencies_hz[f]))
@@ -201,9 +205,7 @@ def _run_chunk(config: TrialConfig, target: SteeredTarget, indices: range) -> _C
         return empty
     coefficients = pattern_coefficients(xi, weights)[designed]  # (S, F, K)
 
-    eval_index = int(np.flatnonzero(
-        np.isclose(grid.frequencies_hz, config.eval_frequency_hz, rtol=1e-9, atol=1e-9)
-    )[0])
+    eval_index = grid.index(config.eval_frequency_hz)
     bp = equispaced_pattern(coefficients[:, eval_index], n_values, config.angle_count)
     wng, df = coefficient_gains(coefficients, weights[designed], n_values, target.theta_s)
     return _ChunkResult(
@@ -293,16 +295,10 @@ def compare_orders(
     wng_means = []
     df_means = []
     for config in configs:
+        index = config.grid.index(reference_frequency_hz)
         stats = run_trials(config, workers=workers)
-        hits = np.flatnonzero(
-            np.isclose(stats.frequencies_hz, reference_frequency_hz, rtol=1e-9, atol=1e-9)
-        )
-        if hits.size == 0:
-            raise ValueError(
-                f"reference frequency {reference_frequency_hz} Hz not on the grid"
-            )
-        wng_means.append(float(stats.wng_mean_db[hits[0]]))
-        df_means.append(float(stats.df_mean_db[hits[0]]))
+        wng_means.append(float(stats.wng_mean_db[index]))
+        df_means.append(float(stats.df_mean_db[index]))
     orders = tuple(c.order for c in configs)
     wng_down = all(a > b for a, b in zip(wng_means, wng_means[1:]))
     df_up = all(a < b for a, b in zip(df_means, df_means[1:]))

@@ -56,6 +56,20 @@ class FrequencyGrid:
         omegas.setflags(write=False)
         return omegas
 
+    def index(self, f_hz: float) -> int:
+        """Index of ``f_hz`` on the grid, matched to 1e-9 (relative and absolute).
+
+        Raises `FrequencyGridError` for any other frequency: nothing is
+        interpolated between grid points.
+        """
+        hits = np.flatnonzero(np.isclose(self.frequencies_hz, f_hz, rtol=1e-9, atol=1e-9))
+        if hits.size == 0:
+            raise FrequencyGridError(
+                f"{f_hz} Hz is not a design-grid frequency; filters are not "
+                "interpolated between grid points"
+            )
+        return int(hits[0])
+
 
 @dataclass(frozen=True)
 class BeamformerFilter:
@@ -82,15 +96,7 @@ class BeamformerFilter:
 
     def frequency_index(self, omega: float) -> int:
         """Index of ``omega`` on the design grid; exact matches only."""
-        f = omega / (2.0 * np.pi)
-        grid = self.grid.frequencies_hz
-        hits = np.flatnonzero(np.isclose(grid, f, rtol=1e-9, atol=1e-9))
-        if hits.size == 0:
-            raise FrequencyGridError(
-                f"{f} Hz is not a design-grid frequency; filters are not "
-                "interpolated between grid points"
-            )
-        return int(hits[0])
+        return self.grid.index(omega / (2.0 * np.pi))
 
     def weights_at(self, omega: float) -> np.ndarray:
         return self.weights[self.frequency_index(omega)]
@@ -112,19 +118,17 @@ def rank_gate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return refused, condition
 
 
-def rank_deficiency(
-    condition: float, frequency_hz: float | None = None
-) -> RankDeficientSystemError:
-    """The error for a system the rank gate refused, naming its frequency if known."""
-    where = "" if frequency_hz is None else f" at {frequency_hz:.6g} Hz"
+def rank_deficiency(condition: float, frequency_hz: float) -> RankDeficientSystemError:
+    """The error for a system the rank gate refused at ``frequency_hz``."""
     return RankDeficientSystemError(
-        f"modal system is rank deficient (Gram condition ~ {condition:.3e}){where}",
+        f"modal system is rank deficient (Gram condition ~ {condition:.3e}) "
+        f"at {frequency_hz:.6g} Hz",
         condition,
         frequency_hz,
     )
 
 
-def _solve_wide(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def solve_wide(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gate a stack of (..., R, C) wide systems, R <= C, and solve the accepted ones.
 
     ``b`` broadcasts against (..., R). Returns ``(h, refused, condition)``:
@@ -146,39 +150,6 @@ def _solve_wide(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     y = np.linalg.solve(chol.conj().swapaxes(-1, -2), np.linalg.solve(chol, b_eq[..., None]))
     h[accepted] = (a_eq.conj().swapaxes(-1, -2) @ y)[..., 0]
     return h, refused, condition
-
-
-def min_norm_solve(matrix, rhs) -> np.ndarray:
-    """Minimum-norm solution of a wide full-row-rank complex system.
-
-    Parameters
-    ----------
-    matrix : (R, C) complex array, R <= C
-    rhs : (R,) complex array
-
-    Returns
-    -------
-    ndarray
-        The smallest-Euclidean-norm ``h`` with ``matrix @ h = rhs``,
-        computed as ``A^H (A A^H)^{-1} rhs``.
-
-    Raises
-    ------
-    RankDeficientSystemError
-        When the smallest eigenvalue of ``A A^H`` falls below 1e-10
-        times the largest.
-    """
-    a = np.atleast_2d(np.asarray(matrix, dtype=complex))
-    b = np.asarray(rhs, dtype=complex).ravel()
-    rows, cols = a.shape
-    if rows > cols:
-        raise ValueError(f"system must be wide, got shape {a.shape}")
-    if b.shape != (rows,):
-        raise ValueError(f"rhs length {b.shape} does not match {rows} rows")
-    h, refused, condition = _solve_wide(a[None], b[None])
-    if refused[0]:
-        raise rank_deficiency(float(condition[0]))
-    return h[0]
 
 
 def design_rhs(target: SteeredTarget) -> np.ndarray:
@@ -221,7 +192,7 @@ def design_filter(
     rhs = design_rhs(target)
     n_values = np.arange(-target.order, target.order + 1)
     xi = harmonic_tensor(geometry, constants, grid.omegas, n_values, element_model)
-    weights, refused, condition = _solve_wide(xi.conj(), rhs)
+    weights, refused, condition = solve_wide(xi.conj(), rhs)
     if refused.any():
         i = int(np.argmax(refused))
         raise rank_deficiency(float(condition[i]), float(grid.frequencies_hz[i]))

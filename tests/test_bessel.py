@@ -14,13 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffbeam import bessel_j, bessel_j_prime, hansen_bessel_quadrature, harmonic_coefficient
-from diffbeam.bessel import (
+from diffbeam.bessel import TABLE_ARGUMENT_CAP, TABLE_ORDER_CAP, bessel_order_table
+from diffbeam.oracles import (
     ORDER_CAP,
-    TABLE_ARGUMENT_CAP,
-    TABLE_ORDER_CAP,
-    bessel_j_table,
-    bessel_order_table,
+    bessel_j,
+    bessel_j_prime,
+    hansen_bessel_quadrature,
+    harmonic_coefficient,
 )
 
 
@@ -110,8 +110,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="argument must lie in"):
             bessel_j_prime(3, 100.5)
         with pytest.raises(ValueError, match="argument must lie in"):
-            bessel_j_table(3, 100.5)
-        with pytest.raises(ValueError, match="argument must lie in"):
             harmonic_coefficient(3, 100.5, 0.5, 0.3, 1.1)
 
     def test_order_cap(self):
@@ -136,12 +134,6 @@ class TestAccuracy:
                 exact = float(mpmath.besselj(n, mpmath.mpf(x)))
                 worst = max(worst, abs(bessel_j(n, x) - exact))
         assert worst < 1e-12
-
-    def test_table_consistency(self):
-        for x in (0.3, 5.0, 11.99, 12.0, 26.0):
-            table = bessel_j_table(10, x)
-            for n in range(11):
-                assert table[n] == bessel_j(n, x)
 
 
 class TestProperties:

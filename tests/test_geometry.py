@@ -11,12 +11,11 @@ from diffbeam import (
     ArrayGeometry,
     InfeasibleGeometryError,
     PhysicalConstants,
-    element_response,
     geometry_digest,
     sample_random_geometry,
-    steering_vector,
     validate_geometry,
 )
+from diffbeam.oracles import steering_vector
 
 
 def loop_sample(element_count, aperture_radius, min_spacing, seed):
@@ -128,15 +127,15 @@ class TestElementInvariants:
 class TestElementResponse:
     def test_omni(self):
         e = ArrayElement(r=0.0, phi=0.0, q=0.0, theta_steer=1.0)
-        assert element_response(e, 2.2) == 1.0
+        assert e.response(2.2) == 1.0
 
     def test_dipole_mainlobe(self):
         e = ArrayElement(r=0.0, phi=0.0, q=1.0, theta_steer=1.3)
-        assert element_response(e, 1.3) == pytest.approx(1.0)
+        assert e.response(1.3) == pytest.approx(1.0)
 
     def test_cardioid_rear_null(self):
         e = ArrayElement(r=0.0, phi=0.0, q=0.5, theta_steer=0.4)
-        assert element_response(e, 0.4 + math.pi) == pytest.approx(0.0, abs=1e-15)
+        assert e.response(0.4 + math.pi) == pytest.approx(0.0, abs=1e-15)
 
     @given(
         q=st.floats(min_value=0.0, max_value=1.0),
@@ -146,10 +145,10 @@ class TestElementResponse:
     @settings(max_examples=100, deadline=None)
     def test_symmetry_and_periodicity(self, q, steer, delta):
         e = ArrayElement(r=0.01, phi=0.0, q=q, theta_steer=steer)
-        left = element_response(e, steer - delta)
-        right = element_response(e, steer + delta)
+        left = e.response(steer - delta)
+        right = e.response(steer + delta)
         assert left == pytest.approx(right, abs=1e-12)
-        wrapped = element_response(e, steer + delta + 2 * math.pi)
+        wrapped = e.response(steer + delta + 2 * math.pi)
         assert right == pytest.approx(wrapped, abs=1e-12)
 
 
@@ -219,11 +218,7 @@ class TestBufferedSampler:
 
 
 class TestCachedArrays:
-    @pytest.mark.parametrize(
-        "name",
-        ["element_values", "radii", "position_angles", "shape_coefficients",
-         "steer_angles", "positions"],
-    )
+    @pytest.mark.parametrize("name", ["element_values", "positions"])
     def test_built_once_and_read_only(self, name):
         geom = sample_random_geometry(5, 0.02, 0.008, seed=3)
         array = getattr(geom, name)
@@ -233,8 +228,12 @@ class TestCachedArrays:
 
     def test_match_elements(self):
         geom = sample_random_geometry(5, 0.02, 0.008, seed=3)
-        assert geom.radii.tolist() == [e.r for e in geom.elements]
-        assert geom.steer_angles.tolist() == [e.theta_steer for e in geom.elements]
+        assert geom.element_values.tolist() == [
+            [e.r for e in geom.elements],
+            [e.phi for e in geom.elements],
+            [e.q for e in geom.elements],
+            [e.theta_steer for e in geom.elements],
+        ]
         assert geom.positions.tolist() == [list(e.position) for e in geom.elements]
 
 

@@ -11,14 +11,10 @@ from diffbeam import (
     FrequencyGrid,
     InvalidFilterError,
     beampattern,
-    compute_metrics,
     design_filter,
-    directivity_factor,
     evaluate_target,
+    gain_curves,
     geometry_digest,
-    harmonic_coefficient,
-    steering_vector,
-    white_noise_gain,
 )
 from diffbeam.geometry import ArrayElement, ArrayGeometry
 from diffbeam.metrics import (
@@ -30,6 +26,12 @@ from diffbeam.metrics import (
     render_pattern,
 )
 from diffbeam.modal import element_harmonics
+from diffbeam.oracles import (
+    directivity_factor,
+    harmonic_coefficient,
+    steering_vector,
+    white_noise_gain,
+)
 from tests.conftest import angle_grid, steered_hypercardioid
 
 
@@ -108,6 +110,20 @@ class TestBeampattern:
                 )
             reconstruction += coefficient * np.exp(1j * n * theta)
         assert np.max(np.abs(direct - reconstruction)) < 1e-10
+
+    def test_tracks_target_over_the_grid(self, constants, fixed_geometry):
+        # frequency-invariant rendering tracks the target at every grid point
+        target = steered_hypercardioid(2)
+        grid = FrequencyGrid(500.0, 2000.0, 4)
+        filt = design_filter(fixed_geometry, constants, target, grid)
+        theta = angle_grid(180)
+        target_values = evaluate_target(target, theta)
+        for omega in grid.omegas:
+            rendered = beampattern(filt, fixed_geometry, constants, omega, theta)
+            assert rendered.shape == (180,)
+            assert np.max(np.abs(rendered - target_values)) < 0.1
+        wng, df = gain_curves(filt, fixed_geometry, constants, target.theta_s)
+        assert wng.shape == df.shape == (4,)
 
     def test_off_grid_frequency_rejected(self, constants, fixed_geometry):
         filt = design_filter(
@@ -241,8 +257,6 @@ class TestPatternMaximum:
 
 class TestGainCurves:
     def test_matches_quadrature_oracles(self, constants, fixed_geometry):
-        from diffbeam.metrics import gain_curves
-
         target = steered_hypercardioid(2)
         grid = FrequencyGrid(200.0, 3800.0, 7)
         filt = design_filter(fixed_geometry, constants, target, grid)
@@ -261,8 +275,6 @@ class TestGainCurves:
 
 
     def test_zero_filter_rejected(self, constants):
-        from diffbeam.metrics import gain_curves
-
         geom = single_omni()
         with pytest.raises(InvalidFilterError):
             gain_curves(manual_filter(geom, [0.0]), geom, constants, 0.0)
@@ -326,7 +338,8 @@ class TestLargeAperture:
 
     def test_reaches_past_the_scalar_kernel(self, design):
         geometry, constants, filt = design
-        x_max = filt.grid.omegas.max() * geometry.radii.max() / constants.speed_of_sound
+        radius = geometry.element_values[0].max()
+        x_max = filt.grid.omegas.max() * radius / constants.speed_of_sound
         assert x_max > 70.0
 
     def test_bessel_table_against_mpmath(self, design):
@@ -335,7 +348,7 @@ class TestLargeAperture:
         from diffbeam.bessel import bessel_order_table
 
         geometry, constants, filt = design
-        x = filt.grid.omegas[-1] * geometry.radii / constants.speed_of_sound
+        x = filt.grid.omegas[-1] * geometry.element_values[0] / constants.speed_of_sound
         # every order the DF sum at x ~ 73 keeps, and a margin past it
         table = bessel_order_table(140, x)
         worst = max(
@@ -346,8 +359,6 @@ class TestLargeAperture:
         assert worst < 1e-14
 
     def test_parseval_gains_match_quadrature(self, design):
-        from diffbeam.metrics import gain_curves
-
         geometry, constants, filt = design
         wng, df = gain_curves(filt, geometry, constants, filt.theta_s)
         for i, omega in enumerate(filt.grid.omegas):
@@ -359,20 +370,6 @@ class TestLargeAperture:
                 white_noise_gain(filt, geometry, constants, omega, filt.theta_s),
                 rel=1e-12,
             )
-
-
-class TestComputeMetrics:
-    def test_shapes_and_target_agreement(self, constants, fixed_geometry):
-        target = steered_hypercardioid(2)
-        grid = FrequencyGrid(500.0, 2000.0, 4)
-        filt = design_filter(fixed_geometry, constants, target, grid)
-        result = compute_metrics(filt, fixed_geometry, constants, angle_count=180)
-        assert result.beampattern.shape == (4, 180)
-        assert result.wng_db.shape == (4,)
-        target_values = evaluate_target(target, result.theta_grid)
-        # frequency-invariant rendering tracks the target everywhere
-        for row in result.beampattern:
-            assert np.max(np.abs(row - target_values)) < 0.1
 
 
 class TestDbHelpers:

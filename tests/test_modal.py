@@ -8,17 +8,19 @@ from hypothesis import strategies as st
 
 from diffbeam import (
     PhysicalConstants,
-    bessel_j,
     build_modal_system,
-    build_psi_matrix,
     build_xi_matrix,
-    harmonic_coefficient,
-    harmonic_coefficient_quadrature,
     harmonic_tensor,
     sample_random_geometry,
 )
 from diffbeam.geometry import ArrayElement, ArrayGeometry
-from diffbeam.modal import unit_imaginary_power
+from diffbeam.oracles import (
+    bessel_j,
+    build_psi_matrix,
+    harmonic_coefficient,
+    harmonic_coefficient_quadrature,
+    unit_imaginary_power,
+)
 from tests.conftest import steered_hypercardioid
 
 

@@ -176,9 +176,10 @@ class TestChunkedAgainstOracle:
     @pytest.mark.parametrize(
         "element_model, f_hz, refusals", [("first_order", 300.0, 7), ("omni", 700.0, 16)]
     )
-    def test_refusals_across_uneven_chunks(self, element_model, f_hz, refusals):
+    def test_refusals_across_uneven_chunks(self, monkeypatch, element_model, f_hz, refusals):
         # the rank gate refuses trials spread over at least three chunks, the
-        # last one short
+        # last one short; a smaller chunk budget makes the chunks that short
+        monkeypatch.setattr(mc, "CHUNK_ELEMENTS", 1 << 14)
         config = study_n3_m7(
             grid=FrequencyGrid(f_hz, f_hz, 1),
             eval_frequency_hz=f_hz,
@@ -246,6 +247,39 @@ class TestChunkedAgainstOracle:
         for name in STAT_NAMES:
             assert getattr(serial, name).tobytes() == getattr(threaded, name).tobytes()
         assert serial.failures == threaded.failures
+
+
+class TestChunkBoundaries:
+    """Every trial is scored over the harmonics of the whole study, so the
+    statistics and failures are the same bits whatever the chunk size."""
+
+    @pytest.mark.parametrize("study", ["n2_m9_1khz", "desk_grid", "n3_m7_band", "omni"])
+    def test_statistics_bit_equal_across_chunk_sizes(self, monkeypatch, study):
+        config = {
+            "n2_m9_1khz": lambda: small_config(
+                trials=40, element_count=9, order=2, angle_count=360
+            ),
+            "desk_grid": lambda: small_config(
+                trials=12, element_count=9, order=2, grid=FrequencyGrid(50.0, 4000.0, 80),
+                angle_count=360,
+            ),
+            "n3_m7_band": lambda: study_n3_m7(trials=60),
+            "omni": lambda: study_n3_m7(
+                grid=FrequencyGrid(700.0, 700.0, 1), eval_frequency_hz=700.0,
+                element_model="omni",
+            ),
+        }[study]()
+        runs = []
+        for size in (1, 7, 1000):
+            monkeypatch.setattr(mc, "chunk_trials", lambda config, size=size: size)
+            runs.append(run_trials(config))
+        first = runs[0]
+        if study in ("n3_m7_band", "omni"):
+            assert first.failures
+        for other in runs[1:]:
+            assert other.failures == first.failures
+            for name in STAT_NAMES:
+                assert getattr(other, name).tobytes() == getattr(first, name).tobytes(), name
 
 
 class TestLowFrequencyBehavior:
