@@ -2,10 +2,11 @@
 """Frequency sweep on one fixed random array.
 
 Draws an M=9 geometry (2 cm aperture, 8 mm spacing), designs steered
-hypercardioids of the requested orders frequency by frequency, and dumps
-per-frequency beampatterns plus WNG/DF curves as CSV. Frequencies the
-rank gate refuses (high orders at very low frequencies render the
-matching system numerically rank deficient) are skipped and reported.
+hypercardioids of the requested orders over the whole band as one stack,
+and dumps per-frequency beampatterns plus WNG/DF curves as CSV, all
+scored from the patterns' harmonic coefficients. Frequencies the rank
+gate refuses (high orders at very low frequencies render the matching
+system numerically rank deficient) are skipped and reported.
 
 Example:
     python scripts/fixed_geometry_study.py --out runs/fixed --orders 1,4
@@ -20,44 +21,55 @@ from pathlib import Path
 import numpy as np
 
 from diffbeam import (
-    FrequencyGrid,
     PhysicalConstants,
-    RankDeficientSystemError,
     SteeredTarget,
     a_to_b,
-    beampattern,
-    design_filter,
     evaluate_target,
-    gain_curves,
     hypercardioid_coefficients,
     sample_random_geometry,
 )
 from diffbeam.fileio import save_geometry_file
-from diffbeam.metrics import magnitude_db, power_db
+from diffbeam.metrics import (
+    coefficient_gains,
+    design_coefficients,
+    equispaced_pattern,
+    magnitude_db,
+    parseval_harmonics,
+    power_db,
+)
+from diffbeam.solver import rank_deficiency
 
 
 def sweep(geometry, constants, target, frequencies, angle_count, floor_db):
-    theta = 2.0 * np.pi * np.arange(angle_count) / angle_count
-    target_db = magnitude_db(evaluate_target(target, theta), floor_db=floor_db)
-    pattern_rows = []
-    curve_rows = []
-    skipped = []
-    for f_hz in frequencies:
-        grid = FrequencyGrid(f_hz, f_hz, 1)
-        try:
-            filt = design_filter(geometry, constants, target, grid)
-        except RankDeficientSystemError as err:
-            skipped.append((f_hz, str(err)))
-            continue
-        omega = 2.0 * np.pi * f_hz
-        rendered = magnitude_db(
-            beampattern(filt, geometry, constants, omega, theta), floor_db=floor_db
-        )
-        for angle_deg, r_db, t_db in zip(360.0 * theta / (2 * np.pi), rendered, target_db):
-            pattern_rows.append((f_hz, angle_deg, r_db, t_db))
-        wng, df = power_db(gain_curves(filt, geometry, constants, filt.theta_s))[:, 0]
-        curve_rows.append((f_hz, wng, df))
-    return pattern_rows, curve_rows, skipped
+    """Pattern rows (f, angle, rendered dB, target dB), curve rows
+    (f, WNG dB, DF dB) and the refused (f, reason) pairs of one order."""
+    frequencies = np.asarray(frequencies, dtype=float)
+    omegas = 2.0 * np.pi * frequencies
+    values = geometry.element_values
+    c = constants.speed_of_sound
+    n_values = parseval_harmonics(target.order, np.max(omegas), np.max(values[0]), c)
+    weights, refused, condition, coefficients = design_coefficients(
+        values, omegas, target, "first_order", n_values, c
+    )
+    skipped = [
+        (f_hz, str(rank_deficiency(float(k), float(f_hz))))
+        for f_hz, k in zip(frequencies[refused], condition[refused])
+    ]
+    kept = ~refused
+    wng, df = power_db(
+        coefficient_gains(coefficients[kept], weights[kept], n_values, target.theta_s)
+    )
+    rendered = magnitude_db(
+        equispaced_pattern(coefficients[kept], n_values, angle_count), floor_db=floor_db
+    )
+    angles_deg = 360.0 * np.arange(angle_count) / angle_count
+    target_db = magnitude_db(evaluate_target(target, np.radians(angles_deg)), floor_db=floor_db)
+    pattern_rows = [
+        (f_hz, angle_deg, r_db, t_db)
+        for f_hz, row in zip(frequencies[kept], rendered)
+        for angle_deg, r_db, t_db in zip(angles_deg, row, target_db)
+    ]
+    return pattern_rows, list(zip(frequencies[kept], wng, df)), skipped
 
 
 def write_csv(path, header, rows):

@@ -24,12 +24,7 @@ import time
 from pathlib import Path
 
 from diffbeam import FrequencyGrid, TrialConfig, run_trials
-from diffbeam.fileio import (
-    write_bp_stats_csv,
-    write_df_stats_csv,
-    write_failures_report,
-    write_wng_stats_csv,
-)
+from diffbeam.fileio import write_study
 
 APERTURE_M = 0.02
 SPACING_M = 0.008
@@ -86,30 +81,10 @@ def main() -> int:
     )
     for name in names:
         for tag, config in experiment_configs(name, args.trials, args.seed):
-            out_dir = args.out / name / tag
-            out_dir.mkdir(parents=True, exist_ok=True)
             started = time.perf_counter()
             stats = run_trials(config, workers=args.threads)
             elapsed = time.perf_counter() - started
-            write_bp_stats_csv(
-                out_dir / "bp_stats.csv",
-                stats.angles_deg,
-                stats.bp_mean_db,
-                stats.bp_std_db,
-            )
-            write_wng_stats_csv(
-                out_dir / "wng_stats.csv",
-                stats.frequencies_hz,
-                stats.wng_mean_db,
-                stats.wng_std_db,
-            )
-            write_df_stats_csv(
-                out_dir / "df_stats.csv",
-                stats.frequencies_hz,
-                stats.df_mean_db,
-                stats.df_std_db,
-            )
-            write_failures_report(out_dir / "failures.json", stats.trials, stats.failures)
+            write_study(args.out / name / tag, stats)
             print(
                 f"{name}/{tag}: {stats.successes}/{stats.trials} trials ok, "
                 f"worst bp std {stats.bp_std_db.max():.2f} dB, {elapsed:.1f}s"

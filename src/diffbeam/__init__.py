@@ -22,14 +22,7 @@ from .geometry import (
 )
 from .metrics import beampattern, gain_curves
 from .modal import ModalSystem, build_modal_system, build_xi_matrix, harmonic_tensor
-from .montecarlo import (
-    OrderComparison,
-    TrialConfig,
-    TrialStatistics,
-    compare_orders,
-    run_trials,
-    trial_seed,
-)
+from .montecarlo import TrialConfig, TrialStatistics, run_trials, trial_seed
 # scalar references, re-exported for the acceptance criteria
 from .oracles import (
     bessel_j,
@@ -70,7 +63,6 @@ __all__ = [
     "InfeasibleGeometryError",
     "InvalidFilterError",
     "ModalSystem",
-    "OrderComparison",
     "PatternCoefficients",
     "PhysicalConstants",
     "RankDeficientSystemError",
@@ -88,7 +80,6 @@ __all__ = [
     "build_psi_matrix",
     "build_xi_matrix",
     "cardioid_family_coefficients",
-    "compare_orders",
     "design_filter",
     "directivity_factor",
     "evaluate_target",

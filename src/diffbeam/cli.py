@@ -33,9 +33,10 @@ from .geometry import (
 from .metrics import (
     BEAMPATTERN_FLOOR_DB,
     MIN_INTEGRATION_POINTS,
-    beampattern,
     check_integration_points,
-    gain_curves,
+    coefficient_gains,
+    equispaced_pattern,
+    filter_coefficients,
     magnitude_db,
     power_db,
 )
@@ -161,16 +162,16 @@ def _cmd_evaluate(args) -> int:
     check_integration_points(config.get("integration_points", MIN_INTEGRATION_POINTS))
     floor_db = float(config.get("beampattern_floor_db", BEAMPATTERN_FLOOR_DB))
 
+    eval_index = filt.grid.index(float(config["eval_frequency_hz"]))
     theta_deg = 360.0 * np.arange(angle_count) / angle_count
-    theta = np.radians(theta_deg)
-    omega_eval = 2.0 * np.pi * float(config["eval_frequency_hz"])
-    rendered = beampattern(filt, geometry, constants, omega_eval, theta)
     target, _, _ = fileio.pattern_from_config(
         {**manifest["pattern"], "family": "custom"}, context="design manifest"
     )
-    target_values = evaluate_target(target, theta)
+    target_values = evaluate_target(target, np.radians(theta_deg))
 
-    wng, df = gain_curves(filt, geometry, constants, filt.theta_s)
+    coefficients, n_values = filter_coefficients(filt, geometry, constants)
+    rendered = equispaced_pattern(coefficients[eval_index], n_values, angle_count)
+    wng, df = coefficient_gains(coefficients, filt.weights, n_values, filt.theta_s)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -216,25 +217,7 @@ def _cmd_montecarlo(args) -> int:
     stats = run_trials(trial_config, workers=max(1, args.threads))
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    fileio.write_bp_stats_csv(
-        out_dir / "bp_stats.csv", stats.angles_deg, stats.bp_mean_db, stats.bp_std_db
-    )
-    fileio.write_wng_stats_csv(
-        out_dir / "wng_stats.csv",
-        stats.frequencies_hz,
-        stats.wng_mean_db,
-        stats.wng_std_db,
-    )
-    fileio.write_df_stats_csv(
-        out_dir / "df_stats.csv",
-        stats.frequencies_hz,
-        stats.df_mean_db,
-        stats.df_std_db,
-    )
-    fileio.write_failures_report(
-        out_dir / "failures.json", stats.trials, stats.failures
-    )
+    fileio.write_study(out_dir, stats)
     print(out_dir / "bp_stats.csv")
     return 0
 

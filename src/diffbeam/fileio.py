@@ -291,3 +291,21 @@ def write_failures_report(path, trials: int, failures) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_study(out_dir, stats) -> None:
+    """The four files of a Monte Carlo study (`TrialStatistics`) in
+    ``out_dir``, made if missing: bp_stats.csv, wng_stats.csv, df_stats.csv
+    and failures.json."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_bp_stats_csv(
+        out_dir / "bp_stats.csv", stats.angles_deg, stats.bp_mean_db, stats.bp_std_db
+    )
+    write_wng_stats_csv(
+        out_dir / "wng_stats.csv", stats.frequencies_hz, stats.wng_mean_db, stats.wng_std_db
+    )
+    write_df_stats_csv(
+        out_dir / "df_stats.csv", stats.frequencies_hz, stats.df_mean_db, stats.df_std_db
+    )
+    write_failures_report(out_dir / "failures.json", stats.trials, stats.failures)

@@ -7,11 +7,14 @@ responses. With all elements omnidirectional it collapses to the bare
 against spatially white and 2-D diffuse noise; both are invariant to a
 complex rescaling of the filter.
 
-`gain_curves` computes both over a design grid from the pattern's
-harmonic coefficients; its oracles, the per-frequency quadrature versions
-`white_noise_gain` and `directivity_factor`, live in `diffbeam.oracles`.
-`equispaced_pattern` samples the pattern from the same coefficients by
-an inverse FFT; `beampattern` is the direct element sum.
+Every designed filter is scored from its pattern's harmonic coefficients
+``c_n = h^H Xi_n``: `design_coefficients` designs a stack of arrays and
+builds their c_n, `filter_coefficients` builds them for a designed
+filter, `coefficient_gains` takes both gains from them by Parseval and
+`equispaced_pattern` samples the pattern from them by an inverse FFT.
+`beampattern` is the direct element sum, for arbitrary angles and as the
+independent check of that path; the per-frequency quadrature gains
+`white_noise_gain` and `directivity_factor` live in `diffbeam.oracles`.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ import numpy as np
 
 from .errors import InvalidFilterError
 from .geometry import ArrayGeometry, PhysicalConstants
-from .modal import element_harmonics
-from .solver import BeamformerFilter
+from .modal import element_harmonics, model_values
+from .patterns import SteeredTarget
+from .solver import BeamformerFilter, design_rhs, solve_wide
 
 MIN_INTEGRATION_POINTS = 512
 BEAMPATTERN_FLOOR_DB = -50.0
@@ -97,36 +101,87 @@ def gain_curves(
     theta_s: float,
     integration_points: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """White noise gain and directivity factor (linear) over the grid.
+    """White noise gain and directivity factor (linear) over the grid, scored
+    by `coefficient_gains` from `filter_coefficients`.
 
-    Builds the coefficients ``c_n = h^H Xi_n`` from `element_harmonics` for
-    every ``|n|`` up to `harmonic_reach` and scores them with
-    `coefficient_gains`. ``integration_points`` is ignored; it remains for
-    callers written against the quadrature version.
+    ``integration_points`` is ignored: the gains are exact. The keyword stays
+    only because the benchmark's ``_df_exp_count`` hook (``perfbench/spans.py``)
+    binds it by name; it goes once that hook is dropped.
     """
-    omegas = filt.grid.omegas
-    values = geometry.element_values
-    c = constants.speed_of_sound
-    reach = harmonic_reach(filt.order, float(np.max(omegas) * np.max(values[0])) / c)
-    n_values = np.arange(-reach, reach + 1)
-    xi = element_harmonics(values, omegas, n_values, c)
-    return coefficient_gains(
-        pattern_coefficients(xi, filt.weights), filt.weights, n_values, theta_s
-    )
+    coefficients, n_values = filter_coefficients(filt, geometry, constants)
+    return coefficient_gains(coefficients, filt.weights, n_values, theta_s)
 
 
-def harmonic_reach(order: int, x: float) -> int:
-    """Highest harmonic |n| the Parseval sums keep for a largest normalized
-    aperture ``x = omega r / c`` and a pattern of order ``order``."""
-    # past n ~ x the Bessel terms fall like Ai((n - x) / (x/2)^(1/3)), below 1e-16
-    # 12 units in; at small x the weights grow like 1 / J_N(x), hence the + N + 6
-    return order + math.ceil(x + 12.0 * (x / 2.0) ** (1.0 / 3.0)) + 6
+def parseval_harmonics(
+    order: int, omega_max: float, radius: float, speed_of_sound: float
+) -> np.ndarray:
+    """Harmonics ``n = -L .. L`` that hold a pattern of order ``order`` from
+    elements within ``radius`` of the origin, up to ``omega_max`` (rad/s).
+
+    ``L = N + ceil(x + 12 (x/2)^(1/3)) + 6`` for the largest normalized
+    aperture ``x = omega_max radius / c``: past n ~ x the Bessel terms fall
+    like ``Ai((n - x) / (x/2)^(1/3))``, below 1e-16 twelve units in, and at
+    small x the weights grow like ``1 / J_N(x)``, hence the ``+ N + 6``.
+    """
+    x = float(omega_max * radius) / speed_of_sound
+    reach = order + math.ceil(x + 12.0 * (x / 2.0) ** (1.0 / 3.0)) + 6
+    return np.arange(-reach, reach + 1)
 
 
 def pattern_coefficients(xi, weights) -> np.ndarray:
     """``c_n = h^H Xi_n``: harmonic tensors (..., F, K, M) and weights
     (..., F, M) to the pattern's coefficients (..., F, K)."""
     return (xi @ weights.conj()[..., None])[..., 0]
+
+
+def filter_coefficients(
+    filt: BeamformerFilter, geometry: ArrayGeometry, constants: PhysicalConstants
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pattern coefficients (F, K) of a designed filter over its grid,
+    with the harmonics (K,) they stand for (`parseval_harmonics`)."""
+    omegas = filt.grid.omegas
+    values = geometry.element_values
+    c = constants.speed_of_sound
+    n_values = parseval_harmonics(filt.order, np.max(omegas), np.max(values[0]), c)
+    xi = element_harmonics(values, omegas, n_values, c)
+    return pattern_coefficients(xi, filt.weights), n_values
+
+
+def design_coefficients(
+    values,
+    omegas,
+    target: SteeredTarget,
+    element_model: str,
+    n_values,
+    speed_of_sound: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Design a stack of arrays and build the coefficients of their patterns.
+
+    ``values`` (4, ..., M) holds each element's r, phi, q and theta_steer,
+    ``omegas`` (F,) the grid and ``n_values`` the harmonics ``-L .. L``,
+    ``L >= N``, the patterns are scored over (`parseval_harmonics`). One
+    `element_harmonics` tensor over ``n_values`` gives the coefficients; its
+    rows ``|n| <= N`` are the first-order design rows, while the omni model
+    designs from its own ``q = 0`` rows and is scored with the true q.
+
+    Returns ``(weights, refused, condition, coefficients)``: the first three
+    as `solve_wide` gives them, (..., F, M) and (..., F), and the coefficients
+    ``c_n = h^H Xi_n`` (..., F, K), NaN where the system was refused.
+    """
+    rows, elements = 2 * target.order + 1, np.shape(values)[-1]
+    if elements < rows:
+        raise ValueError(f"order {target.order} needs at least {rows} elements, got {elements}")
+    reach = int(n_values[-1])
+    design_rows = slice(reach - target.order, reach + target.order + 1)
+    xi = element_harmonics(values, omegas, n_values, speed_of_sound)
+    if element_model == "first_order":
+        design_xi = xi[..., design_rows, :]
+    else:
+        design_xi = element_harmonics(
+            model_values(values, element_model), omegas, n_values[design_rows], speed_of_sound
+        )
+    weights, refused, condition = solve_wide(design_xi.conj(), design_rhs(target))
+    return weights, refused, condition, pattern_coefficients(xi, weights)
 
 
 def coefficient_gains(
@@ -138,7 +193,7 @@ def coefficient_gains(
     The rendered pattern is ``B(theta) = sum_n c_n e^{jn theta}``, so by
     Parseval the diffuse-noise mean of ``|B|^2`` is ``sum_n |c_n|^2``: both
     gains are exact, with no angular quadrature, once the coefficients reach
-    past every harmonic the pattern holds (`harmonic_reach`).
+    past every harmonic the pattern holds (`parseval_harmonics`).
     """
     norm_sq = np.sum(np.abs(weights) ** 2, axis=-1)
     if np.any(norm_sq == 0.0):

@@ -24,15 +24,14 @@ from .errors import AllTrialsFailedError, InfeasibleGeometryError
 from .geometry import sample_element_values
 from .metrics import (
     coefficient_gains,
+    design_coefficients,
     equispaced_pattern,
-    harmonic_reach,
     magnitude_db,
-    pattern_coefficients,
+    parseval_harmonics,
     power_db,
 )
-from .modal import element_harmonics, model_values
 from .patterns import SteeredTarget, a_to_b, resolve_pattern
-from .solver import FrequencyGrid, design_rhs, rank_deficiency, solve_wide
+from .solver import FrequencyGrid, rank_deficiency
 
 STATISTICS_FLOOR_DB = -120.0
 
@@ -121,13 +120,14 @@ CHUNK_ELEMENTS = 1 << 16
 def _parseval_harmonics(config: TrialConfig) -> np.ndarray:
     """Harmonics ``n = -L .. L`` every trial of the study is scored over.
 
-    L is the `harmonic_reach` of the largest normalized aperture any trial
-    can have, the aperture radius at the top of the grid, so no result
-    depends on which trials share a chunk.
+    They reach the largest normalized aperture any trial can have, the
+    aperture radius at the top of the grid, so no result depends on which
+    trials share a chunk.
     """
-    x = float(np.max(config.grid.omegas) * config.aperture_radius) / config.speed_of_sound
-    reach = harmonic_reach(config.order, x)
-    return np.arange(-reach, reach + 1)
+    return parseval_harmonics(
+        config.order, np.max(config.grid.omegas), config.aperture_radius,
+        config.speed_of_sound,
+    )
 
 
 def chunk_trials(config: TrialConfig) -> int:
@@ -178,23 +178,12 @@ def _run_chunk(config: TrialConfig, target: SteeredTarget, indices: range) -> _C
     if not sampled:
         return empty
 
-    values = np.stack(sampled, axis=1)  # (4, T, M)
-    c = config.speed_of_sound
     grid = config.grid
-    order = config.order
-    # one harmonic tensor over the Parseval reach scores the chunk; its rows
-    # |n| <= N are the first-order design rows
     n_values = _parseval_harmonics(config)
-    reach = int(n_values[-1])
-    design_rows = slice(reach - order, reach + order + 1)
-    xi = element_harmonics(values, grid.omegas, n_values, c)
-    if config.element_model == "first_order":
-        design_xi = xi[..., design_rows, :]
-    else:
-        design_xi = element_harmonics(
-            model_values(values, config.element_model), grid.omegas, n_values[design_rows], c
-        )
-    weights, refused, condition = solve_wide(design_xi.conj(), design_rhs(target))
+    weights, refused, condition, coefficients = design_coefficients(
+        np.stack(sampled, axis=1), grid.omegas, target, config.element_model, n_values,
+        config.speed_of_sound,
+    )
     for t in np.flatnonzero(refused.any(axis=1)):
         f = int(np.argmax(refused[t]))
         error = rank_deficiency(float(condition[t, f]), float(grid.frequencies_hz[f]))
@@ -203,7 +192,7 @@ def _run_chunk(config: TrialConfig, target: SteeredTarget, indices: range) -> _C
     designed = ~refused.any(axis=1)
     if not designed.any():
         return empty
-    coefficients = pattern_coefficients(xi, weights)[designed]  # (S, F, K)
+    coefficients = coefficients[designed]  # (S, F, K)
 
     eval_index = grid.index(config.eval_frequency_hz)
     bp = equispaced_pattern(coefficients[:, eval_index], n_values, config.angle_count)
@@ -261,52 +250,4 @@ def run_trials(config: TrialConfig, workers: int = 1) -> TrialStatistics:
         eval_frequency_hz=config.eval_frequency_hz,
         trials=config.trials,
         failures=failures,
-    )
-
-
-@dataclass(frozen=True)
-class OrderComparison:
-    """Mean WNG/DF per order at a reference frequency, plus trend verdicts."""
-
-    orders: tuple[int, ...]
-    reference_frequency_hz: float
-    wng_mean_db: tuple[float, ...]
-    df_mean_db: tuple[float, ...]
-    wng_strictly_decreasing: bool
-    df_strictly_increasing: bool
-
-
-def compare_orders(
-    configs, reference_frequency_hz: float, workers: int = 1
-) -> OrderComparison:
-    """Run several orders on the same element count and compare trends.
-
-    All configs must share element count, trial count, and master seed so
-    the comparison isolates the beamformer order.
-    """
-    configs = list(configs)
-    if not configs:
-        raise ValueError("need at least one configuration")
-    heads = {(c.element_count, c.trials, c.master_seed) for c in configs}
-    if len(heads) != 1:
-        raise ValueError(
-            "configurations must share element count, trials, and master seed"
-        )
-    wng_means = []
-    df_means = []
-    for config in configs:
-        index = config.grid.index(reference_frequency_hz)
-        stats = run_trials(config, workers=workers)
-        wng_means.append(float(stats.wng_mean_db[index]))
-        df_means.append(float(stats.df_mean_db[index]))
-    orders = tuple(c.order for c in configs)
-    wng_down = all(a > b for a, b in zip(wng_means, wng_means[1:]))
-    df_up = all(a < b for a, b in zip(df_means, df_means[1:]))
-    return OrderComparison(
-        orders=orders,
-        reference_frequency_hz=reference_frequency_hz,
-        wng_mean_db=tuple(wng_means),
-        df_mean_db=tuple(df_means),
-        wng_strictly_decreasing=wng_down,
-        df_strictly_increasing=df_up,
     )

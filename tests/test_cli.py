@@ -2,9 +2,12 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from diffbeam import PhysicalConstants, beampattern, fileio
 from diffbeam.cli import main
+from diffbeam.metrics import magnitude_db
 
 
 def write_json(path: Path, payload: dict) -> Path:
@@ -215,6 +218,66 @@ class TestEvaluateCommand:
         code, _ = self.evaluate(workspace, design_dir, "few", integration_points=256)
         assert code == 1
         assert "integration_points must be >= 512" in capsys.readouterr().err
+
+
+class TestEvaluateRendering:
+    """`evaluate` samples the pattern from the filter's harmonic coefficients
+    at the evaluation frequency; it must equal the direct element sum."""
+
+    EVAL_HZ = 2500.0  # an inner grid point, so a neighbouring row cannot pass
+
+    # floors high enough that every angle step, 45 deg included, clamps some
+    # samples: the omni design of this directional array stays above -3.3 dB
+    @pytest.mark.parametrize("element_model, floor_db", [("first_order", -20.0), ("omni", 0.0)])
+    @pytest.mark.parametrize("step_deg", [1.0, 0.5, 0.25, 45.0])
+    def test_rendered_db_matches_direct_beampattern(
+        self, workspace, monkeypatch, element_model, floor_db, step_deg
+    ):
+        design = write_json(
+            workspace / "design.json",
+            {
+                "geometry_file": "geometry.json",
+                "pattern": {"family": "hypercardioid", "order": 2, "steer_deg": 60.0},
+                "grid_hz": {"f_min": 1000.0, "f_max": 4000.0, "count": 7},
+                "element_model": element_model,
+            },
+        )
+        assert main(["design", "--config", str(design), "--out", str(workspace / "design")]) == 0
+        config = write_json(
+            workspace / "evaluate.json",
+            {
+                "geometry_file": "geometry.json",
+                "design_manifest": "design/design_manifest.json",
+                "eval_frequency_hz": self.EVAL_HZ,
+                "angle_step_deg": step_deg,
+                "beampattern_floor_db": floor_db,
+            },
+        )
+        # the CSV keeps nine digits; compare the values handed to the writer
+        written = {}
+        write = fileio.write_beampattern_csv
+
+        def capture(path, angles_deg, rendered_db, target_db):
+            written["rendered_db"] = np.asarray(rendered_db)
+            write(path, angles_deg, rendered_db, target_db)
+
+        monkeypatch.setattr(fileio, "write_beampattern_csv", capture)
+        out = workspace / "eval"
+        assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 0
+
+        geometry = fileio.load_geometry_file(workspace / "geometry.json")
+        filt, _ = fileio.load_design(workspace / "design" / "design_manifest.json")
+        count = round(360.0 / step_deg)
+        theta = 2.0 * np.pi * np.arange(count) / count
+        direct = magnitude_db(
+            beampattern(filt, geometry, PhysicalConstants(), 2.0 * np.pi * self.EVAL_HZ, theta),
+            floor_db=floor_db,
+        )
+        got = written["rendered_db"]
+        assert got.shape == direct.shape == (count,)
+        assert np.max(np.abs(got - direct)) <= 1e-9
+        clamped = direct <= floor_db + 1e-9
+        assert clamped.any() and not clamped.all()
 
 
 class TestMontecarloCommand:

@@ -1,0 +1,92 @@
+"""`scripts/fixed_geometry_study.py` designs and scores a whole band as one
+stack; each frequency must match its own one-point design."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from diffbeam import (
+    FrequencyGrid,
+    RankDeficientSystemError,
+    beampattern,
+    design_filter,
+    evaluate_target,
+    gain_curves,
+    sample_random_geometry,
+)
+from diffbeam.metrics import magnitude_db, power_db
+from tests.conftest import angle_grid, steered_hypercardioid
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "fixed_geometry_study.py"
+FLOOR_DB = -50.0
+
+
+@pytest.fixture(scope="module")
+def study():
+    spec = importlib.util.spec_from_file_location("fixed_geometry_study", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def per_frequency(geometry, constants, target, frequencies, angle_count):
+    """The sweep as it was made before: one `design_filter` per frequency,
+    rendered by `beampattern` and scored by `gain_curves`, with each
+    filter's weight norm ``sum |h_m|``."""
+    theta = angle_grid(angle_count)
+    patterns, curves, norms, skipped = {}, {}, {}, []
+    for f_hz in frequencies:
+        try:
+            filt = design_filter(geometry, constants, target, FrequencyGrid(f_hz, f_hz, 1))
+        except RankDeficientSystemError as err:
+            skipped.append((f_hz, str(err)))
+            continue
+        patterns[f_hz] = magnitude_db(
+            beampattern(filt, geometry, constants, 2.0 * np.pi * f_hz, theta), floor_db=FLOOR_DB
+        )
+        curves[f_hz] = power_db(gain_curves(filt, geometry, constants, filt.theta_s))[:, 0]
+        norms[f_hz] = np.sum(np.abs(filt.weights))
+    return patterns, curves, norms, skipped
+
+
+@pytest.mark.parametrize("order", [1, 4])
+@pytest.mark.parametrize("angle_count", [8, 360])
+def test_sweep_matches_per_frequency_design(study, constants, fixed_geometry, order, angle_count):
+    # the script's band and array; order 4 is refused below 500 Hz, and
+    # 8 angles are fewer than the harmonics the pattern is sampled from
+    frequencies = np.linspace(50.0, 4000.0, 80)
+    target = steered_hypercardioid(order)
+    pattern_rows, curve_rows, skipped = study.sweep(
+        fixed_geometry, constants, target, frequencies, angle_count, FLOOR_DB
+    )
+    patterns, curves, norms, want_skipped = per_frequency(
+        fixed_geometry, constants, target, frequencies, angle_count
+    )
+    assert skipped == want_skipped
+    assert bool(skipped) == (order == 4)
+
+    assert [row[0] for row in curve_rows] == list(curves)
+    got_curves = np.array([row[1:] for row in curve_rows])
+    assert np.max(np.abs(got_curves - np.array(list(curves.values())))) <= 1e-9
+
+    rows = np.array(pattern_rows).reshape(len(patterns), angle_count, 4)
+    want_db = np.array(list(patterns.values()))
+    assert np.array_equal(rows[:, 0, 0], list(patterns))
+    assert np.max(np.abs(rows[:, :, 1] - 360.0 * np.arange(angle_count) / angle_count)) <= 1e-12
+    # the two renders round differently, by a few ulps of sum |h_m| |T d|;
+    # the superdirective order-4 weights reach 3e3 at 500 Hz, where that is
+    # 1.5e-9 dB of a -13 dB sample, so the bound scales with the weights
+    scale = np.array(list(norms.values()))[:, None]
+    assert np.max(np.abs(10.0 ** (rows[:, :, 2] / 20.0) - 10.0 ** (want_db / 20.0)) / scale) <= 1e-14
+    if order == 1:
+        assert np.max(np.abs(rows[:, :, 2] - want_db)) <= 1e-9
+    target_db = magnitude_db(evaluate_target(target, angle_grid(angle_count)), floor_db=FLOOR_DB)
+    assert np.max(np.abs(rows[:, :, 3] - target_db)) <= 1e-9
+
+
+def test_too_few_elements_refused(study, constants):
+    geometry = sample_random_geometry(5, 0.02, 0.008, seed=69)
+    with pytest.raises(ValueError, match="order 4 needs at least 9 elements"):
+        study.sweep(geometry, constants, steered_hypercardioid(4), [1000.0], 8, FLOOR_DB)

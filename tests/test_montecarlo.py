@@ -10,14 +10,13 @@ from diffbeam import (
     RankDeficientSystemError,
     TrialConfig,
     beampattern,
-    compare_orders,
     design_filter,
     gain_curves,
     run_trials,
     sample_random_geometry,
     trial_seed,
 )
-from diffbeam.metrics import harmonic_reach, magnitude_db, power_db
+from diffbeam.metrics import magnitude_db, parseval_harmonics, power_db
 from diffbeam.montecarlo import TrialFailure
 from tests.test_rank_gate import HIGH_ORDER_GRID, STUDY_SEED
 
@@ -219,7 +218,8 @@ class TestChunkedAgainstOracle:
             grid=FrequencyGrid(300.0, 300.0, 1), eval_frequency_hz=300.0,
             angle_count=angle_count,
         )
-        assert angle_count > 300 or 2 * harmonic_reach(config.order, 0.0) + 1 > angle_count
+        harmonics = parseval_harmonics(config.order, 0.0, 0.0, config.speed_of_sound)
+        assert angle_count > 300 or harmonics.size > angle_count
         stats = run_trials(config)
         expected, failures = oracle_statistics(config)
         assert [(f.index, f.reason) for f in stats.failures] == failures
@@ -295,30 +295,3 @@ class TestLowFrequencyBehavior:
         )
         stats = run_trials(config, workers=4)
         assert stats.wng_mean_db[0] < 0.0
-
-
-class TestCompareOrders:
-    def test_duplicated_config_gives_identical_summaries(self):
-        config = small_config(trials=4, element_count=9, order=1)
-        comparison = compare_orders([config, config], reference_frequency_hz=1000.0)
-        assert comparison.orders == (1, 1)
-        assert comparison.wng_mean_db[0] == comparison.wng_mean_db[1]
-        assert comparison.df_mean_db[0] == comparison.df_mean_db[1]
-
-    def test_shared_head_enforced(self):
-        a = small_config(trials=4, element_count=9, order=1)
-        b = small_config(trials=4, element_count=9, order=2, master_seed=999)
-        with pytest.raises(ValueError):
-            compare_orders([a, b], reference_frequency_hz=1000.0)
-
-    def test_verdicts_match_reported_means(self):
-        configs = [
-            small_config(trials=6, element_count=9, order=order) for order in (1, 2)
-        ]
-        comparison = compare_orders(configs, reference_frequency_hz=1000.0)
-        assert comparison.wng_strictly_decreasing == (
-            comparison.wng_mean_db[0] > comparison.wng_mean_db[1]
-        )
-        assert comparison.df_strictly_increasing == (
-            comparison.df_mean_db[0] < comparison.df_mean_db[1]
-        )
