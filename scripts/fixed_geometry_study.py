@@ -13,7 +13,6 @@ Example:
 """
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
@@ -28,7 +27,7 @@ from diffbeam import (
     hypercardioid_coefficients,
     sample_random_geometry,
 )
-from diffbeam.fileio import save_geometry_file
+from diffbeam.fileio import save_geometry_file, write_table
 from diffbeam.metrics import (
     coefficient_gains,
     design_coefficients,
@@ -41,8 +40,9 @@ from diffbeam.solver import rank_deficiency
 
 
 def sweep(geometry, constants, target, frequencies, angle_count, floor_db):
-    """Pattern rows (f, angle, rendered dB, target dB), curve rows
-    (f, WNG dB, DF dB) and the refused (f, reason) pairs of one order."""
+    """The pattern table (f, angle, rendered dB, target dB), one row per
+    kept frequency and angle, the curve table (f, WNG dB, DF dB), one row
+    per kept frequency, and the refused (f, reason) pairs of one order."""
     frequencies = np.asarray(frequencies, dtype=float)
     omegas = 2.0 * np.pi * frequencies
     values = geometry.element_values
@@ -64,20 +64,14 @@ def sweep(geometry, constants, target, frequencies, angle_count, floor_db):
     )
     angles_deg = 360.0 * np.arange(angle_count) / angle_count
     target_db = magnitude_db(evaluate_target(target, np.radians(angles_deg)), floor_db=floor_db)
-    pattern_rows = [
-        (f_hz, angle_deg, r_db, t_db)
-        for f_hz, row in zip(frequencies[kept], rendered)
-        for angle_deg, r_db, t_db in zip(angles_deg, row, target_db)
-    ]
-    return pattern_rows, list(zip(frequencies[kept], wng, df)), skipped
-
-
-def write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format(v, ".9g") for v in row])
+    kept_hz = frequencies[kept]
+    patterns = np.column_stack([
+        np.repeat(kept_hz, angle_count),
+        np.tile(angles_deg, len(kept_hz)),
+        rendered.ravel(),
+        np.tile(target_db, len(kept_hz)),
+    ])
+    return patterns, np.column_stack([kept_hz, wng, df]), skipped
 
 
 def main() -> int:
@@ -112,12 +106,12 @@ def main() -> int:
             geometry, constants, target, frequencies, angle_count, args.floor_db
         )
         tag = f"n{order}"
-        write_csv(
+        write_table(
             args.out / f"beampattern_vs_frequency_{tag}.csv",
             ["freq_hz", "angle_deg", "rendered_db", "target_db"],
             patterns,
         )
-        write_csv(
+        write_table(
             args.out / f"wng_df_{tag}.csv", ["freq_hz", "wng_db", "df_db"], curves
         )
         print(f"order {order}: {len(curves)} frequencies designed", end="")

@@ -11,6 +11,7 @@ wall time only, never bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -222,7 +223,9 @@ def _cmd_montecarlo(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="diffbeam",
         description="Design and evaluate frequency-invariant differential "

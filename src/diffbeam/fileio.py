@@ -2,14 +2,14 @@
 
 Unit policy at the file boundary: lengths in millimeters, angles in
 degrees, frequencies in Hz, with the unit spelled out in the field name.
-Everything becomes meters/radians the moment it is parsed. Result CSVs
-carry one header row and numbers with nine significant digits; the
-filter export keeps full precision so a design round-trips exactly.
+Everything becomes meters/radians the moment it is parsed. Every CSV is
+one header row and a float table written by `write_table`: result CSVs
+carry nine significant digits (``%.9g``), the filter export keeps full
+precision (``%r``) so a design round-trips exactly.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from pathlib import Path
@@ -23,13 +23,19 @@ from .solver import BeamformerFilter, FrequencyGrid
 FORMAT_VERSION = 1
 
 
-def _fmt(value: float) -> str:
-    # nine significant digits; +0.0 normalizes a negative zero
-    return format(float(value) + 0.0, ".9g")
+def write_table(path, header, table, exact: bool = False) -> None:
+    """One CSV: a header row, then the (rows, cols) float ``table``.
 
-
-def _fmt_exact(value: float) -> str:
-    return repr(float(value) + 0.0)
+    Cells are ``%.9g``, or ``%r`` (the shortest text that reads back to the
+    same double) when ``exact``; a negative zero is written as ``0``. Lines
+    end in LF and nothing is quoted.
+    """
+    table = np.asarray(table, dtype=float) + 0.0
+    rows, cols = table.shape
+    line = ",".join(["%r" if exact else "%.9g"] * cols) + "\n"
+    text = ",".join(header) + "\n" + (line * rows) % tuple(table.ravel().tolist())
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def load_json(path) -> dict:
@@ -135,17 +141,14 @@ def grid_to_payload(grid: FrequencyGrid) -> dict:
 
 def write_filter_csv(filt: BeamformerFilter, path) -> None:
     """One row per grid frequency: f_hz then interleaved re/im weights."""
-    header = ["f_hz"]
-    for m in range(1, filt.size + 1):
-        header += [f"re_h{m}", f"im_h{m}"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for f_hz, row in zip(filt.grid.frequencies_hz, filt.weights):
-            cells = [_fmt_exact(f_hz)]
-            for w in row:
-                cells += [_fmt_exact(w.real), _fmt_exact(w.imag)]
-            writer.writerow(cells)
+    weights = np.ascontiguousarray(filt.weights, dtype=complex).view(float)
+    table = np.column_stack([filt.grid.frequencies_hz, weights])
+    write_table(path, _filter_header(filt.size), table, exact=True)
+
+
+def _filter_header(size: int) -> list[str]:
+    """``f_hz, re_h1, im_h1, ..., re_hM, im_hM`` for ``size`` elements."""
+    return ["f_hz"] + [f"{part}_h{m}" for m in range(1, size + 1) for part in ("re", "im")]
 
 
 def write_design_manifest(
@@ -182,6 +185,61 @@ def write_design_manifest(
         fh.write("\n")
 
 
+def _read_filter_weights(filter_file, grid: FrequencyGrid) -> np.ndarray:
+    """The (F, M) complex weights of a filter CSV written by `write_filter_csv`.
+
+    The file is parsed as one float table. Refused, naming the file: a
+    header other than `_filter_header`, a row count other than the grid's,
+    and, naming the first bad row, a row with another cell count, a cell
+    that is not a number, or a frequency off its grid point by more than
+    1e-9 (relative and absolute, as `math.isclose`).
+    """
+    with open(filter_file, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    header = lines[0].split(",") if lines else []
+    width = len(header)
+    if width < 3 or header != _filter_header((width - 1) // 2):
+        raise ValueError(
+            f"{filter_file}: header must read f_hz, re_h1, im_h1, ..., re_hM, im_hM; "
+            f"found {lines[0] if lines else ''!r}"
+        )
+    rows = lines[1:]
+    if len(rows) != grid.count:
+        raise ValueError(
+            f"{filter_file}: expected {grid.count} rows, found {len(rows)}"
+        )
+    for i, row in enumerate(rows):
+        if row.count(",") != width - 1:
+            raise ValueError(
+                f"{filter_file}: row {i} has {row.count(',') + 1} cells, "
+                f"the header has {width}"
+            )
+    cells = ",".join(rows).split(",")
+    try:
+        table = np.array(cells, dtype=float).reshape(grid.count, width)
+    except ValueError:
+        for k, cell in enumerate(cells):
+            try:
+                float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{filter_file}: row {k // width} column {header[k % width]}: "
+                    f"{cell!r} is not a number"
+                ) from None
+        raise
+
+    frequencies, expected = table[:, 0], grid.frequencies_hz
+    tolerance = np.maximum(1e-9 * np.maximum(np.abs(frequencies), np.abs(expected)), 1e-9)
+    close = np.isfinite(frequencies) & (np.abs(frequencies - expected) <= tolerance)
+    if not close.all():
+        i = int(np.argmin(close))
+        raise ValueError(
+            f"{filter_file}: row {i} frequency {frequencies[i]} does not match "
+            f"the manifest grid point {expected[i]}"
+        )
+    return table[:, 1::2] + 1j * table[:, 2::2]
+
+
 def load_design(manifest_path):
     """Load a design manifest plus its filter CSV.
 
@@ -197,27 +255,7 @@ def load_design(manifest_path):
     pattern = _require(manifest, "pattern", context)
     filter_file = manifest_path.parent / _require(manifest, "filter_file", context)
 
-    with open(filter_file, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    if len(rows) != grid.count:
-        raise ValueError(
-            f"{filter_file}: expected {grid.count} rows, found {len(rows)}"
-        )
-    size = (len(header) - 1) // 2
-    weights = np.empty((grid.count, size), dtype=complex)
-    for i, row in enumerate(rows):
-        values = [float(v) for v in row]
-        expected = grid.frequencies_hz[i]
-        if not math.isclose(values[0], expected, rel_tol=1e-9, abs_tol=1e-9):
-            raise ValueError(
-                f"{filter_file}: row {i} frequency {values[0]} does not match "
-                f"the manifest grid point {expected}"
-            )
-        re = np.array(values[1::2])
-        im = np.array(values[2::2])
-        weights[i] = re + 1j * im
+    weights = _read_filter_weights(filter_file, grid)
 
     filt = BeamformerFilter(
         grid=grid,
@@ -234,51 +272,45 @@ def load_design(manifest_path):
 # ---------------------------------------------------------------------------
 # result CSVs
 
-def _write_rows(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
 def write_beampattern_csv(path, angles_deg, rendered_db, target_db) -> None:
-    _write_rows(
+    write_table(
         path,
         ["angle_deg", "rendered_db", "target_db"],
-        zip(angles_deg, rendered_db, target_db),
+        np.column_stack([angles_deg, rendered_db, target_db]),
     )
 
 
 def write_wng_csv(path, frequencies_hz, wng_db) -> None:
-    _write_rows(path, ["freq_hz", "wng_db"], zip(frequencies_hz, wng_db))
+    write_table(path, ["freq_hz", "wng_db"], np.column_stack([frequencies_hz, wng_db]))
 
 
 def write_df_csv(path, frequencies_hz, df_db) -> None:
-    _write_rows(path, ["freq_hz", "df_db"], zip(frequencies_hz, df_db))
+    write_table(path, ["freq_hz", "df_db"], np.column_stack([frequencies_hz, df_db]))
 
 
 def write_bp_stats_csv(path, angles_deg, mean_db, std_db) -> None:
-    rows = [
-        (a, m, s, m - s, m + s)
-        for a, m, s in zip(angles_deg, mean_db, std_db)
-    ]
-    _write_rows(path, ["angle_deg", "mean_db", "std_db", "lower_ci", "upper_ci"], rows)
+    mean_db = np.asarray(mean_db, dtype=float)
+    std_db = np.asarray(std_db, dtype=float)
+    write_table(
+        path,
+        ["angle_deg", "mean_db", "std_db", "lower_ci", "upper_ci"],
+        np.column_stack([angles_deg, mean_db, std_db, mean_db - std_db, mean_db + std_db]),
+    )
 
 
 def write_wng_stats_csv(path, frequencies_hz, mean_db, std_db) -> None:
-    _write_rows(
+    write_table(
         path,
         ["freq_hz", "mean_wng", "std_wng"],
-        zip(frequencies_hz, mean_db, std_db),
+        np.column_stack([frequencies_hz, mean_db, std_db]),
     )
 
 
 def write_df_stats_csv(path, frequencies_hz, mean_db, std_db) -> None:
-    _write_rows(
+    write_table(
         path,
         ["freq_hz", "mean_df", "std_df"],
-        zip(frequencies_hz, mean_db, std_db),
+        np.column_stack([frequencies_hz, mean_db, std_db]),
     )
 
 

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidFilterError
+from .errors import GeometryMismatchError, InvalidFilterError
 from .geometry import ArrayGeometry, PhysicalConstants
 from .modal import element_harmonics, model_values
 from .patterns import SteeredTarget
@@ -58,6 +58,15 @@ def check_integration_points(points) -> int:
     return points
 
 
+def _check_element_count(filt: BeamformerFilter, geometry: ArrayGeometry) -> None:
+    """Refuse a filter whose weights are for another number of elements."""
+    if filt.size != geometry.size:
+        raise GeometryMismatchError(
+            f"the filter has weights for {filt.size} elements but the geometry "
+            f"has {geometry.size}"
+        )
+
+
 def beampattern(
     filt: BeamformerFilter,
     geometry: ArrayGeometry,
@@ -75,6 +84,7 @@ def beampattern(
     complex or ndarray
         ``h^H(omega) T(theta) d(omega, theta)``.
     """
+    _check_element_count(filt, geometry)
     th = np.asarray(theta, dtype=float)
     pattern = render_pattern(
         filt.weights_at(omega), geometry.element_values, omega, th.ravel(),
@@ -138,7 +148,12 @@ def filter_coefficients(
     filt: BeamformerFilter, geometry: ArrayGeometry, constants: PhysicalConstants
 ) -> tuple[np.ndarray, np.ndarray]:
     """The pattern coefficients (F, K) of a designed filter over its grid,
-    with the harmonics (K,) they stand for (`parseval_harmonics`)."""
+    with the harmonics (K,) they stand for (`parseval_harmonics`).
+
+    Raises `GeometryMismatchError` when the filter's element count is not
+    the geometry's.
+    """
+    _check_element_count(filt, geometry)
     omegas = filt.grid.omegas
     values = geometry.element_values
     c = constants.speed_of_sound

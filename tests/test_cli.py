@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -207,6 +208,16 @@ class TestEvaluateCommand:
         code, _ = self.evaluate(workspace, design_dir, "eval_mismatch")
         assert code == 1
 
+    def test_filter_of_another_element_count_refused(self, workspace, design_dir, capsys):
+        # drop the last element's re/im pair from every line of the filter
+        path = design_dir / "filter.csv"
+        lines = [line.rsplit(",", 2)[0] for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        code, _ = self.evaluate(workspace, design_dir, "short")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "the filter has weights for 8 elements but the geometry has 9" in err
+
     def test_integration_points_key_accepted_and_inert(self, workspace, design_dir):
         _, plain = self.evaluate(workspace, design_dir, "plain")
         code, keyed = self.evaluate(workspace, design_dir, "keyed", integration_points=4096)
@@ -331,3 +342,66 @@ class TestMontecarloCommand:
         assert main(["montecarlo", "--config", str(config), "--out", str(out)]) == 0
         assert read_csv(out / "wng_stats.csv")[0] == ["freq_hz", "mean_wng", "std_wng"]
         assert read_csv(out / "df_stats.csv")[0] == ["freq_hz", "mean_df", "std_df"]
+
+
+class TestGoldenOutputs:
+    """Every CSV of one small design -> evaluate -> montecarlo run, pinned by
+    sha256. The digests were taken before the CSV writers became whole-table
+    writers; an output byte that moves must be a recorded, deliberate change."""
+
+    DIGESTS = {
+        "design/filter.csv":
+            "b1033bf1668aeedf212b3d5067adfdc90d5a9c96240c1af4a9d244ab54b79e55",
+        "evaluate/beampattern.csv":
+            "d5ab842ee6f461b9afe48bf04c16b2c192a41090f9a1ba799d2f2584139cc9cf",
+        "evaluate/df.csv":
+            "fc56604fd6af815ab1564f15a8a3c8cae5879dd32bf39fe05611a455a4b42483",
+        "evaluate/wng.csv":
+            "082e26ce2339db221d5494d2ef2b50f9499c9aada35504a9d30579052733f0ee",
+        "montecarlo/bp_stats.csv":
+            "209334ede5da47645881cac25583eba3c246c3a62b27674432b797ccb0a23990",
+        "montecarlo/df_stats.csv":
+            "e52fdd57d9860e310533a8f9b4e132e1aae75a819e378ce9efddbd47f85ec3b6",
+        "montecarlo/wng_stats.csv":
+            "dd3ae27648890df26b902d0f41808a1935aaacc5fb10791b98d32da705c0af0e",
+    }
+
+    def test_csv_digests(self, workspace):
+        design = write_json(
+            workspace / "design.json",
+            {
+                "geometry_file": "geometry.json",
+                "pattern": {"family": "hypercardioid", "order": 2, "steer_deg": 60.0},
+                "grid_hz": {"f_min": 500.0, "f_max": 4000.0, "count": 8},
+            },
+        )
+        evaluate = write_json(
+            workspace / "evaluate.json",
+            {
+                "geometry_file": "geometry.json",
+                "design_manifest": "design/design_manifest.json",
+                "eval_frequency_hz": 2500.0,
+                "angle_step_deg": 2.0,
+            },
+        )
+        study = write_json(
+            workspace / "mc.json",
+            {
+                "trials": 4,
+                "element_count": 7,
+                "aperture_radius_mm": 20.0,
+                "min_spacing_mm": 8.0,
+                "pattern": {"family": "hypercardioid", "order": 2, "steer_deg": 60.0},
+                "grid_hz": {"f_min": 500.0, "f_max": 2000.0, "count": 4},
+                "eval_frequency_hz": 1000.0,
+                "master_seed": 4242,
+                "angle_step_deg": 5.0,
+            },
+        )
+        for command, config in (("design", design), ("evaluate", evaluate), ("montecarlo", study)):
+            assert main([command, "--config", str(config), "--out", str(workspace / command)]) == 0
+        digests = {
+            path.relative_to(workspace).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in workspace.rglob("*.csv")
+        }
+        assert digests == self.DIGESTS

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from diffbeam.fileio import (
     save_geometry_file,
     write_design_manifest,
     write_filter_csv,
+    write_table,
     write_wng_csv,
 )
 from tests.conftest import steered_hypercardioid
@@ -120,6 +122,148 @@ class TestFilterRoundtrip:
         assert columns[0] == "f_hz"
         assert columns[1:5] == ["re_h1", "im_h1", "re_h2", "im_h2"]
         assert len(columns) == 1 + 2 * 9
+
+
+class TestFilterRefusals:
+    """`load_design` refuses a filter CSV it cannot read as the manifest's
+    table, naming the file and, for a bad row, the row."""
+
+    @pytest.fixture
+    def manifest(self, tmp_path, constants, fixed_geometry):
+        from diffbeam import hypercardioid_coefficients
+
+        filt = design_filter(
+            fixed_geometry, constants, steered_hypercardioid(1),
+            FrequencyGrid(1000.0, 2500.0, 4),
+        )
+        write_filter_csv(filt, tmp_path / "filter.csv")
+        write_design_manifest(
+            tmp_path / "design_manifest.json",
+            filt,
+            pattern_coefficients=hypercardioid_coefficients(1),
+            steer_deg=60.0,
+            geometry_file="geometry.json",
+            speed_of_sound=constants.speed_of_sound,
+            filter_file="filter.csv",
+        )
+        return tmp_path / "design_manifest.json"
+
+    @staticmethod
+    def edit(manifest, line: int, change) -> None:
+        path = manifest.parent / "filter.csv"
+        lines = path.read_text().splitlines()
+        lines[line] = change(lines[line])
+        path.write_text("\n".join(lines) + "\n")
+
+    @staticmethod
+    def replace_cell(column: int, text: str):
+        def change(line):
+            cells = line.split(",")
+            cells[column] = text
+            return ",".join(cells)
+        return change
+
+    def test_ragged_row(self, manifest):
+        # row 2 (file line 3) loses its last element's pair
+        self.edit(manifest, 3, lambda line: line.rsplit(",", 2)[0])
+        with pytest.raises(ValueError, match=r"filter\.csv: row 2 has 17 cells, the header has 19"):
+            load_design(manifest)
+
+    @pytest.mark.parametrize("line, column, text, where", [
+        (2, 3, "1.5e-3x", "row 1 column re_h2"),
+        (4, 18, "", "row 3 column im_h9"),
+    ])
+    def test_non_numeric_cell(self, manifest, line, column, text, where):
+        self.edit(manifest, line, self.replace_cell(column, text))
+        with pytest.raises(ValueError, match=rf"filter\.csv: {where}: '{text}' is not a number"):
+            load_design(manifest)
+
+    @pytest.mark.parametrize("header", [
+        ",".join(["freq"] + [f"{part}_h{m}" for m in range(1, 10) for part in ("re", "im")]),
+        ",".join(["f_hz"] + [f"{part}_h{m}" for m in range(1, 10) for part in ("im", "re")]),
+        ",".join(["f_hz"] + [f"{part}_h{m}" for m in range(2, 11) for part in ("re", "im")]),
+        "f_hz,re_h1,im_h1,re_h2",
+        "f_hz",
+        "",
+    ])
+    def test_bad_header(self, manifest, header):
+        self.edit(manifest, 0, lambda line: header)
+        with pytest.raises(ValueError, match=r"filter\.csv: header must read f_hz, re_h1, im_h1"):
+            load_design(manifest)
+
+    def test_header_of_fewer_elements_than_the_rows(self, manifest):
+        self.edit(manifest, 0, lambda line: "f_hz,re_h1,im_h1")
+        with pytest.raises(ValueError, match=r"filter\.csv: row 0 has 19 cells, the header has 3"):
+            load_design(manifest)
+
+    def test_row_count(self, manifest):
+        path = manifest.parent / "filter.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        with pytest.raises(ValueError, match=r"filter\.csv: expected 4 rows, found 3"):
+            load_design(manifest)
+
+    @pytest.mark.parametrize("text", ["2000.00001", "inf", "nan"])
+    def test_frequency_off_grid(self, manifest, text):
+        self.edit(manifest, 3, self.replace_cell(0, text))
+        with pytest.raises(
+            ValueError,
+            match=rf"filter\.csv: row 2 frequency {text} does not match the manifest "
+            r"grid point 2000\.0",
+        ):
+            load_design(manifest)
+
+    def test_frequency_within_tolerance_accepted(self, manifest):
+        self.edit(manifest, 3, self.replace_cell(0, "2000.000000001"))
+        filt, _ = load_design(manifest)
+        assert filt.weights.shape == (4, 9)
+
+
+def oracle_csv(header, rows, exact=False) -> str:
+    """The per-value writer the table writer replaced: one formatting call
+    per cell, ``+ 0.0`` folding a negative zero, comma-joined, LF-ended."""
+    cell = repr if exact else (lambda v: format(v, ".9g"))
+    lines = [",".join(header)] + [",".join(cell(float(v) + 0.0) for v in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+# edge values, and values that round at the ninth significant digit
+AWKWARD = [
+    -0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-5, -1e300, 1e300,
+    1.2345678949999999, 1.2345678950000001, 0.1234567895, 999999999.5, 9999999995.0,
+    9.9999999949999, 9.999999995, -0.000123456789123, 2.2250738585072014e-308,
+    1.7976931348623157e308, 1.0 / 3.0, 100.0, 1e16, 123456789012.0,
+]
+
+
+class TestTableWriter:
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_matches_per_value_oracle(self, tmp_path, exact):
+        rng = np.random.default_rng(5)
+        random = rng.standard_normal(60) * 10.0 ** rng.integers(-12, 12, 60)
+        values = np.concatenate([AWKWARD, random])
+        table = values.reshape(-1, 4)
+        header = ["a", "b", "c", "d"]
+        path = tmp_path / "table.csv"
+        write_table(path, header, table, exact=exact)
+        assert path.read_bytes() == oracle_csv(header, table.tolist(), exact).encode()
+
+    def test_negative_zero_and_specials(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_table(path, ["x", "y"], [[-0.0, math.nan], [math.inf, -math.inf]])
+        assert path.read_text() == "x,y\n0,nan\ninf,-inf\n"
+
+    def test_exact_cells_read_back_bit_for_bit(self, tmp_path):
+        values = np.array([v for v in AWKWARD if not math.isnan(v)])
+        path = tmp_path / "table.csv"
+        write_table(path, ["v"], values[:, None], exact=True)
+        read = np.array([float(v) for v in path.read_text().splitlines()[1:]])
+        assert np.array_equal(read, values + 0.0)
+        assert not np.signbit(read[0])
+
+    def test_empty_table_is_the_header(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_table(path, ["x", "y"], np.empty((0, 2)))
+        assert path.read_text() == "x,y\n"
 
 
 class TestResultCsvFormat:

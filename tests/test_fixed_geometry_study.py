@@ -58,7 +58,7 @@ def test_sweep_matches_per_frequency_design(study, constants, fixed_geometry, or
     # 8 angles are fewer than the harmonics the pattern is sampled from
     frequencies = np.linspace(50.0, 4000.0, 80)
     target = steered_hypercardioid(order)
-    pattern_rows, curve_rows, skipped = study.sweep(
+    pattern_table, curve_table, skipped = study.sweep(
         fixed_geometry, constants, target, frequencies, angle_count, FLOOR_DB
     )
     patterns, curves, norms, want_skipped = per_frequency(
@@ -67,13 +67,14 @@ def test_sweep_matches_per_frequency_design(study, constants, fixed_geometry, or
     assert skipped == want_skipped
     assert bool(skipped) == (order == 4)
 
-    assert [row[0] for row in curve_rows] == list(curves)
-    got_curves = np.array([row[1:] for row in curve_rows])
-    assert np.max(np.abs(got_curves - np.array(list(curves.values())))) <= 1e-9
+    assert curve_table.shape == (len(curves), 3)
+    assert list(curve_table[:, 0]) == list(curves)
+    assert np.max(np.abs(curve_table[:, 1:] - np.array(list(curves.values())))) <= 1e-9
 
-    rows = np.array(pattern_rows).reshape(len(patterns), angle_count, 4)
+    assert pattern_table.shape == (len(patterns) * angle_count, 4)
+    rows = pattern_table.reshape(len(patterns), angle_count, 4)
     want_db = np.array(list(patterns.values()))
-    assert np.array_equal(rows[:, 0, 0], list(patterns))
+    assert np.array_equal(rows[:, :, 0], np.tile(list(patterns), (angle_count, 1)).T)
     assert np.max(np.abs(rows[:, :, 1] - 360.0 * np.arange(angle_count) / angle_count)) <= 1e-12
     # the two renders round differently, by a few ulps of sum |h_m| |T d|;
     # the superdirective order-4 weights reach 3e3 at 500 Hz, where that is

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from diffbeam import (
     BeamformerFilter,
     FrequencyGrid,
+    GeometryMismatchError,
     InvalidFilterError,
     beampattern,
     design_filter,
@@ -278,6 +279,19 @@ class TestGainCurves:
         geom = single_omni()
         with pytest.raises(InvalidFilterError):
             gain_curves(manual_filter(geom, [0.0]), geom, constants, 0.0)
+
+
+@pytest.mark.parametrize("score", [
+    lambda filt, geometry, constants: beampattern(filt, geometry, constants, OMEGA_1K, [0.0]),
+    lambda filt, geometry, constants: gain_curves(filt, geometry, constants, 0.0),
+], ids=["beampattern", "gain_curves"])
+def test_filter_of_another_element_count_refused(score, constants, fixed_geometry):
+    filt = manual_filter(fixed_geometry, np.ones(8))
+    with pytest.raises(
+        GeometryMismatchError,
+        match="the filter has weights for 8 elements but the geometry has 9",
+    ):
+        score(filt, fixed_geometry, constants)
 
 
 class TestEquispacedPattern:
