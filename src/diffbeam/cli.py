@@ -59,6 +59,8 @@ _USER_ERRORS = (
 
 
 def _angle_count(step_deg: float) -> int:
+    if not (math.isfinite(step_deg) and step_deg > 0.0):
+        raise ValueError(f"angle step must be positive and finite, got {step_deg!r} deg")
     count = int(round(360.0 / step_deg))
     if count < 1 or abs(count * step_deg - 360.0) > 1e-9:
         raise ValueError(f"angle step {step_deg} deg must divide 360 evenly")

@@ -5,9 +5,12 @@ The response of element m to a plane wave from angle theta, propagation
 phase included, expands as ``sum_n P_{n,m} exp(jn(theta - theta_m))``
 about the element's own steering angle. The coefficients have a closed
 form in Bessel functions, which `element_harmonics` evaluates for whole
-stacks of arrays and frequencies. Its scalar oracles (the closed form
-`harmonic_coefficient`, the defining Fourier integral
-`harmonic_coefficient_quadrature` and the plane-wave matrix
+stacks of arrays and frequencies. Since J_{-n} = (-1)^n J_n, the entries
+for n and -n come from the same real Bessel combinations, so all the
+frequency-dependent work is real and covers n >= 0 only; the complex
+phase does not depend on frequency and is applied once. Its scalar
+oracles (the closed form `harmonic_coefficient`, the defining Fourier
+integral `harmonic_coefficient_quadrature` and the plane-wave matrix
 `build_psi_matrix`) live in `diffbeam.oracles`. Rows of the matching
 matrices are ordered n = -N .. N top to bottom (harmonic n at row index
 n + N).
@@ -61,10 +64,18 @@ def element_harmonics(values, omegas, n_values, speed_of_sound: float) -> np.nda
     """`harmonic_tensor` over a stack of arrays: values (4, ..., M) to (..., F, K, M).
 
     ``values`` holds the rows r, phi, q and theta_steer of every element.
-    With the plane-wave term ``G_k = j^k J_k(x_m) e^{-jk phi_m}`` the entry
-    for harmonic n is ``(1-q) G_n + (q/2) (G_{n+1} e^{j theta_m} + G_{n-1}
-    e^{-j theta_m})``, all Bessel values coming from one table over every
-    argument ``x = omega r / c`` of the stack.
+    With ``alpha = theta_steer - phi``, ``S_n = J_{n+1} + J_{n-1}`` and
+    ``D_n = J_{n+1} - J_{n-1}`` (``J_{-1} = -J_1``) the entries for n >= 0
+    fold by parity into one real bracket each:
+
+        Xi_{+n} = j^n e^{-jn phi} [(1-q) J_n - (q/2) sin(alpha) S_n + j (q/2) cos(alpha) D_n]
+        Xi_{-n} = j^n e^{+jn phi} [(1-q) J_n + (q/2) sin(alpha) S_n + j (q/2) cos(alpha) D_n]
+
+    Every frequency-dependent step is real and covers n >= 0 only, from one
+    Bessel table over every argument ``x = omega r / c`` of the stack; the
+    phase has no frequency axis and is applied by one complex multiply.
+    Orders ``-R .. R``, R = max |n_values|, are built and ``n_values`` (any
+    order, repeats allowed) is read off them.
     """
     n_values = np.atleast_1d(np.asarray(n_values, dtype=int))
     r, phi, q, steer = (np.asarray(v)[..., None] for v in values)
@@ -72,20 +83,36 @@ def element_harmonics(values, omegas, n_values, speed_of_sound: float) -> np.nda
     # shaped (..., M, 1), broadcast along the longest axis; the result is moved
     # to (..., F, K, M) at the end
     x = r * np.atleast_1d(omegas) / speed_of_sound
-    k = np.arange(n_values.min() - 1, n_values.max() + 2)
-    table = bessel_order_table(int(np.abs(k).max()), x)
-    # j^k, and (-1)^k for the negative orders read off the |k| table
-    units = np.asarray(_J_POWER)[k % 4] * np.where((k < 0) & (k % 2 == 1), -1.0, 1.0)
-    along_k = (slice(None),) + (None,) * phi.ndim
-    g = table[np.abs(k)] * (units[along_k] * np.exp(-1j * (k[along_k] * phi)))
-    rows = n_values - k[0]
-    turn = np.exp(1j * steer)
-    # in place, to hold the temporaries of a large stack down
-    xi = g[rows + 1] * turn
-    xi += g[rows - 1] * turn.conj()
-    xi *= 0.5 * q
-    xi += (1.0 - q) * g[rows]
-    return np.ascontiguousarray(np.moveaxis(xi, (0, -1), (-2, -3)))
+    reach = int(np.abs(n_values).max())
+    table = bessel_order_table(reach + 1, x)
+    s = np.empty_like(table[:-1])
+    d = np.empty_like(s)
+    np.add(table[2:], table[:-2], out=s[1:])
+    np.subtract(table[2:], table[:-2], out=d[1:])
+    s[0] = 0.0
+    d[0] = 2.0 * table[1]
+    alpha = steer - phi
+    s *= 0.5 * q * np.sin(alpha)
+    d *= 0.5 * q * np.cos(alpha)
+    omni = (1.0 - q) * table[:-1]
+    # rows n = -R .. R; `up` holds n >= 0 and `down` the mirror -n
+    xi = np.empty((2 * reach + 1,) + x.shape, dtype=complex)
+    up, down = xi[reach:], xi[reach::-1]
+    np.subtract(omni, s, out=up.real)
+    np.add(omni[1:], s[1:], out=down[1:].real)
+    up.imag = d
+    down[1:].imag = d[1:]
+    n = np.arange(reach + 1)
+    along_n = (slice(None),) + (None,) * phi.ndim
+    phase = np.asarray(_J_POWER)[n % 4][along_n] * np.exp(-1j * n[along_n] * phi)
+    # j^n e^{+jn phi} = (-1)^n conj(j^n e^{-jn phi})
+    mirrored = np.where(n % 2 == 1, -1.0, 1.0)[along_n] * phase.conj()
+    xi *= np.concatenate([mirrored[:0:-1], phase])
+    rows = n_values + reach
+    # a run of consecutive orders, every caller's case, is a view: no gather
+    if np.all(np.diff(rows) == 1):
+        rows = slice(rows[0], rows[-1] + 1)
+    return np.ascontiguousarray(np.moveaxis(xi[rows], (0, -1), (-2, -3)))
 
 
 def build_xi_matrix(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllTrialsFailedError, InfeasibleGeometryError
-from .geometry import sample_element_values
+from .geometry import PhysicalConstants, sample_element_values
 from .metrics import (
     coefficient_gains,
     design_coefficients,
@@ -68,6 +68,7 @@ class TrialConfig:
                 f"order {self.order} needs at least {2 * self.order + 1} elements"
             )
         self.grid.index(self.eval_frequency_hz)
+        PhysicalConstants(speed_of_sound=self.speed_of_sound)  # refuses c <= 0, inf, nan
 
     def target(self) -> tuple[SteeredTarget, str]:
         coeffs, pattern_id = resolve_pattern(

@@ -110,7 +110,12 @@ def rank_gate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     below 1e-10 times the largest; ``condition`` is their ratio (inf when the
     smallest is not positive).
     """
-    eigs = np.linalg.eigvalsh(a @ a.conj().swapaxes(-1, -2))
+    return _gate_gram(a @ a.conj().swapaxes(-1, -2))
+
+
+def _gate_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`rank_gate` on the unscaled Grams ``A A^H`` themselves."""
+    eigs = np.linalg.eigvalsh(gram)
     largest, smallest = eigs[..., -1], eigs[..., 0]
     refused = (largest <= 0.0) | (smallest < RANK_RTOL * largest)
     condition = np.divide(largest, smallest, out=np.full_like(largest, math.inf),
@@ -135,18 +140,21 @@ def solve_wide(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     ``h`` is (..., C), NaN where the system was refused; the other two come
     from `rank_gate`. Each step is one stacked call.
     """
-    refused, condition = rank_gate(a)
+    gram = a @ a.conj().swapaxes(-1, -2)
+    refused, condition = _gate_gram(gram)
     h = np.full(a.shape[:-2] + a.shape[-1:], np.nan, dtype=complex)
     accepted = ~refused
     a = a[accepted]
     b = np.broadcast_to(b, refused.shape + b.shape[-1:])[accepted]
-    # exact power-of-two row scaling: same constraint set, better-behaved Gram
+    # exact power-of-two row scaling: same constraint set, better-behaved Gram;
+    # scaling by powers of two is exact, so the scaled Gram is the gate's
+    # divided by s_i s_j, bit for bit
     row_norms = np.sqrt(np.sum(np.abs(a) ** 2, axis=-1))
     scales = np.exp2(np.round(np.log2(row_norms)))
     a_eq = a / scales[..., None]
     b_eq = b / scales
     # numpy has no stacked triangular solve; its general one serves the factors
-    chol = np.linalg.cholesky(a_eq @ a_eq.conj().swapaxes(-1, -2))
+    chol = np.linalg.cholesky(gram[accepted] / (scales[..., :, None] * scales[..., None, :]))
     y = np.linalg.solve(chol.conj().swapaxes(-1, -2), np.linalg.solve(chol, b_eq[..., None]))
     h[accepted] = (a_eq.conj().swapaxes(-1, -2) @ y)[..., 0]
     return h, refused, condition

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffbeam import PhysicalConstants, beampattern, fileio
+from diffbeam import FrequencyGrid, PhysicalConstants, TrialConfig, beampattern, fileio
 from diffbeam.cli import main
 from diffbeam.metrics import magnitude_db
+from tests.test_montecarlo import STAT_NAMES, oracle_statistics
 
 
 def write_json(path: Path, payload: dict) -> Path:
@@ -230,6 +231,12 @@ class TestEvaluateCommand:
         assert code == 1
         assert "integration_points must be >= 512" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step_deg", [0.0, -1.0])
+    def test_angle_step_not_positive_refused(self, workspace, design_dir, capsys, step_deg):
+        code, _ = self.evaluate(workspace, design_dir, "no_step", angle_step_deg=step_deg)
+        assert code == 1
+        assert "angle step must be positive and finite" in capsys.readouterr().err
+
 
 class TestEvaluateRendering:
     """`evaluate` samples the pattern from the filter's harmonic coefficients
@@ -336,6 +343,48 @@ class TestMontecarloCommand:
         assert main(["montecarlo", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert "integration_points must be >= 512" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c_mps", ["0", "-343", "inf", "nan"])
+    def test_speed_of_sound_refused(self, tmp_path, capsys, c_mps):
+        config = self.mc_config(tmp_path)
+        argv = ["montecarlo", "--config", str(config), "--out", str(tmp_path / "mc"),
+                "--c-mps", c_mps]
+        assert main(argv) == 1
+        assert "error: speed of sound must be positive and finite" in capsys.readouterr().err
+
+    def test_angle_step_zero_refused(self, tmp_path, capsys):
+        config = json.loads(self.mc_config(tmp_path).read_text())
+        config["angle_step_deg"] = 0
+        path = write_json(tmp_path / "no_step.json", config)
+        assert main(["montecarlo", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert "angle step must be positive and finite" in capsys.readouterr().err
+
+    def test_interior_eval_frequency_matches_the_per_trial_oracle(self, tmp_path, monkeypatch):
+        # 1 kHz is an inner point of a 4-point grid, so reading a neighbouring
+        # grid row cannot pass; the CSVs keep nine digits, so compare the
+        # statistics handed to the writer
+        config = json.loads(self.mc_config(tmp_path, trials=6).read_text())
+        config.update(element_count=7, grid_hz={"f_min": 500.0, "f_max": 2000.0, "count": 4})
+        config["pattern"]["order"] = 2
+        path = write_json(tmp_path / "grid.json", config)
+        written = {}
+        write = fileio.write_study
+
+        def capture(out_dir, stats):
+            written["stats"] = stats
+            write(out_dir, stats)
+
+        monkeypatch.setattr(fileio, "write_study", capture)
+        assert main(["montecarlo", "--config", str(path), "--out", str(tmp_path / "mc")]) == 0
+        expected, failures = oracle_statistics(TrialConfig(
+            trials=6, element_count=7, order=2, steer_deg=60.0, aperture_radius=0.02,
+            min_spacing=0.008, grid=FrequencyGrid(500.0, 2000.0, 4),
+            eval_frequency_hz=1000.0, master_seed=4242, angle_count=180,
+        ))
+        stats = written["stats"]
+        assert failures == [] and stats.failures == ()
+        for name in STAT_NAMES:
+            assert np.max(np.abs(getattr(stats, name) - expected[name])) <= 1e-9, name
+
     def test_stats_headers(self, tmp_path):
         config = self.mc_config(tmp_path)
         out = tmp_path / "mc"
@@ -347,11 +396,13 @@ class TestMontecarloCommand:
 class TestGoldenOutputs:
     """Every CSV of one small design -> evaluate -> montecarlo run, pinned by
     sha256. The digests were taken before the CSV writers became whole-table
-    writers; an output byte that moves must be a recorded, deliberate change."""
+    writers; an output byte that moves must be a recorded, deliberate change.
+    ``filter.csv`` (weights in ``%r``) was retaken once, when the harmonic
+    kernel moved to real arithmetic and the weights moved in the last ulps."""
 
     DIGESTS = {
         "design/filter.csv":
-            "b1033bf1668aeedf212b3d5067adfdc90d5a9c96240c1af4a9d244ab54b79e55",
+            "65accb35cb734de94165c840ee7135f2a8a2e06d178f7088a115a2624b719f0b",
         "evaluate/beampattern.csv":
             "d5ab842ee6f461b9afe48bf04c16b2c192a41090f9a1ba799d2f2584139cc9cf",
         "evaluate/df.csv":

@@ -14,6 +14,7 @@ from diffbeam import (
     sample_random_geometry,
 )
 from diffbeam.geometry import ArrayElement, ArrayGeometry
+from diffbeam.modal import element_harmonics
 from diffbeam.oracles import (
     bessel_j,
     build_psi_matrix,
@@ -221,6 +222,29 @@ class TestHarmonicTensor:
                         n, x, q, e.theta_steer, e.phi
                     ) * cmath.exp(-1j * n * e.theta_steer)
                     assert abs(tensor[f, i, m] - expected) < 1e-12
+
+    def test_top_of_the_table_domain(self):
+        # x up to 99.5 with orders reaching 255, so the table runs at its
+        # 256-order cap; elements at the origin and at q = 0 and 1; orders
+        # unsorted and repeated, read off the built -255 .. 255
+        c = 343.0
+        values = np.array([
+            [0.0, 0.2, 0.2, 0.2, 0.137, 0.2],
+            [1.3, 0.0, 2.1, 4.4, 5.9, 3.0],
+            [1.0, 0.0, 1.0, 0.37, 0.81, 0.0],
+            [0.4, 2.2, 5.3, 1.7, 0.0, 6.1],
+        ])
+        omegas = [99.5 * c / 0.2, 2.0 * np.pi * 1000.0]
+        orders = [255, -3, 0, 97, -255, 0, 101, -100, 3, 99, 1, -1, 200]
+        tensor = element_harmonics(values, omegas, orders, c)
+        assert tensor.shape == (2, len(orders), 6)
+        for f, omega in enumerate(omegas):
+            for i, n in enumerate(orders):
+                for m, (r, phi, q, steer) in enumerate(values.T):
+                    expected = harmonic_coefficient(
+                        n, omega * r / c, q, steer, phi
+                    ) * cmath.exp(-1j * n * steer)
+                    assert abs(tensor[f, i, m] - expected) < 1e-12, (f, n, m)
 
     def test_xi_matrix_is_the_one_frequency_slice(self, constants):
         geom = sample_random_geometry(9, 0.02, 0.008, seed=12)

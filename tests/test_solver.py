@@ -13,8 +13,9 @@ from diffbeam import (
     design_filter,
     sample_random_geometry,
 )
-from diffbeam.geometry import ArrayElement, ArrayGeometry
-from diffbeam.solver import solve_wide
+from diffbeam.geometry import ArrayElement, ArrayGeometry, sample_element_values
+from diffbeam.modal import element_harmonics
+from diffbeam.solver import design_rhs, rank_gate, solve_wide
 from tests.conftest import steered_hypercardioid
 from tests.test_modal import with_zero_shape
 
@@ -88,6 +89,39 @@ class TestMinNormSolve:
     def test_tall_systems_rejected(self):
         # more rows than unknowns leave the Gram matrix singular
         assert min_norm(np.ones((3, 2)), np.ones(3)) is None
+
+
+def equilibrated_reference(a, b):
+    """`solve_wide` with the equilibrated Gram formed from the scaled rows."""
+    refused, condition = rank_gate(a)
+    h = np.full(a.shape[:-2] + a.shape[-1:], np.nan, dtype=complex)
+    accepted = ~refused
+    a = a[accepted]
+    b = np.broadcast_to(b, refused.shape + b.shape[-1:])[accepted]
+    row_norms = np.sqrt(np.sum(np.abs(a) ** 2, axis=-1))
+    scales = np.exp2(np.round(np.log2(row_norms)))
+    a_eq = a / scales[..., None]
+    chol = np.linalg.cholesky(a_eq @ a_eq.conj().swapaxes(-1, -2))
+    y = np.linalg.solve(chol.conj().swapaxes(-1, -2), np.linalg.solve(chol, (b / scales)[..., None]))
+    h[accepted] = (a_eq.conj().swapaxes(-1, -2) @ y)[..., 0]
+    return h, refused, condition
+
+
+class TestGramReuse:
+    @pytest.mark.parametrize("order, elements", [(1, 3), (2, 5), (2, 9), (3, 7), (4, 13)])
+    def test_bit_identical_to_the_scaled_gram(self, order, elements):
+        # 16 desk-scale trials over the 80-point desk grid, low orders refused
+        values = np.stack(
+            [sample_element_values(elements, 0.02, 0.008, seed=s) for s in range(16)], axis=1
+        )
+        omegas = FrequencyGrid(50.0, 4000.0, 80).omegas
+        xi = element_harmonics(values, omegas, np.arange(-order, order + 1), 343.0)
+        rhs = design_rhs(steered_hypercardioid(order))
+        got = solve_wide(xi.conj(), rhs)
+        expected = equilibrated_reference(xi.conj(), rhs)
+        for g, e in zip(got, expected):
+            assert np.array_equal(g, e, equal_nan=True)
+        assert (~got[1]).any()
 
 
 class TestDesignFilter:
