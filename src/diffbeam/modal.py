@@ -102,14 +102,14 @@ def element_harmonics(values, omegas, n_values, speed_of_sound: float) -> np.nda
     np.add(omni[1:], s[1:], out=down[1:].real)
     up.imag = d
     down[1:].imag = d[1:]
-    n = np.arange(reach + 1)
-    along_n = (slice(None),) + (None,) * phi.ndim
-    phase = np.asarray(_J_POWER)[n % 4][along_n] * np.exp(-1j * n[along_n] * phi)
-    # j^n e^{+jn phi} = (-1)^n conj(j^n e^{-jn phi})
-    mirrored = np.where(n % 2 == 1, -1.0, 1.0)[along_n] * phase.conj()
-    xi *= np.concatenate([mirrored[:0:-1], phase])
+    # the phase j^{|k|} e^{-jk phi}, k = -R .. R, has no frequency axis
+    k = np.arange(-reach, reach + 1)
+    along = (slice(None),) + (None,) * phi.ndim
+    xi *= np.asarray(_J_POWER)[np.abs(k) % 4][along] * np.exp(-1j * k[along] * phi)
     rows = n_values + reach
-    # a run of consecutive orders, every caller's case, is a view: no gather
+    # every caller asks for a run of orders, read as a view: a gather would
+    # allocate and fault in one more tensor-sized array, a large share of the
+    # kernel's time
     if np.all(np.diff(rows) == 1):
         rows = slice(rows[0], rows[-1] + 1)
     return np.ascontiguousarray(np.moveaxis(xi[rows], (0, -1), (-2, -3)))
