@@ -11,20 +11,27 @@ failure report into its own subdirectory. Orders >= 3 use a design grid
 starting at 300 Hz: below that, at this aperture, the outermost harmonic
 rows underflow the solver's rank gate and every trial would be refused.
 
-Desk scale (500 trials) takes about 15 s for all nine configurations at
-one worker and 11 s at --threads 2 (0.5-2.4 s per configuration); the
-full-scale run, --trials 10000, takes about 3.3 minutes at --threads 2
-(11-42 s per configuration). Python 3.11, NumPy 2.4, 2-vCPU Xeon host.
-The CSVs are byte-identical for any --threads.
+Desk scale (500 trials) takes about 8 s for all nine configurations at
+one worker and 7.5 s at --threads 2 (0.4-1.6 s per configuration); the
+full-scale run, --trials 10000, takes about 2.6 minutes at --threads 2
+(7-33 s per configuration). Python 3.11, NumPy 2.4, glibc 2.36, 2-vCPU
+Xeon host. The CSVs are byte-identical for any --threads.
+
+Each configuration's line also gives the minor page faults of its run.
+`keep_freed_memory` keeps freed memory in the process heap, so after the
+first configuration a desk-scale run faults in tens to a few hundred
+pages instead of one chunk's working set per chunk.
 """
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
 
 from diffbeam import FrequencyGrid, TrialConfig, run_trials
 from diffbeam.fileio import write_study
+from diffbeam.montecarlo import keep_freed_memory
 
 APERTURE_M = 0.02
 SPACING_M = 0.008
@@ -61,7 +68,12 @@ def experiment_configs(name, trials, seed):
     raise ValueError(f"unknown experiment {name!r}")
 
 
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def main() -> int:
+    keep_freed_memory()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--trials", type=int, default=500)
@@ -81,13 +93,16 @@ def main() -> int:
     )
     for name in names:
         for tag, config in experiment_configs(name, args.trials, args.seed):
+            faults = minor_faults()
             started = time.perf_counter()
             stats = run_trials(config, workers=args.threads)
             elapsed = time.perf_counter() - started
+            faults = minor_faults() - faults
             write_study(args.out / name / tag, stats)
             print(
                 f"{name}/{tag}: {stats.successes}/{stats.trials} trials ok, "
-                f"worst bp std {stats.bp_std_db.max():.2f} dB, {elapsed:.1f}s"
+                f"worst bp std {stats.bp_std_db.max():.2f} dB, {elapsed:.1f}s, "
+                f"{faults} minor page faults"
             )
     return 0
 

@@ -41,7 +41,7 @@ from .metrics import (
     magnitude_db,
     power_db,
 )
-from .montecarlo import STATISTICS_FLOOR_DB, TrialConfig, run_trials
+from .montecarlo import STATISTICS_FLOOR_DB, TrialConfig, keep_freed_memory, run_trials
 from .patterns import evaluate_target
 from .solver import FrequencyGrid, design_filter
 
@@ -164,6 +164,8 @@ def _cmd_evaluate(args) -> int:
     # DF is exact: the key sets nothing, but values below 512 are still refused
     check_integration_points(config.get("integration_points", MIN_INTEGRATION_POINTS))
     floor_db = float(config.get("beampattern_floor_db", BEAMPATTERN_FLOOR_DB))
+    if not math.isfinite(floor_db):
+        raise ValueError(f"beampattern_floor_db must be finite, got {floor_db!r} dB")
 
     eval_index = filt.grid.index(float(config["eval_frequency_hz"]))
     theta_deg = 360.0 * np.arange(angle_count) / angle_count
@@ -201,7 +203,7 @@ def _cmd_montecarlo(args) -> int:
     custom = pattern.get("a")
     check_integration_points(config.get("integration_points", MIN_INTEGRATION_POINTS))
     trial_config = TrialConfig(
-        trials=int(config["trials"]),
+        trials=config["trials"],
         element_count=int(config["element_count"]),
         order=int(pattern["order"]),
         steer_deg=float(pattern["steer_deg"]),
@@ -268,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -237,6 +237,13 @@ class TestEvaluateCommand:
         assert code == 1
         assert "angle step must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("floor_db", [float("nan"), float("inf"), float("-inf")])
+    def test_floor_not_finite_refused(self, workspace, design_dir, capsys, floor_db):
+        code, out = self.evaluate(workspace, design_dir, "no_floor", beampattern_floor_db=floor_db)
+        assert code == 1
+        assert "beampattern_floor_db must be finite" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
 
 class TestEvaluateRendering:
     """`evaluate` samples the pattern from the filter's harmonic coefficients
@@ -350,6 +357,32 @@ class TestMontecarloCommand:
                 "--c-mps", c_mps]
         assert main(argv) == 1
         assert "error: speed of sound must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            pytest.param("aperture_radius_mm", -5.0,
+                         "aperture_radius must be positive and finite", id="negative-aperture"),
+            pytest.param("aperture_radius_mm", 0.0,
+                         "aperture_radius must be positive and finite", id="zero-aperture"),
+            pytest.param("min_spacing_mm", -1.0,
+                         "min_spacing must be non-negative and finite", id="negative-spacing"),
+            pytest.param("min_spacing_mm", float("nan"),
+                         "min_spacing must be non-negative and finite", id="nan-spacing"),
+            pytest.param("trials", 2.5, "trials must be an integer >= 1, got 2.5",
+                         id="fractional-trials"),
+            pytest.param("db_floor", float("nan"), "db_floor must be finite", id="nan-floor"),
+            pytest.param("db_floor", float("inf"), "db_floor must be finite", id="inf-floor"),
+        ],
+    )
+    def test_config_value_outside_its_domain_refused(self, tmp_path, capsys, key, value, message):
+        config = json.loads(self.mc_config(tmp_path).read_text())
+        config[key] = value
+        path = write_json(tmp_path / "bad.json", config)
+        out = tmp_path / "mc"
+        assert main(["montecarlo", "--config", str(path), "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_angle_step_zero_refused(self, tmp_path, capsys):
         config = json.loads(self.mc_config(tmp_path).read_text())

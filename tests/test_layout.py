@@ -1,9 +1,14 @@
-"""Package layering: the scalar oracles stay off the hot path.
+"""Package layering: the scalar oracles stay off the hot path, and the
+process-wide allocator policy stays at the entry points.
 
 `diffbeam.oracles` holds the scalar reference implementations the tests
 check the vectorized code against. Only the package's ``__init__`` may
 import it (to re-export the names the acceptance criteria reach); a hot
 module that imported it would put an oracle back on a code path.
+
+`keep_freed_memory` changes the allocator of the whole process, so only
+the programs' ``main`` functions call it: a library caller's allocator is
+left alone, and importing a module changes nothing.
 """
 
 import ast
@@ -14,6 +19,7 @@ import pytest
 import diffbeam
 
 PACKAGE = Path(diffbeam.__file__).parent
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def imported_modules(tree: ast.AST) -> set[str]:
@@ -56,3 +62,45 @@ def test_every_exported_name_resolves():
     missing = [name for name in diffbeam.__all__ if not hasattr(diffbeam, name)]
     assert missing == []
     assert len(set(diffbeam.__all__)) == len(diffbeam.__all__)
+
+
+def calling_functions(tree: ast.AST, name: str) -> list[str]:
+    """The innermost function around each call of ``name``; "<module>" outside any."""
+    callers = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.FunctionDef):
+            scope = node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called == name:
+                callers.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return callers
+
+
+def test_allocator_policy_is_set_by_the_entry_points_only():
+    callers = {}
+    for path in sorted([*PACKAGE.glob("*.py"), *SCRIPTS.glob("*.py")]):
+        for scope in calling_functions(ast.parse(path.read_text()), "keep_freed_memory"):
+            callers.setdefault(path.name, []).append(scope)
+    assert callers == {"cli.py": ["main"], "montecarlo_study.py": ["main"]}
+
+
+def test_the_call_scan_sees_module_level_and_nested_calls():
+    source = (
+        "keep_freed_memory()\n"
+        "def main():\n"
+        "    montecarlo.keep_freed_memory()\n"
+        "    def inner():\n"
+        "        keep_freed_memory()\n"
+        "class Runner:\n"
+        "    flag = keep_freed_memory()\n"
+    )
+    assert calling_functions(ast.parse(source), "keep_freed_memory") == [
+        "<module>", "main", "inner", "<module>",
+    ]

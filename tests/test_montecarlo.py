@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,41 @@ class TestConfigValidation:
     def test_eval_frequency_must_be_on_grid(self):
         with pytest.raises(ValueError):
             small_config(eval_frequency_hz=1234.0)
+
+
+class TestKeepFreedMemory:
+    @pytest.fixture(autouse=True)
+    def fresh_call(self, monkeypatch):
+        monkeypatch.setattr(mc.platform, "libc_ver", lambda: ("glibc", "2.36"))
+        mc.keep_freed_memory.cache_clear()
+        yield
+        mc.keep_freed_memory.cache_clear()
+
+    def test_missing_mallopt_is_a_silent_no_op(self, monkeypatch):
+        monkeypatch.setattr(mc.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        assert mc.keep_freed_memory() is False
+
+    def test_other_libc_is_left_alone(self, monkeypatch):
+        def unreachable(name):
+            raise AssertionError("looked up mallopt outside glibc")
+
+        monkeypatch.setattr(mc.platform, "libc_ver", lambda: ("", ""))
+        monkeypatch.setattr(mc.ctypes, "CDLL", unreachable)
+        assert mc.keep_freed_memory() is False
+
+    def test_second_call_does_nothing(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(
+            mc.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt)
+        )
+        assert mc.keep_freed_memory() is True
+        assert mc.keep_freed_memory() is True
+        assert calls == [(-3, 32 << 20), (-1, 128 << 20)]
 
 
 class TestSeedDerivation:
