@@ -29,6 +29,7 @@ from diffbeam import (
 )
 from diffbeam.fileio import save_geometry_file, write_table
 from diffbeam.metrics import (
+    angle_count,
     coefficient_gains,
     design_coefficients,
     equispaced_pattern,
@@ -74,7 +75,7 @@ def sweep(geometry, constants, target, frequencies, angle_count, floor_db):
     return patterns, np.column_stack([kept_hz, wng, df]), skipped
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--seed", type=int, default=69)
@@ -87,12 +88,15 @@ def main() -> int:
     parser.add_argument("--angle-step-deg", type=float, default=1.0)
     parser.add_argument("--floor-db", type=float, default=-50.0)
     parser.add_argument("--c-mps", type=float, default=343.0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    try:
+        angles = angle_count(args.angle_step_deg)
+    except ValueError as err:
+        parser.error(f"argument --angle-step-deg: {err}")
 
     constants = PhysicalConstants(speed_of_sound=args.c_mps)
     geometry = sample_random_geometry(args.elements, 0.02, 0.008, seed=args.seed)
     frequencies = np.linspace(args.f_min, args.f_max, args.f_count)
-    angle_count = int(round(360.0 / args.angle_step_deg))
 
     args.out.mkdir(parents=True, exist_ok=True)
     save_geometry_file(geometry, args.out / "geometry.json")
@@ -103,7 +107,7 @@ def main() -> int:
             theta_s=math.radians(args.steer_deg),
         )
         patterns, curves, skipped = sweep(
-            geometry, constants, target, frequencies, angle_count, args.floor_db
+            geometry, constants, target, frequencies, angles, args.floor_db
         )
         tag = f"n{order}"
         write_table(

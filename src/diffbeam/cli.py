@@ -25,6 +25,7 @@ from .errors import (
     InfeasibleGeometryError,
     RankDeficientSystemError,
 )
+from .fileio import read
 from .geometry import (
     PhysicalConstants,
     geometry_digest,
@@ -33,8 +34,7 @@ from .geometry import (
 )
 from .metrics import (
     BEAMPATTERN_FLOOR_DB,
-    MIN_INTEGRATION_POINTS,
-    check_integration_points,
+    angle_count,
     coefficient_gains,
     equispaced_pattern,
     filter_coefficients,
@@ -58,31 +58,32 @@ _USER_ERRORS = (
 )
 
 
-def _angle_count(step_deg: float) -> int:
-    if not (math.isfinite(step_deg) and step_deg > 0.0):
-        raise ValueError(f"angle step must be positive and finite, got {step_deg!r} deg")
-    count = int(round(360.0 / step_deg))
-    if count < 1 or abs(count * step_deg - 360.0) > 1e-9:
-        raise ValueError(f"angle step {step_deg} deg must divide 360 evenly")
-    return count
-
-
-def _resolve(base: Path, relative: str) -> Path:
-    path = Path(relative)
-    return path if path.is_absolute() else base / path
-
-
-def _grid(config: dict, config_path: Path) -> FrequencyGrid:
-    grid_config = config.get("grid_hz")
+def _grid(config: dict, context: str) -> FrequencyGrid:
+    grid_config = read(config, "grid_hz", dict, context, default={})
     if not grid_config:
         return DEFAULT_GRID
-    return fileio.grid_from_config(grid_config, context=str(config_path))
+    return fileio.grid_from_config(grid_config, context=f"{context}: grid_hz")
 
 
-def _speed_of_sound(args, config: dict, fallback: float = 343.0) -> float:
+def _speed_of_sound(args, config: dict, context: str, fallback: float = 343.0) -> float:
     if args.c_mps is not None:
-        return float(args.c_mps)
-    return float(config.get("speed_of_sound_mps", fallback))
+        return args.c_mps
+    return read(config, "speed_of_sound_mps", float, context, default=fallback)
+
+
+def _seed(args, config: dict, key: str, context: str) -> int:
+    """``--seed``, else the config's ``key``."""
+    seed = read(config, key, int, context) if args.seed is None else args.seed
+    if seed < 0:
+        raise ValueError(f"{context}: {key!r} must be non-negative, got {seed}")
+    return seed
+
+
+def _inert_integration_points(config: dict, context: str) -> None:
+    """DF is exact, so the key sets nothing, but values below 512 are refused."""
+    points = read(config, "integration_points", int, context, default=512)
+    if points < 512:
+        raise ValueError(f"{context}: integration_points must be >= 512, got {points}")
 
 
 def _cmd_geometry(args) -> int:
@@ -93,15 +94,12 @@ def _cmd_geometry(args) -> int:
         print(report.describe())
         return 0 if report.ok else 1
 
-    config = fileio.load_json(config_path)
-    seed = args.seed if args.seed is not None else config.get("seed")
-    if seed is None:
-        raise ValueError("geometry generation needs a seed (--seed or config field)")
+    config, context = fileio.load_json(config_path), str(config_path)
     geometry = sample_random_geometry(
-        int(config["element_count"]),
-        float(config["aperture_radius_mm"]) * 1e-3,
-        float(config["min_spacing_mm"]) * 1e-3,
-        seed=int(seed),
+        read(config, "element_count", int, context),
+        read(config, "aperture_radius_mm", float, context) * 1e-3,
+        read(config, "min_spacing_mm", float, context) * 1e-3,
+        seed=_seed(args, config, "seed", context),
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -113,16 +111,16 @@ def _cmd_geometry(args) -> int:
 
 def _cmd_design(args) -> int:
     config_path = Path(args.config)
-    config = fileio.load_json(config_path)
-    base = config_path.parent
-    geometry_file = _resolve(base, str(config["geometry_file"]))
+    config, context = fileio.load_json(config_path), str(config_path)
+    # a relative path is taken from the config's directory, an absolute one as it is
+    geometry_file = config_path.parent / read(config, "geometry_file", str, context)
     geometry = fileio.load_geometry_file(geometry_file)
     target, pattern_id, coeffs = fileio.pattern_from_config(
-        config.get("pattern", {}), context=str(config_path)
+        read(config, "pattern", dict, context), context=f"{context}: pattern"
     )
-    grid = _grid(config, config_path)
-    element_model = str(config.get("element_model", "first_order"))
-    c = _speed_of_sound(args, config)
+    grid = _grid(config, context)
+    element_model = read(config, "element_model", str, context, default="first_order")
+    c = _speed_of_sound(args, config, context)
     constants = PhysicalConstants(speed_of_sound=c)
 
     filt = design_filter(
@@ -148,34 +146,35 @@ def _cmd_design(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config_path = Path(args.config)
-    config = fileio.load_json(config_path)
+    config, context = fileio.load_json(config_path), str(config_path)
     base = config_path.parent
-    geometry = fileio.load_geometry_file(_resolve(base, str(config["geometry_file"])))
-    filt, manifest = fileio.load_design(_resolve(base, str(config["design_manifest"])))
+    geometry = fileio.load_geometry_file(base / read(config, "geometry_file", str, context))
+    manifest_path = base / read(config, "design_manifest", str, context)
+    filt, manifest = fileio.load_design(manifest_path)
     if geometry_digest(geometry) != filt.geometry_digest:
         raise GeometryMismatchError(
             "geometry file does not match the design manifest digest; "
             "evaluating a filter on a different array is not meaningful"
         )
 
-    c = _speed_of_sound(args, config, fallback=manifest.get("speed_of_sound_mps", 343.0))
-    constants = PhysicalConstants(speed_of_sound=c)
-    angle_count = _angle_count(float(config.get("angle_step_deg", 1.0)))
-    # DF is exact: the key sets nothing, but values below 512 are still refused
-    check_integration_points(config.get("integration_points", MIN_INTEGRATION_POINTS))
-    floor_db = float(config.get("beampattern_floor_db", BEAMPATTERN_FLOOR_DB))
+    designed_c = read(manifest, "speed_of_sound_mps", float, str(manifest_path), default=343.0)
+    constants = PhysicalConstants(speed_of_sound=_speed_of_sound(args, config, context, designed_c))
+    count = angle_count(read(config, "angle_step_deg", float, context, default=1.0))
+    _inert_integration_points(config, context)
+    floor_db = read(config, "beampattern_floor_db", float, context, default=BEAMPATTERN_FLOOR_DB)
     if not math.isfinite(floor_db):
         raise ValueError(f"beampattern_floor_db must be finite, got {floor_db!r} dB")
 
-    eval_index = filt.grid.index(float(config["eval_frequency_hz"]))
-    theta_deg = 360.0 * np.arange(angle_count) / angle_count
+    eval_index = filt.grid.index(read(config, "eval_frequency_hz", float, context))
+    theta_deg = 360.0 * np.arange(count) / count
     target, _, _ = fileio.pattern_from_config(
-        {**manifest["pattern"], "family": "custom"}, context="design manifest"
+        {**read(manifest, "pattern", dict, str(manifest_path)), "family": "custom"},
+        context=f"{manifest_path}: pattern",
     )
     target_values = evaluate_target(target, np.radians(theta_deg))
 
     coefficients, n_values = filter_coefficients(filt, geometry, constants)
-    rendered = equispaced_pattern(coefficients[eval_index], n_values, angle_count)
+    rendered = equispaced_pattern(coefficients[eval_index], n_values, count)
     wng, df = coefficient_gains(coefficients, filt.weights, n_values, filt.theta_s)
 
     out_dir = Path(args.out)
@@ -194,32 +193,28 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_montecarlo(args) -> int:
     config_path = Path(args.config)
-    config = fileio.load_json(config_path)
-    pattern = config.get("pattern", {})
-    grid = _grid(config, config_path)
-    seed = args.seed if args.seed is not None else config.get("master_seed")
-    if seed is None:
-        raise ValueError("montecarlo needs a master seed (--seed or config field)")
-    custom = pattern.get("a")
-    check_integration_points(config.get("integration_points", MIN_INTEGRATION_POINTS))
+    config, context = fileio.load_json(config_path), str(config_path)
+    pattern, where = read(config, "pattern", dict, context), f"{context}: pattern"
+    custom = read(pattern, "a", list, where, default=None)
+    _inert_integration_points(config, context)
     trial_config = TrialConfig(
-        trials=config["trials"],
-        element_count=int(config["element_count"]),
-        order=int(pattern["order"]),
-        steer_deg=float(pattern["steer_deg"]),
-        aperture_radius=float(config["aperture_radius_mm"]) * 1e-3,
-        min_spacing=float(config["min_spacing_mm"]) * 1e-3,
-        grid=grid,
-        eval_frequency_hz=float(config["eval_frequency_hz"]),
-        master_seed=int(seed),
-        pattern_family=str(pattern.get("family", "hypercardioid")),
+        trials=read(config, "trials", object, context),
+        element_count=read(config, "element_count", int, context),
+        order=read(pattern, "order", int, where),
+        steer_deg=read(pattern, "steer_deg", float, where),
+        aperture_radius=read(config, "aperture_radius_mm", float, context) * 1e-3,
+        min_spacing=read(config, "min_spacing_mm", float, context) * 1e-3,
+        grid=_grid(config, context),
+        eval_frequency_hz=read(config, "eval_frequency_hz", float, context),
+        master_seed=_seed(args, config, "master_seed", context),
+        pattern_family=read(pattern, "family", str, where, default="hypercardioid"),
         custom_a=tuple(custom) if custom is not None else None,
-        element_model=str(config.get("element_model", "first_order")),
-        speed_of_sound=_speed_of_sound(args, config),
-        angle_count=_angle_count(float(config.get("angle_step_deg", 1.0))),
-        db_floor=float(config.get("db_floor", STATISTICS_FLOOR_DB)),
+        element_model=read(config, "element_model", str, context, default="first_order"),
+        speed_of_sound=_speed_of_sound(args, config, context),
+        angle_count=angle_count(read(config, "angle_step_deg", float, context, default=1.0)),
+        db_floor=read(config, "db_floor", float, context, default=STATISTICS_FLOOR_DB),
     )
-    stats = run_trials(trial_config, workers=max(1, args.threads))
+    stats = run_trials(trial_config, workers=args.threads)
 
     out_dir = Path(args.out)
     fileio.write_study(out_dir, stats)
@@ -273,11 +268,11 @@ def main(argv=None) -> int:
     keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag, value, minimum in (("--seed", args.seed, 0), ("--threads", args.threads, 1)):
+        if value is not None and value < minimum:
+            parser.error(f"argument {flag}: must be >= {minimum}, got {value}")
     try:
         return args.handler(args)
-    except KeyError as err:
-        print(f"error: missing required config field {err}", file=sys.stderr)
-        return 1
     except _USER_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

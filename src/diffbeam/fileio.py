@@ -52,10 +52,30 @@ def load_json(path) -> dict:
     return data
 
 
-def _require(mapping: dict, key: str, context: str):
+_REQUIRED = object()
+_JSON_NAMES = {float: "number", int: "integer", str: "string", dict: "object", list: "array"}
+
+
+def read(mapping: dict, key: str, kind: type, context: str, default=_REQUIRED):
+    """``mapping[key]`` as a JSON value of ``kind``, or ``default`` when absent.
+
+    ``float`` takes any JSON number and returns a float, ``int`` only an
+    integer literal (``80.0`` is refused), ``str``, ``dict`` and ``list``
+    their JSON type, and ``object`` any value, for a key whose user checks
+    it. Booleans are not numbers. A missing required key, or a value of
+    another type, raises `ValueError` naming ``context`` and ``key``.
+    """
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{context}: expected a JSON object, got {type(mapping).__name__}")
     if key not in mapping:
-        raise ValueError(f"{context}: missing required field {key!r}")
-    return mapping[key]
+        if default is _REQUIRED:
+            raise ValueError(f"{context}: missing required field {key!r}")
+        return default
+    value = mapping[key]
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind in (int, float)):
+        raise ValueError(f"{context}: {key!r} must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 # ---------------------------------------------------------------------------
@@ -78,20 +98,18 @@ def geometry_to_payload(geometry: ArrayGeometry) -> dict:
 
 
 def geometry_from_payload(payload: dict, context: str = "geometry") -> ArrayGeometry:
-    aperture = float(_require(payload, "aperture_radius_mm", context)) * 1e-3
-    spacing = float(_require(payload, "min_spacing_mm", context)) * 1e-3
-    raw_elements = _require(payload, "elements", context)
-    if not isinstance(raw_elements, list) or not raw_elements:
-        raise ValueError(f"{context}: 'elements' must be a non-empty list")
+    aperture = read(payload, "aperture_radius_mm", float, context) * 1e-3
+    spacing = read(payload, "min_spacing_mm", float, context) * 1e-3
+    raw_elements = read(payload, "elements", list, context)
     elements = []
     for i, entry in enumerate(raw_elements):
         where = f"{context}: element {i}"
         elements.append(
             ArrayElement(
-                r=float(_require(entry, "r_mm", where)) * 1e-3,
-                phi=math.radians(float(_require(entry, "phi_deg", where))),
-                q=float(_require(entry, "q", where)),
-                theta_steer=math.radians(float(_require(entry, "theta_steer_deg", where))),
+                r=read(entry, "r_mm", float, where) * 1e-3,
+                phi=math.radians(read(entry, "phi_deg", float, where)),
+                q=read(entry, "q", float, where),
+                theta_steer=math.radians(read(entry, "theta_steer_deg", float, where)),
             )
         )
     return ArrayGeometry(
@@ -115,10 +133,10 @@ def load_geometry_file(path) -> ArrayGeometry:
 
 def pattern_from_config(config: dict, context: str = "pattern"):
     """Resolve a pattern config into (target, pattern_id, coefficients)."""
-    family = str(_require(config, "family", context))
-    order = int(_require(config, "order", context))
-    steer_deg = float(_require(config, "steer_deg", context))
-    custom = config.get("a")
+    family = read(config, "family", str, context)
+    order = read(config, "order", int, context)
+    steer_deg = read(config, "steer_deg", float, context)
+    custom = read(config, "a", list, context, default=None)
     coeffs, pattern_id = resolve_pattern(family, order, custom)
     target = SteeredTarget(coefficients=a_to_b(coeffs), theta_s=math.radians(steer_deg))
     return target, pattern_id, coeffs
@@ -126,9 +144,9 @@ def pattern_from_config(config: dict, context: str = "pattern"):
 
 def grid_from_config(config: dict, context: str = "grid_hz") -> FrequencyGrid:
     return FrequencyGrid(
-        f_min_hz=float(_require(config, "f_min", context)),
-        f_max_hz=float(_require(config, "f_max", context)),
-        count=int(_require(config, "count", context)),
+        f_min_hz=read(config, "f_min", float, context),
+        f_max_hz=read(config, "f_max", float, context),
+        count=read(config, "count", int, context),
     )
 
 
@@ -251,20 +269,20 @@ def load_design(manifest_path):
     manifest_path = Path(manifest_path)
     manifest = load_json(manifest_path)
     context = str(manifest_path)
-    grid = grid_from_config(_require(manifest, "grid_hz", context), context)
-    pattern = _require(manifest, "pattern", context)
-    filter_file = manifest_path.parent / _require(manifest, "filter_file", context)
+    grid = grid_from_config(read(manifest, "grid_hz", dict, context), f"{context}: grid_hz")
+    pattern, where = read(manifest, "pattern", dict, context), f"{context}: pattern"
+    filter_file = manifest_path.parent / read(manifest, "filter_file", str, context)
 
     weights = _read_filter_weights(filter_file, grid)
 
     filt = BeamformerFilter(
         grid=grid,
         weights=weights,
-        order=int(_require(pattern, "order", context)),
-        theta_s=math.radians(float(_require(pattern, "steer_deg", context))),
-        pattern_id=str(_require(pattern, "id", context)),
-        geometry_digest=str(_require(manifest, "geometry_digest", context)),
-        element_model=str(_require(manifest, "element_model", context)),
+        order=read(pattern, "order", int, where),
+        theta_s=math.radians(read(pattern, "steer_deg", float, where)),
+        pattern_id=read(pattern, "id", str, where),
+        geometry_digest=read(manifest, "geometry_digest", str, context),
+        element_model=read(manifest, "element_model", str, context),
     )
     return filt, manifest
 

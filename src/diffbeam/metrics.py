@@ -29,7 +29,6 @@ from .modal import element_harmonics, model_values
 from .patterns import SteeredTarget
 from .solver import BeamformerFilter, design_rhs, solve_wide
 
-MIN_INTEGRATION_POINTS = 512
 BEAMPATTERN_FLOOR_DB = -50.0
 
 
@@ -46,16 +45,6 @@ def power_db(values):
     """10*log10 of a linear power ratio."""
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(np.asarray(values, dtype=float))
-
-
-def check_integration_points(points) -> int:
-    """``points`` as an int, refused below the quadrature minimum of 512."""
-    points = int(points)
-    if points < MIN_INTEGRATION_POINTS:
-        raise ValueError(
-            f"integration_points must be >= {MIN_INTEGRATION_POINTS}, got {points}"
-        )
-    return points
 
 
 def _check_element_count(filt: BeamformerFilter, geometry: ArrayGeometry) -> None:
@@ -109,15 +98,9 @@ def gain_curves(
     geometry: ArrayGeometry,
     constants: PhysicalConstants,
     theta_s: float,
-    integration_points: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """White noise gain and directivity factor (linear) over the grid, scored
-    by `coefficient_gains` from `filter_coefficients`.
-
-    ``integration_points`` is ignored: the gains are exact. The keyword stays
-    only because the benchmark's ``_df_exp_count`` hook (``perfbench/spans.py``)
-    binds it by name; it goes once that hook is dropped.
-    """
+    by `coefficient_gains` from `filter_coefficients`."""
     coefficients, n_values = filter_coefficients(filt, geometry, constants)
     return coefficient_gains(coefficients, filt.weights, n_values, theta_s)
 
@@ -215,6 +198,18 @@ def coefficient_gains(
         raise InvalidFilterError("filter has zero norm at this frequency")
     peak = np.abs(coefficients @ np.exp(1j * n_values * theta_s)) ** 2
     return peak / norm_sq, peak / np.sum(np.abs(coefficients) ** 2, axis=-1)
+
+
+def angle_count(step_deg: float) -> int:
+    """The number of angles ``step_deg`` apart that close the circle, for
+    `equispaced_pattern`; refused unless the step is positive, finite and
+    divides 360 degrees to 1e-9."""
+    if not (math.isfinite(step_deg) and step_deg > 0.0):
+        raise ValueError(f"angle step must be positive and finite, got {step_deg!r} deg")
+    count = int(round(360.0 / step_deg))
+    if count < 1 or abs(count * step_deg - 360.0) > 1e-9:
+        raise ValueError(f"angle step {step_deg} deg must divide 360 evenly")
+    return count
 
 
 def equispaced_pattern(coefficients, n_values, angle_count: int) -> np.ndarray:

@@ -64,8 +64,9 @@ class TrialConfig:
     db_floor: float = STATISTICS_FLOOR_DB
 
     def __post_init__(self):
-        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
-            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        trials = self.trials
+        if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
         if not (math.isfinite(self.aperture_radius) and self.aperture_radius > 0.0):
             raise ValueError(
                 f"aperture_radius must be positive and finite, got {self.aperture_radius!r} m"

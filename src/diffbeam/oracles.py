@@ -27,13 +27,14 @@ import numpy as np
 from .bessel import TABLE_ARGUMENT_CAP
 from .errors import InvalidFilterError
 from .geometry import ArrayGeometry, PhysicalConstants
-from .metrics import beampattern, check_integration_points
+from .metrics import beampattern
 from .solver import BeamformerFilter
 
 ORDER_CAP = 64
 MIN_QUADRATURE_POINTS = 256
 MIN_COEFFICIENT_QUADRATURE_POINTS = 1024
 DEFAULT_INTEGRATION_POINTS = 4096
+MIN_INTEGRATION_POINTS = 512
 
 # regime switch: the ascending series starts shedding digits to
 # alternating-term cancellation as x grows (~1e-13 by x = 12, enough to
@@ -312,7 +313,10 @@ def directivity_factor(
     The angular mean of ``|B|^2`` is taken with the uniform rectangle
     rule over [-pi, pi), spectrally accurate for this periodic integrand.
     """
-    integration_points = check_integration_points(integration_points)
+    if integration_points < MIN_INTEGRATION_POINTS:
+        raise ValueError(
+            f"integration_points must be >= {MIN_INTEGRATION_POINTS}, got {integration_points}"
+        )
     h = filt.weights_at(omega)
     if float(np.vdot(h, h).real) == 0.0:
         raise InvalidFilterError("filter has zero norm at this frequency")

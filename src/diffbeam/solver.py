@@ -102,27 +102,6 @@ class BeamformerFilter:
         return self.weights[self.frequency_index(omega)]
 
 
-def rank_gate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rank gate on a stack of (..., R, C) wide systems.
-
-    Returns ``(refused, condition)``, both shaped like the stack: a system is
-    refused when the smallest eigenvalue of its unscaled Gram ``A A^H`` falls
-    below 1e-10 times the largest; ``condition`` is their ratio (inf when the
-    smallest is not positive).
-    """
-    return _gate_gram(a @ a.conj().swapaxes(-1, -2))
-
-
-def _gate_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`rank_gate` on the unscaled Grams ``A A^H`` themselves."""
-    eigs = np.linalg.eigvalsh(gram)
-    largest, smallest = eigs[..., -1], eigs[..., 0]
-    refused = (largest <= 0.0) | (smallest < RANK_RTOL * largest)
-    condition = np.divide(largest, smallest, out=np.full_like(largest, math.inf),
-                          where=smallest > 0.0)
-    return refused, condition
-
-
 def rank_deficiency(condition: float, frequency_hz: float) -> RankDeficientSystemError:
     """The error for a system the rank gate refused at ``frequency_hz``."""
     return RankDeficientSystemError(
@@ -137,11 +116,17 @@ def solve_wide(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     """Gate a stack of (..., R, C) wide systems, R <= C, and solve the accepted ones.
 
     ``b`` broadcasts against (..., R). Returns ``(h, refused, condition)``:
-    ``h`` is (..., C), NaN where the system was refused; the other two come
-    from `rank_gate`. Each step is one stacked call.
+    ``h`` is (..., C), NaN where refused; the rank gate refuses a system when
+    the smallest eigenvalue of its unscaled Gram ``A A^H`` falls below 1e-10
+    times the largest, and ``condition`` is their ratio (inf when the
+    smallest is not positive). Each step is one stacked call.
     """
     gram = a @ a.conj().swapaxes(-1, -2)
-    refused, condition = _gate_gram(gram)
+    eigs = np.linalg.eigvalsh(gram)
+    largest, smallest = eigs[..., -1], eigs[..., 0]
+    refused = (largest <= 0.0) | (smallest < RANK_RTOL * largest)
+    condition = np.divide(largest, smallest, out=np.full_like(largest, math.inf),
+                          where=smallest > 0.0)
     h = np.full(a.shape[:-2] + a.shape[-1:], np.nan, dtype=complex)
     accepted = ~refused
     a = a[accepted]

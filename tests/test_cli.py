@@ -1,4 +1,6 @@
+import copy
 import csv
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -371,6 +373,8 @@ class TestMontecarloCommand:
                          "min_spacing must be non-negative and finite", id="nan-spacing"),
             pytest.param("trials", 2.5, "trials must be an integer >= 1, got 2.5",
                          id="fractional-trials"),
+            pytest.param("trials", True, "trials must be an integer >= 1, got True",
+                         id="boolean-trials"),
             pytest.param("db_floor", float("nan"), "db_floor must be finite", id="nan-floor"),
             pytest.param("db_floor", float("inf"), "db_floor must be finite", id="inf-floor"),
         ],
@@ -424,6 +428,122 @@ class TestMontecarloCommand:
         assert main(["montecarlo", "--config", str(config), "--out", str(out)]) == 0
         assert read_csv(out / "wng_stats.csv")[0] == ["freq_hz", "mean_wng", "std_wng"]
         assert read_csv(out / "df_stats.csv")[0] == ["freq_hz", "mean_df", "std_df"]
+
+
+MISSING = object()
+
+
+class TestConfigValueTypes:
+    """Every config value is read as its JSON type. A missing key, a
+    fractional integer, a boolean, a number in a string, a section that is
+    not an object, a coefficient vector that is not an array and a negative
+    seed are each refused on one ``error:`` line naming the file and the
+    key, before any output is written."""
+
+    CONFIGS = {
+        "generate": {
+            "element_count": 9, "aperture_radius_mm": 20.0, "min_spacing_mm": 8.0, "seed": 7,
+        },
+        "design": {
+            "geometry_file": "geometry.json",
+            "pattern": {"family": "hypercardioid", "order": 2, "steer_deg": 60.0},
+            "grid_hz": {"f_min": 500.0, "f_max": 4000.0, "count": 8},
+        },
+        "evaluate": {
+            "geometry_file": "geometry.json",
+            "design_manifest": "design/design_manifest.json",
+            "eval_frequency_hz": 2500.0,
+            "angle_step_deg": 2.0,
+        },
+        "montecarlo": {
+            "trials": 2,
+            "element_count": 7,
+            "aperture_radius_mm": 20.0,
+            "min_spacing_mm": 8.0,
+            "pattern": {"family": "hypercardioid", "order": 2, "steer_deg": 60.0},
+            "grid_hz": {"f_min": 500.0, "f_max": 2000.0, "count": 4},
+            "eval_frequency_hz": 1000.0,
+            "master_seed": 4242,
+        },
+    }
+    COMMANDS = {
+        "generate": ["geometry", "generate"],
+        "design": ["design"],
+        "evaluate": ["evaluate"],
+        "montecarlo": ["montecarlo"],
+    }
+
+    @pytest.mark.parametrize(
+        "command, path, value",
+        [
+            pytest.param("generate", ("element_count",), MISSING, id="generate-missing"),
+            pytest.param("generate", ("element_count",), 5.7, id="generate-fractional-count"),
+            pytest.param("generate", ("seed",), 7.9, id="generate-fractional-seed"),
+            pytest.param("generate", ("element_count",), True, id="generate-boolean"),
+            pytest.param("generate", ("aperture_radius_mm",), "20", id="generate-string"),
+            pytest.param("generate", ("seed",), -1, id="generate-negative-seed"),
+            pytest.param("design", ("geometry_file",), MISSING, id="design-missing"),
+            pytest.param("design", ("pattern", "order"), 1.9, id="design-fractional-order"),
+            pytest.param("design", ("grid_hz", "count"), 8.7, id="design-fractional-count"),
+            pytest.param("design", ("grid_hz", "count"), True, id="design-boolean"),
+            pytest.param("design", ("pattern", "steer_deg"), "60", id="design-string"),
+            pytest.param("design", ("grid_hz",), 5, id="design-section"),
+            pytest.param("design", ("pattern", "a"), 5, id="design-coefficients"),
+            pytest.param("evaluate", ("eval_frequency_hz",), MISSING, id="evaluate-missing"),
+            pytest.param("evaluate", ("integration_points",), 4096.0,
+                         id="evaluate-fractional-points"),
+            pytest.param("evaluate", ("eval_frequency_hz",), True, id="evaluate-boolean"),
+            pytest.param("evaluate", ("angle_step_deg",), "2", id="evaluate-string"),
+            pytest.param("evaluate", ("design_manifest",), 5, id="evaluate-path"),
+            pytest.param("montecarlo", ("trials",), MISSING, id="montecarlo-missing"),
+            pytest.param("montecarlo", ("element_count",), 5.7, id="montecarlo-fractional-count"),
+            pytest.param("montecarlo", ("pattern", "order"), 1.9,
+                         id="montecarlo-fractional-order"),
+            pytest.param("montecarlo", ("master_seed",), 7.9, id="montecarlo-fractional-seed"),
+            pytest.param("montecarlo", ("element_count",), True, id="montecarlo-boolean"),
+            pytest.param("montecarlo", ("pattern", "steer_deg"), "60", id="montecarlo-string"),
+            pytest.param("montecarlo", ("grid_hz",), 5, id="montecarlo-section"),
+            pytest.param("montecarlo", ("pattern", "a"), 5, id="montecarlo-coefficients"),
+            pytest.param("montecarlo", ("master_seed",), -1, id="montecarlo-negative-seed"),
+        ],
+    )
+    def test_refused_naming_file_and_key(self, workspace, capsys, command, path, value):
+        if command == "evaluate":
+            design = write_json(workspace / "design.json", self.CONFIGS["design"])
+            assert main(["design", "--config", str(design), "--out", str(workspace / "design")]) == 0
+        config = copy.deepcopy(self.CONFIGS[command])
+        *sections, key = path
+        section = functools.reduce(dict.__getitem__, sections, config)
+        if value is MISSING:
+            del section[key]
+        else:
+            section[key] = value
+        if key == "a":
+            section["family"] = "custom"
+        config_path = write_json(workspace / f"{command}_bad.json", config)
+        out = workspace / "out"
+        code = main([*self.COMMANDS[command], "--config", str(config_path), "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(config_path) in lines[0] and f"'{key}'" in lines[0]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["geometry", "generate", "--seed", "-1"], ["design", "--seed", "-3"],
+     ["montecarlo", "--threads", "0"], ["montecarlo", "--threads", "-2"]],
+    ids=["generate-seed", "design-seed", "threads-zero", "threads-negative"],
+)
+def test_flag_out_of_range_refused(tmp_path, capsys, argv):
+    config = write_json(tmp_path / "config.json", {})
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert excinfo.value.code == 2
+    flag, value = argv[-2:]
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: must be >= " in err and f"got {value}" in err
 
 
 class TestGoldenOutputs:

@@ -18,6 +18,7 @@ from diffbeam.fileio import (
     load_geometry_file,
     load_json,
     pattern_from_config,
+    read,
     save_geometry_file,
     write_design_manifest,
     write_filter_csv,
@@ -51,6 +52,12 @@ class TestGeometryFiles:
         with pytest.raises(ValueError, match="element 1.*'q'"):
             geometry_from_payload(payload)
 
+    def test_element_that_is_not_an_object_reported(self):
+        payload = geometry_to_payload(sample_random_geometry(3, 0.02, 0.008, seed=1))
+        payload["elements"][1] = 5
+        with pytest.raises(ValueError, match="element 1: expected a JSON object, got int"):
+            geometry_from_payload(payload)
+
     def test_malformed_json_reports_location(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"aperture_radius_mm": 20.0,\n oops}\n')
@@ -82,6 +89,32 @@ class TestPatternAndGridConfigs:
             pattern_from_config({"family": "hypercardioid", "order": 2})
         with pytest.raises(ValueError, match="'count'"):
             grid_from_config({"f_min": 1.0, "f_max": 2.0})
+
+
+class TestRead:
+    @pytest.mark.parametrize(
+        "value, kind, expected",
+        [(80, float, 80.0), (0.5, float, 0.5), (80, int, 80), ("x", str, "x"),
+         ({}, dict, {}), ([1], list, [1]), (True, object, True), (2.5, object, 2.5)],
+    )
+    def test_accepted(self, value, kind, expected):
+        got = read({"k": value}, "k", kind, "cfg.json")
+        assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize(
+        "value, kind, name",
+        [(80.0, int, "integer"), (True, int, "integer"), (False, float, "number"),
+         ("80", int, "integer"), ("1.5", float, "number"), (5, str, "string"),
+         (5, dict, "object"), ({"a": 1}, list, "array")],
+    )
+    def test_refused_naming_file_and_key(self, value, kind, name):
+        with pytest.raises(ValueError, match=f"^cfg.json: 'k' must be a JSON {name}, got "):
+            read({"k": value}, "k", kind, "cfg.json")
+
+    def test_missing_key(self):
+        assert read({}, "k", int, "cfg.json", default=None) is None
+        with pytest.raises(ValueError, match="^cfg.json: missing required field 'k'$"):
+            read({}, "k", int, "cfg.json")
 
 
 class TestFilterRoundtrip:

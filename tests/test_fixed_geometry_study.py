@@ -91,3 +91,18 @@ def test_too_few_elements_refused(study, constants):
     geometry = sample_random_geometry(5, 0.02, 0.008, seed=69)
     with pytest.raises(ValueError, match="order 4 needs at least 9 elements"):
         study.sweep(geometry, constants, steered_hypercardioid(4), [1000.0], 8, FLOOR_DB)
+
+
+@pytest.mark.parametrize(
+    "step_deg, message",
+    [("0", "must be positive and finite"), ("-1", "must be positive and finite"),
+     ("0.7", "must divide 360 evenly")],
+)
+def test_angle_step_refused(study, tmp_path, capsys, step_deg, message):
+    out = tmp_path / "fixed"
+    with pytest.raises(SystemExit) as excinfo:
+        study.main(["--out", str(out), "--angle-step-deg", step_deg])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --angle-step-deg: angle step" in err and message in err
+    assert not out.exists()

@@ -17,7 +17,7 @@ import pytest
 
 import diffbeam as db
 from diffbeam import FrequencyGrid, RankDeficientSystemError, harmonic_tensor
-from diffbeam.solver import RANK_RTOL, rank_gate
+from diffbeam.solver import RANK_RTOL, solve_wide
 from tests.conftest import FIXED_GEOMETRY_SEED, steered_hypercardioid
 from tests.test_modal import with_zero_shape
 
@@ -83,7 +83,7 @@ def refused_pairs(cases):
     for key, geometry, order, grid, model in cases:
         n_values = np.arange(-order, order + 1)
         xi = harmonic_tensor(geometry, CONSTANTS, grid.omegas, n_values, model)
-        refused, _ = rank_gate(xi.conj())
+        _, refused, _ = solve_wide(xi.conj(), np.ones(n_values.size))
         pairs.extend((key, int(i)) for i in np.flatnonzero(refused))
     return pairs
 
@@ -110,8 +110,9 @@ def test_matches_a_scalar_per_frequency_gate():
     # one frequency at a time
     for t, geometry, order, grid, _ in study_cases(3, 7, (85, 87, 88, 96)):
         n_values = range(-order, order + 1)
-        batched, _ = rank_gate(
-            harmonic_tensor(geometry, CONSTANTS, grid.omegas, list(n_values)).conj()
+        _, batched, _ = solve_wide(
+            harmonic_tensor(geometry, CONSTANTS, grid.omegas, list(n_values)).conj(),
+            np.ones(len(n_values)),
         )
         for f, omega in enumerate(grid.omegas):
             matrix = np.array([

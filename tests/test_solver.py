@@ -15,7 +15,7 @@ from diffbeam import (
 )
 from diffbeam.geometry import ArrayElement, ArrayGeometry, sample_element_values
 from diffbeam.modal import element_harmonics
-from diffbeam.solver import design_rhs, rank_gate, solve_wide
+from diffbeam.solver import RANK_RTOL, design_rhs, solve_wide
 from tests.conftest import steered_hypercardioid
 from tests.test_modal import with_zero_shape
 
@@ -92,8 +92,13 @@ class TestMinNormSolve:
 
 
 def equilibrated_reference(a, b):
-    """`solve_wide` with the equilibrated Gram formed from the scaled rows."""
-    refused, condition = rank_gate(a)
+    """`solve_wide` with the equilibrated Gram formed from the scaled rows,
+    behind its own eigenvalue gate on the unscaled Gram."""
+    eigs = np.linalg.eigvalsh(a @ a.conj().swapaxes(-1, -2))
+    largest, smallest = eigs[..., -1], eigs[..., 0]
+    refused = (largest <= 0.0) | (smallest < RANK_RTOL * largest)
+    condition = np.divide(largest, smallest, out=np.full_like(largest, math.inf),
+                          where=smallest > 0.0)
     h = np.full(a.shape[:-2] + a.shape[-1:], np.nan, dtype=complex)
     accepted = ~refused
     a = a[accepted]
