@@ -12,9 +12,9 @@ starting at 300 Hz: below that, at this aperture, the outermost harmonic
 rows underflow the solver's rank gate and every trial would be refused.
 
 Desk scale (500 trials) takes about 8 s for all nine configurations at
-one worker and 7.5 s at --threads 2 (0.4-1.6 s per configuration); the
-full-scale run, --trials 10000, takes about 2.6 minutes at --threads 2
-(7-33 s per configuration). Python 3.11, NumPy 2.4, glibc 2.36, 2-vCPU
+one worker and 7 s at --threads 2 (0.3-1.5 s per configuration); the
+full-scale run, --trials 10000, takes about 2 minutes at --threads 2
+(5-25 s per configuration). Python 3.11, NumPy 2.4, glibc 2.36, 2-vCPU
 Xeon host. The CSVs are byte-identical for any --threads.
 
 Each configuration's line also gives the minor page faults of its run.

@@ -25,7 +25,7 @@ from .errors import (
     InfeasibleGeometryError,
     RankDeficientSystemError,
 )
-from .fileio import read
+from .fileio import read, read_numbers
 from .geometry import (
     PhysicalConstants,
     geometry_digest,
@@ -195,7 +195,7 @@ def _cmd_montecarlo(args) -> int:
     config_path = Path(args.config)
     config, context = fileio.load_json(config_path), str(config_path)
     pattern, where = read(config, "pattern", dict, context), f"{context}: pattern"
-    custom = read(pattern, "a", list, where, default=None)
+    custom = read_numbers(pattern, "a", where, default=None)
     _inert_integration_points(config, context)
     trial_config = TrialConfig(
         trials=read(config, "trials", object, context),

@@ -59,11 +59,12 @@ _JSON_NAMES = {float: "number", int: "integer", str: "string", dict: "object", l
 def read(mapping: dict, key: str, kind: type, context: str, default=_REQUIRED):
     """``mapping[key]`` as a JSON value of ``kind``, or ``default`` when absent.
 
-    ``float`` takes any JSON number and returns a float, ``int`` only an
-    integer literal (``80.0`` is refused), ``str``, ``dict`` and ``list``
-    their JSON type, and ``object`` any value, for a key whose user checks
-    it. Booleans are not numbers. A missing required key, or a value of
-    another type, raises `ValueError` naming ``context`` and ``key``.
+    ``float`` takes any JSON number a double can hold and returns a float,
+    ``int`` only an integer literal (``80.0`` is refused), ``str``,
+    ``dict`` and ``list`` their JSON type, and ``object`` any value, for a
+    key whose user checks it. Booleans are not numbers. A missing required
+    key, or a value of another type, raises `ValueError` naming
+    ``context`` and ``key``.
     """
     if not isinstance(mapping, dict):
         raise ValueError(f"{context}: expected a JSON object, got {type(mapping).__name__}")
@@ -71,11 +72,34 @@ def read(mapping: dict, key: str, kind: type, context: str, default=_REQUIRED):
         if default is _REQUIRED:
             raise ValueError(f"{context}: missing required field {key!r}")
         return default
-    value = mapping[key]
+    return _typed(mapping[key], kind, f"{context}: {key!r}")
+
+
+def read_numbers(mapping: dict, key: str, context: str, default=_REQUIRED):
+    """``mapping[key]`` as a JSON array of numbers, each a float as `read`
+    gives it, or ``default`` when absent; an entry of another type is
+    refused by its index."""
+    entries = read(mapping, key, list, context, default)
+    if entries is default:
+        return default
+    return [
+        _typed(entry, float, f"{context}: {key!r} entry {i}") for i, entry in enumerate(entries)
+    ]
+
+
+def _typed(value, kind: type, name: str):
     accepted = (int, float) if kind is float else kind
     if not isinstance(value, accepted) or (isinstance(value, bool) and kind in (int, float)):
-        raise ValueError(f"{context}: {key!r} must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
-    return float(value) if kind is float else value
+        raise ValueError(f"{name} must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(
+            f"{name} must be a JSON number a double can hold, "
+            f"got an integer of {value.bit_length()} bits"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +160,7 @@ def pattern_from_config(config: dict, context: str = "pattern"):
     family = read(config, "family", str, context)
     order = read(config, "order", int, context)
     steer_deg = read(config, "steer_deg", float, context)
-    custom = read(config, "a", list, context, default=None)
+    custom = read_numbers(config, "a", context, default=None)
     coeffs, pattern_id = resolve_pattern(family, order, custom)
     target = SteeredTarget(coefficients=a_to_b(coeffs), theta_s=math.radians(steer_deg))
     return target, pattern_id, coeffs

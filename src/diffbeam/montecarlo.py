@@ -2,13 +2,14 @@
 
 Each trial draws a fresh geometry from a per-trial seed, designs the
 filter, and evaluates the metrics; mean and standard deviation are
-aggregated in the dB domain across trials. Trials run in chunks; a
-chunk's geometries, designs and metrics are each computed as one stack,
-over harmonics fixed by the configuration, so no result depends on where
-the chunk boundaries fall. Per-trial seeds are derived by splitting the
-master seed with the trial index, and the reduction runs in trial-index
-order, so the statistics are identical no matter how many workers execute
-the chunks.
+aggregated in the dB domain across trials. Per-trial seeds are derived by
+splitting the master seed with the trial index, all in one stacked hash,
+and the geometries are sampled as stacks of trials before any chunk runs.
+Trials then run in chunks; a chunk's designs and metrics are each
+computed as one stack, over harmonics fixed by the configuration, so no
+result depends on where the chunk boundaries fall. The reduction runs in
+trial-index order, so the statistics are identical no matter how many
+workers execute the chunks.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllTrialsFailedError, InfeasibleGeometryError
-from .geometry import PhysicalConstants, sample_element_values
+from ._seeding import trial_seeds
+from .errors import AllTrialsFailedError
+from .geometry import STACK_WINDOW, PhysicalConstants, sample_element_stack
 from .metrics import (
     coefficient_gains,
     design_coefficients,
@@ -122,14 +124,22 @@ class TrialStatistics:
 
 
 def trial_seed(master_seed: int, index: int) -> int:
-    """Splittable per-trial seed: independent of scheduling, stable forever."""
-    sequence = np.random.SeedSequence([int(master_seed), int(index)])
-    return int(sequence.generate_state(1, np.uint64)[0])
+    """Splittable per-trial seed: independent of scheduling, stable forever.
+
+    ``np.random.SeedSequence([master_seed, index]).generate_state(1,
+    np.uint64)[0]``, by the stacked hash that seeds a whole study.
+    """
+    index = int(index)
+    return int(trial_seeds(int(master_seed), index, index + 1)[0])
 
 
 # trials per chunk hold a chunk's harmonic tensor to about this many complex
 # values, 1 MiB: past a few MB per chunk the peak memory grows and speed does not
 CHUNK_ELEMENTS = 1 << 16
+
+# trials per sampling batch hold their stream windows to about this many
+# doubles, 1 MiB
+SAMPLE_BATCH_DOUBLES = 1 << 17
 
 
 # glibc's mallopt parameters
@@ -201,39 +211,57 @@ class _ChunkResult:
     failures: list[TrialFailure]
 
 
-def _run_chunk(config: TrialConfig, target: SteeredTarget, indices: range) -> _ChunkResult:
-    """Sample, design and score a run of trials as one stack.
+def _sample_trials(config: TrialConfig) -> tuple[np.ndarray, list[str | None]]:
+    """Every trial's element values (4, T, M) and failure reason, in trial order.
 
-    A trial fails when its geometry cannot be sampled or the rank gate
-    refuses any of its grid frequencies; its reason is the error that
-    `sample_random_geometry` or `design_filter` raises for it.
+    The trials are sampled in batches of `sample_element_stack`, each
+    batch's windows held to ``SAMPLE_BATCH_DOUBLES``.
     """
-    failures = []
-    kept = []
-    sampled = []
-    for index in indices:
-        try:
-            sampled.append(sample_element_values(
-                config.element_count,
-                config.aperture_radius,
-                config.min_spacing,
-                seed=trial_seed(config.master_seed, index),
-            ))
-        except InfeasibleGeometryError as err:
-            failures.append(TrialFailure(index=index, reason=str(err)))
-        else:
-            kept.append(index)
+    seeds = trial_seeds(int(config.master_seed), 0, config.trials)
+    batch = max(1, SAMPLE_BATCH_DOUBLES // (STACK_WINDOW * config.element_count))
+    stacks = [
+        sample_element_stack(
+            config.element_count, config.aperture_radius, config.min_spacing,
+            seeds[start : start + batch],
+        )
+        for start in range(0, config.trials, batch)
+    ]
+    values = np.concatenate([stack for stack, _ in stacks], axis=1)
+    return values, [reason for _, reasons in stacks for reason in reasons]
+
+
+def _run_chunk(
+    config: TrialConfig,
+    target: SteeredTarget,
+    indices: range,
+    values: np.ndarray,
+    reasons: list[str | None],
+) -> _ChunkResult:
+    """Design and score a run of trials, sampled as ``values`` (4, T, M), as one stack.
+
+    A trial fails when its geometry could not be sampled (its reason is
+    not None) or the rank gate refuses any of its grid frequencies; its
+    reason is the error that `sample_random_geometry` or `design_filter`
+    raises for it.
+    """
+    sampled = np.array([reason is None for reason in reasons])
+    kept = [index for index, ok in zip(indices, sampled) if ok]
+    failures = [
+        TrialFailure(index=index, reason=reason)
+        for index, reason in zip(indices, reasons)
+        if reason is not None
+    ]
     empty = _ChunkResult(
         np.empty((0, config.angle_count)), np.empty((0, config.grid.count)),
         np.empty((0, config.grid.count)), failures,
     )
-    if not sampled:
+    if not kept:
         return empty
 
     grid = config.grid
     n_values = _parseval_harmonics(config)
     weights, refused, condition, coefficients = design_coefficients(
-        np.stack(sampled, axis=1), grid.omegas, target, config.element_model, n_values,
+        values[:, sampled], grid.omegas, target, config.element_model, n_values,
         config.speed_of_sound,
     )
     for t in np.flatnonzero(refused.any(axis=1)):
@@ -257,12 +285,13 @@ def _run_chunk(config: TrialConfig, target: SteeredTarget, indices: range) -> _C
 def run_trials(config: TrialConfig, workers: int = 1) -> TrialStatistics:
     """Run the experiment and aggregate mean/std in the dB domain.
 
-    Trials run in chunks of `chunk_trials`, one stack per layer each, and
-    ``workers`` threads share out the chunks. Failed trials (rank-deficient
-    systems, infeasible geometries) never enter the statistics; they are
-    counted and reported. The chunks depend on ``config`` alone and are
-    reduced in trial-index order, so the result is a pure function of
-    ``config`` regardless of ``workers``.
+    The calling thread seeds and samples every trial first, in stacked
+    batches. Trials then run in chunks of `chunk_trials`, one stack per
+    layer each, and ``workers`` threads share out the chunks. Failed
+    trials (rank-deficient systems, infeasible geometries) never enter the
+    statistics; they are counted and reported. The chunks depend on
+    ``config`` alone and are reduced in trial-index order, so the result
+    is a pure function of ``config`` regardless of ``workers``.
 
     Raises
     ------
@@ -270,14 +299,16 @@ def run_trials(config: TrialConfig, workers: int = 1) -> TrialStatistics:
         When not a single trial produced a design.
     """
     target, _ = config.target()
+    values, reasons = _sample_trials(config)
     size = chunk_trials(config)
     chunks = [range(s, min(s + size, config.trials)) for s in range(0, config.trials, size)]
+    pieces = [(c, values[:, c.start : c.stop], reasons[c.start : c.stop]) for c in chunks]
     run = functools.partial(_run_chunk, config, target)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, chunks))
+            results = list(pool.map(run, *zip(*pieces)))
     else:
-        results = [run(chunk) for chunk in chunks]
+        results = [run(*piece) for piece in pieces]
 
     failures = tuple(f for r in results for f in r.failures)
     if len(failures) == config.trials:

@@ -489,6 +489,10 @@ class TestConfigValueTypes:
             pytest.param("design", ("pattern", "steer_deg"), "60", id="design-string"),
             pytest.param("design", ("grid_hz",), 5, id="design-section"),
             pytest.param("design", ("pattern", "a"), 5, id="design-coefficients"),
+            pytest.param("design", ("grid_hz", "f_max"), 10**400, id="design-huge-number"),
+            pytest.param("design", ("pattern", "a"), ["x", 1], id="design-coefficient-string"),
+            pytest.param("design", ("pattern", "a"), [True, 1],
+                         id="design-coefficient-boolean"),
             pytest.param("evaluate", ("eval_frequency_hz",), MISSING, id="evaluate-missing"),
             pytest.param("evaluate", ("integration_points",), 4096.0,
                          id="evaluate-fractional-points"),
@@ -504,6 +508,10 @@ class TestConfigValueTypes:
             pytest.param("montecarlo", ("pattern", "steer_deg"), "60", id="montecarlo-string"),
             pytest.param("montecarlo", ("grid_hz",), 5, id="montecarlo-section"),
             pytest.param("montecarlo", ("pattern", "a"), 5, id="montecarlo-coefficients"),
+            pytest.param("montecarlo", ("pattern", "a"), ["x", 1],
+                         id="montecarlo-coefficient-string"),
+            pytest.param("montecarlo", ("pattern", "a"), [True, 1],
+                         id="montecarlo-coefficient-boolean"),
             pytest.param("montecarlo", ("master_seed",), -1, id="montecarlo-negative-seed"),
         ],
     )
@@ -609,3 +617,35 @@ class TestGoldenOutputs:
             for path in workspace.rglob("*.csv")
         }
         assert digests == self.DIGESTS
+
+    # a study past the stacked sampler's window: at 13 elements about a third
+    # of the trials are handed over to the single-geometry sampler, and the
+    # master seed is two entropy words; the digests predate the stacked sampler
+    HAND_OVER_DIGESTS = {
+        "bp_stats.csv": "ca057e0754a6807881ba310e7105a30f1ff7a5d6456096caead799bf8fedb960",
+        "df_stats.csv": "e16db991b366752c702255c7257e0f9cee12f1bdb860e874e360d6d474aeaac2",
+        "failures.json": "8592ad7ebe17d739c4f45086c1bddb4281c98580ebab3fb3cd19924402b028e0",
+        "wng_stats.csv": "d23c81cd5e25486b0d953797b58aca7d1fb0406445067c9bcd8eb139c99c8631",
+    }
+
+    def test_hand_over_study_digests(self, tmp_path):
+        study = write_json(
+            tmp_path / "mc13.json",
+            {
+                "trials": 40,
+                "element_count": 13,
+                "aperture_radius_mm": 20.0,
+                "min_spacing_mm": 8.0,
+                "pattern": {"family": "hypercardioid", "order": 2, "steer_deg": 60.0},
+                "grid_hz": {"f_min": 500.0, "f_max": 2000.0, "count": 4},
+                "eval_frequency_hz": 1000.0,
+                "master_seed": 2**40 + 7,
+                "angle_step_deg": 5.0,
+            },
+        )
+        out = tmp_path / "montecarlo13"
+        assert main(["montecarlo", "--config", str(study), "--out", str(out)]) == 0
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()
+        }
+        assert digests == self.HAND_OVER_DIGESTS

@@ -210,6 +210,76 @@ class TestBufferedSampler:
             assert str(got.value) == str(expected.value)
             assert "budget of 20000 draws exhausted" in str(got.value)
 
+    # the stacked sampler on its own, with every trial handed over to the
+    # single-geometry sampler by a window too short to place a candidate,
+    # and with every trial of two or more elements handed over by a
+    # near-threshold band that takes in every distance
+    HAND_OVERS = {
+        "window": {},
+        "short-window": {"STACK_WINDOW": 2},
+        "wide-band": {"_NEAR_SPACING": math.inf},
+    }
+
+    @staticmethod
+    def stack_sample(hand_over, element_count, seeds):
+        """`sample_element_stack` over ``seeds`` at the desk aperture; asserts
+        that the hand-over mode sent every trial it must to the single sampler,
+        and that up to 9 elements the unpatched window settles some trials."""
+        single = geometry_module.sample_element_values
+        handed_over = []
+
+        def counted(*args):
+            handed_over.append(args[3])
+            return single(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in TestBufferedSampler.HAND_OVERS[hand_over].items():
+                patch.setattr(geometry_module, name, value)
+            patch.setattr(geometry_module, "sample_element_values", counted)
+            values, reasons = geometry_module.sample_element_stack(
+                element_count, 0.02, 0.008, np.asarray(seeds, dtype=np.uint64)
+            )
+        if hand_over == "short-window" or (hand_over == "wide-band" and element_count > 1):
+            assert handed_over == list(seeds)
+        elif len(seeds) >= geometry_module._LOCKSTEP_MIN_TRIALS and element_count <= 9:
+            assert len(handed_over) < len(seeds)
+        return values, reasons
+
+    @pytest.mark.parametrize("hand_over", HAND_OVERS)
+    def test_stack_matches_loop_oracle_bit_for_bit(self, hand_over):
+        seeds = range(30)
+        for elements in range(1, 18):
+            values, reasons = self.stack_sample(hand_over, elements, seeds)
+            assert reasons == [None] * len(seeds)
+            for t, seed in enumerate(seeds):
+                expected = loop_sample(elements, 0.02, 0.008, seed).element_values
+                assert np.array_equal(values[:, t], expected), (elements, seed)
+
+    @pytest.mark.parametrize("hand_over", HAND_OVERS)
+    def test_stack_restarts_match_loop_oracle(self, hand_over):
+        seeds = range(20)
+        values, reasons = self.stack_sample(hand_over, 17, seeds)
+        assert reasons == [None] * len(seeds)
+        for t, seed in enumerate(seeds):
+            expected = loop_sample(17, 0.02, 0.008, seed)
+            assert np.array_equal(values[:, t], expected.element_values), seed
+
+    @pytest.mark.parametrize("hand_over", HAND_OVERS)
+    def test_stack_budget_exhaustion_matches_oracle(self, monkeypatch, hand_over):
+        seeds = range(3)
+        monkeypatch.setattr(geometry_module, "SAMPLING_BUDGET", 20_000)
+        # three trials are too few for the lockstep walk unless the floor drops
+        monkeypatch.setattr(geometry_module, "_LOCKSTEP_MIN_TRIALS", 1)
+        expected = []
+        for seed in seeds:
+            with pytest.raises(InfeasibleGeometryError) as error:
+                loop_sample(25, 0.02, 0.008, seed)
+            expected.append(str(error.value))
+        values, reasons = self.stack_sample(hand_over, 25, seeds)
+        assert reasons == expected
+        assert all("budget of 20000 draws exhausted" in reason for reason in reasons)
+        assert np.isnan(values).all()
+
     def test_element_values_rows(self):
         values = geometry_module.sample_element_values(9, 0.02, 0.008, seed=4)
         geom = sample_random_geometry(9, 0.02, 0.008, seed=4)

@@ -18,6 +18,8 @@ from diffbeam import (
     sample_random_geometry,
     trial_seed,
 )
+from diffbeam._seeding import trial_seeds, uniform_windows
+from diffbeam.geometry import STACK_WINDOW
 from diffbeam.metrics import magnitude_db, parseval_harmonics, power_db
 from diffbeam.montecarlo import TrialFailure
 from tests.test_rank_gate import HIGH_ORDER_GRID, STUDY_SEED
@@ -89,12 +91,42 @@ class TestKeepFreedMemory:
         assert calls == [(-3, 32 << 20), (-1, 128 << 20)]
 
 
+# one-word masters at both ends of the word, two-, three- and four-word masters
+SEED_MASTERS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 5, 2**100]
+MASTER_IDS = ["0", "1", "2^31-1", "2^32-1", "2^32", "2^40+7", "2^64+5", "2^100"]
+
+
 class TestSeedDerivation:
     def test_deterministic_and_distinct(self):
         assert trial_seed(99, 0) == trial_seed(99, 0)
         seeds = {trial_seed(99, t) for t in range(100)}
         assert len(seeds) == 100
         assert trial_seed(99, 0) != trial_seed(100, 0)
+
+    @pytest.mark.parametrize("master", SEED_MASTERS, ids=MASTER_IDS)
+    def test_stacked_seeds_match_seed_sequence(self, master):
+        expected = [
+            int(np.random.SeedSequence([master, i]).generate_state(1, np.uint64)[0])
+            for i in range(2048)
+        ]
+        assert trial_seeds(master, 0, 2048).tolist() == expected
+
+    @pytest.mark.parametrize("master", SEED_MASTERS, ids=MASTER_IDS)
+    def test_stacked_streams_match_default_rng(self, master):
+        width = STACK_WINDOW * 9
+        windows = uniform_windows(trial_seeds(master, 0, 2048), width)
+        for i, window in enumerate(windows):
+            expected = np.random.default_rng(trial_seed(master, i)).random(width)
+            assert np.array_equal(window, expected), i
+
+    @pytest.mark.parametrize("index", [2**32 - 1, 2**32], ids=["2^32-1", "2^32"])
+    def test_index_past_one_word(self, index):
+        for master in SEED_MASTERS:
+            sequence = np.random.SeedSequence([master, index])
+            assert trial_seed(master, index) == int(sequence.generate_state(1, np.uint64)[0])
+        assert trial_seeds(7, index - 2, index + 2).tolist() == [
+            trial_seed(7, i) for i in range(index - 2, index + 2)
+        ]
 
 
 class TestRunTrials:
