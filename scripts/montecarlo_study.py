@@ -12,10 +12,11 @@ starting at 300 Hz: below that, at this aperture, the outermost harmonic
 rows underflow the solver's rank gate and every trial would be refused.
 
 Desk scale (500 trials) takes about 8 s for all nine configurations at
-one worker and 7 s at --threads 2 (0.3-1.5 s per configuration); the
-full-scale run, --trials 10000, takes about 2 minutes at --threads 2
-(5-25 s per configuration). Python 3.11, NumPy 2.4, glibc 2.36, 2-vCPU
-Xeon host. The CSVs are byte-identical for any --threads.
+one worker and 7 s at --threads 2 (0.3-1.6 s per configuration); the
+full-scale run, --trials 10000, takes about 2.2 minutes at --threads 2
+(7-29 s per configuration). Python 3.11, NumPy 2.4, glibc 2.36, 2-vCPU
+Xeon host shared with other tenants, so single runs vary by about 10%.
+The CSVs are byte-identical for any --threads.
 
 Each configuration's line also gives the minor page faults of its run.
 `keep_freed_memory` keeps freed memory in the process heap, so after the

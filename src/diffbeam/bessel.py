@@ -35,10 +35,20 @@ def bessel_order_table(n_max: int, x) -> np.ndarray:
         raise ValueError(f"argument must lie in [0, {TABLE_ARGUMENT_CAP}], got up to {x.max()!r}")
     top = max(n_max, math.ceil(x.max(initial=0.0)))
     steps = top + 12 + int(math.sqrt(40.0 * (top + 1)))
+    # every step writes through buffers; `[k, ...]` keeps a 0-d x's rows views
     ratios = np.empty((steps,) + x.shape)
     r = np.zeros(x.shape)
+    scratch = np.empty(x.shape)
     for k in range(steps, 0, -1):
-        r = ratios[k - 1] = x / (2.0 * k - x * r)
-    to_j0 = np.cumprod(ratios, axis=0, out=ratios)  # J_k / J_0 for k = 1 .. steps
-    j0 = 1.0 / (1.0 + 2.0 * to_j0[1::2].sum(axis=0))
-    return np.concatenate([j0[None], j0 * to_j0[:n_max]])
+        np.multiply(x, r, out=scratch)
+        np.subtract(2.0 * k, scratch, out=scratch)
+        r = np.divide(x, scratch, out=ratios[k - 1, ...])
+    # running products turn the ratios into J_k / J_0, k = 1 .. steps, row by
+    # row: a cumprod along axis 0 walks each column at the stride of a row
+    for k in range(1, steps):
+        np.multiply(ratios[k - 1, ...], ratios[k, ...], out=ratios[k, ...])
+    j0 = 1.0 / (1.0 + 2.0 * ratios[1::2].sum(axis=0))
+    table = np.empty((n_max + 1,) + x.shape)
+    table[0] = j0
+    np.multiply(j0, ratios[:n_max], out=table[1:])
+    return table

@@ -58,11 +58,53 @@ _USER_ERRORS = (
 )
 
 
+# the keys each run config may hold, and those of its sections; a design
+# manifest's pattern also carries its "id" and is not checked
+_CONFIG_KEYS = {
+    "generate": ("element_count", "aperture_radius_mm", "min_spacing_mm", "seed"),
+    "design": ("geometry_file", "pattern", "grid_hz", "element_model", "speed_of_sound_mps"),
+    "evaluate": (
+        "geometry_file", "design_manifest", "eval_frequency_hz", "angle_step_deg",
+        "integration_points", "beampattern_floor_db", "speed_of_sound_mps",
+    ),
+    "montecarlo": (
+        "trials", "element_count", "aperture_radius_mm", "min_spacing_mm", "pattern",
+        "grid_hz", "eval_frequency_hz", "master_seed", "element_model", "speed_of_sound_mps",
+        "angle_step_deg", "db_floor", "integration_points",
+    ),
+    "pattern": ("family", "order", "steer_deg", "a"),
+    "grid_hz": ("f_min", "f_max", "count"),
+}
+
+
+def _known(mapping: dict, kind: str, context: str) -> dict:
+    """``mapping``, refused by the first key that a ``kind`` config does not hold."""
+    keys = _CONFIG_KEYS[kind]
+    for key in mapping:
+        if key not in keys:
+            raise ValueError(
+                f"{context}: unknown key {key!r}; expected one of {', '.join(sorted(keys))}"
+            )
+    return mapping
+
+
+def _load_config(config_path: Path, kind: str) -> tuple[dict, str]:
+    """The run config at ``config_path`` with its context, unknown keys refused."""
+    context = str(config_path)
+    return _known(fileio.load_json(config_path), kind, context), context
+
+
+def _pattern(config: dict, context: str) -> tuple[dict, str]:
+    where = f"{context}: pattern"
+    return _known(read(config, "pattern", dict, context), "pattern", where), where
+
+
 def _grid(config: dict, context: str) -> FrequencyGrid:
     grid_config = read(config, "grid_hz", dict, context, default={})
     if not grid_config:
         return DEFAULT_GRID
-    return fileio.grid_from_config(grid_config, context=f"{context}: grid_hz")
+    where = f"{context}: grid_hz"
+    return fileio.grid_from_config(_known(grid_config, "grid_hz", where), context=where)
 
 
 def _speed_of_sound(args, config: dict, context: str, fallback: float = 343.0) -> float:
@@ -94,7 +136,7 @@ def _cmd_geometry(args) -> int:
         print(report.describe())
         return 0 if report.ok else 1
 
-    config, context = fileio.load_json(config_path), str(config_path)
+    config, context = _load_config(config_path, "generate")
     geometry = sample_random_geometry(
         read(config, "element_count", int, context),
         read(config, "aperture_radius_mm", float, context) * 1e-3,
@@ -111,13 +153,11 @@ def _cmd_geometry(args) -> int:
 
 def _cmd_design(args) -> int:
     config_path = Path(args.config)
-    config, context = fileio.load_json(config_path), str(config_path)
+    config, context = _load_config(config_path, "design")
     # a relative path is taken from the config's directory, an absolute one as it is
     geometry_file = config_path.parent / read(config, "geometry_file", str, context)
     geometry = fileio.load_geometry_file(geometry_file)
-    target, pattern_id, coeffs = fileio.pattern_from_config(
-        read(config, "pattern", dict, context), context=f"{context}: pattern"
-    )
+    target, pattern_id, coeffs = fileio.pattern_from_config(*_pattern(config, context))
     grid = _grid(config, context)
     element_model = read(config, "element_model", str, context, default="first_order")
     c = _speed_of_sound(args, config, context)
@@ -146,7 +186,7 @@ def _cmd_design(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config_path = Path(args.config)
-    config, context = fileio.load_json(config_path), str(config_path)
+    config, context = _load_config(config_path, "evaluate")
     base = config_path.parent
     geometry = fileio.load_geometry_file(base / read(config, "geometry_file", str, context))
     manifest_path = base / read(config, "design_manifest", str, context)
@@ -193,8 +233,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_montecarlo(args) -> int:
     config_path = Path(args.config)
-    config, context = fileio.load_json(config_path), str(config_path)
-    pattern, where = read(config, "pattern", dict, context), f"{context}: pattern"
+    config, context = _load_config(config_path, "montecarlo")
+    pattern, where = _pattern(config, context)
     custom = read_numbers(pattern, "a", where, default=None)
     _inert_integration_points(config, context)
     trial_config = TrialConfig(

@@ -8,7 +8,8 @@ form in Bessel functions, which `element_harmonics` evaluates for whole
 stacks of arrays and frequencies. Since J_{-n} = (-1)^n J_n, the entries
 for n and -n come from the same real Bessel combinations, so all the
 frequency-dependent work is real and covers n >= 0 only; the complex
-phase does not depend on frequency and is applied once. Its scalar
+phase does not depend on frequency, and one exponential serves both n
+and -n. Its scalar
 oracles (the closed form `harmonic_coefficient`, the defining Fourier
 integral `harmonic_coefficient_quadrature` and the plane-wave matrix
 `build_psi_matrix`) live in `diffbeam.oracles`. Rows of the matching
@@ -73,8 +74,8 @@ def element_harmonics(values, omegas, n_values, speed_of_sound: float) -> np.nda
 
     Every frequency-dependent step is real and covers n >= 0 only, from one
     Bessel table over every argument ``x = omega r / c`` of the stack; the
-    phase has no frequency axis and is applied by one complex multiply.
-    Orders ``-R .. R``, R = max |n_values|, are built and ``n_values`` (any
+    phase has no frequency axis and takes one complex exponential per pair
+    of orders +-n. Orders ``-R .. R``, R = max |n_values|, are built and ``n_values`` (any
     order, repeats allowed) is read off them.
     """
     n_values = np.atleast_1d(np.asarray(n_values, dtype=int))
@@ -102,10 +103,20 @@ def element_harmonics(values, omegas, n_values, speed_of_sound: float) -> np.nda
     np.add(omni[1:], s[1:], out=down[1:].real)
     up.imag = d
     down[1:].imag = d[1:]
-    # the phase j^{|k|} e^{-jk phi}, k = -R .. R, has no frequency axis
-    k = np.arange(-reach, reach + 1)
+    # the phase j^{|k|} e^{-jk phi}, k = -R .. R, has no frequency axis; one
+    # exponential serves each pair +-k, since e^{+jk phi} is the conjugate of
+    # e^{-jk phi} bit for bit once a zero imaginary part is taken as +0, which
+    # 0 - imag does
+    k = np.arange(1, reach + 1)
     along = (slice(None),) + (None,) * phi.ndim
-    xi *= np.asarray(_J_POWER)[np.abs(k) % 4][along] * np.exp(-1j * k[along] * phi)
+    power = np.asarray(_J_POWER)[k % 4][along]
+    e = np.exp(-1j * k[along] * phi)
+    up[1:] *= power * e
+    np.subtract(0.0, e.imag, out=e.imag)
+    down[1:] *= power * e
+    # the phase of n = 0 is 1 + 0j; multiplying by it still sets the signs of
+    # zero parts as the complex product does
+    up[0] *= 1.0 + 0.0j
     rows = n_values + reach
     # every caller asks for a run of orders, read as a view: a gather would
     # allocate and fault in one more tensor-sized array, a large share of the

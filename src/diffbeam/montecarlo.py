@@ -196,10 +196,12 @@ def chunk_trials(config: TrialConfig) -> int:
     """Trials per chunk, from the sizes of the study alone.
 
     A trial builds a harmonic tensor of elements x grid points x harmonics
-    values and a pattern of one value per angle.
+    values and a pattern of one value per angle. The tensor is freed once
+    the pattern coefficients are formed, before the pattern is built, so a
+    trial is budgeted the larger of the two.
     """
     harmonics = _parseval_harmonics(config).size
-    per_trial = config.element_count * config.grid.count * harmonics + config.angle_count
+    per_trial = max(config.element_count * config.grid.count * harmonics, config.angle_count)
     return max(1, CHUNK_ELEMENTS // per_trial)
 
 

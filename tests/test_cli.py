@@ -436,9 +436,23 @@ MISSING = object()
 class TestConfigValueTypes:
     """Every config value is read as its JSON type. A missing key, a
     fractional integer, a boolean, a number in a string, a section that is
-    not an object, a coefficient vector that is not an array and a negative
-    seed are each refused on one ``error:`` line naming the file and the
-    key, before any output is written."""
+    not an object, a coefficient vector that is not an array, a negative
+    seed and a key the run config or its ``pattern`` or ``grid_hz`` section
+    does not hold are each refused on one ``error:`` line naming the file
+    and the key, before any output is written."""
+
+    OPTIONAL = {
+        "generate": {},
+        "design": {"element_model": "omni", "speed_of_sound_mps": 340.0},
+        "evaluate": {
+            "integration_points": 4096, "beampattern_floor_db": -40.0,
+            "speed_of_sound_mps": 343.0,
+        },
+        "montecarlo": {
+            "element_model": "omni", "speed_of_sound_mps": 340.0, "angle_step_deg": 5.0,
+            "db_floor": -100.0, "integration_points": 1024,
+        },
+    }
 
     CONFIGS = {
         "generate": {
@@ -513,6 +527,19 @@ class TestConfigValueTypes:
             pytest.param("montecarlo", ("pattern", "a"), [True, 1],
                          id="montecarlo-coefficient-boolean"),
             pytest.param("montecarlo", ("master_seed",), -1, id="montecarlo-negative-seed"),
+            pytest.param("generate", ("element_cuont",), 9, id="generate-unknown"),
+            pytest.param("design", ("grid",), {"count": 8}, id="design-unknown"),
+            pytest.param("design", ("pattern", "steer"), 60.0, id="design-unknown-in-pattern"),
+            pytest.param("design", ("grid_hz", "fmax"), 4000.0, id="design-unknown-in-grid"),
+            pytest.param("design", ("pattern", "id"), "hypercardioid-2",
+                         id="design-pattern-id"),
+            pytest.param("evaluate", ("angle_step",), 2.0, id="evaluate-unknown"),
+            pytest.param("montecarlo", ("trails",), 20, id="montecarlo-unknown"),
+            pytest.param("montecarlo", ("seed",), 7, id="montecarlo-seed-for-master-seed"),
+            pytest.param("montecarlo", ("pattern", "orders"), 2,
+                         id="montecarlo-unknown-in-pattern"),
+            pytest.param("montecarlo", ("grid_hz", "points"), 4,
+                         id="montecarlo-unknown-in-grid"),
         ],
     )
     def test_refused_naming_file_and_key(self, workspace, capsys, command, path, value):
@@ -536,6 +563,17 @@ class TestConfigValueTypes:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert str(config_path) in lines[0] and f"'{key}'" in lines[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "design", "evaluate", "montecarlo"])
+    def test_every_key_of_a_config_accepted(self, workspace, command):
+        if command == "evaluate":
+            design = write_json(workspace / "design.json", self.CONFIGS["design"])
+            assert main(["design", "--config", str(design), "--out", str(workspace / "design")]) == 0
+        config = {**copy.deepcopy(self.CONFIGS[command]), **self.OPTIONAL[command]}
+        config_path = write_json(workspace / f"{command}_full.json", config)
+        out = workspace / "out"
+        assert main([*self.COMMANDS[command], "--config", str(config_path), "--out", str(out)]) == 0
+        assert out.exists()
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from diffbeam import (
     harmonic_tensor,
     sample_random_geometry,
 )
+from diffbeam.bessel import bessel_order_table
 from diffbeam.geometry import ArrayElement, ArrayGeometry
 from diffbeam.modal import element_harmonics
 from diffbeam.oracles import (
@@ -261,3 +262,76 @@ class TestHarmonicTensor:
             harmonic_tensor(geom, constants, [-1.0], [0])
         with pytest.raises(ValueError, match="argument"):
             harmonic_tensor(geom, constants, [2 * np.pi * 1e6], [0])
+
+
+def exp_per_order_harmonics(values, omegas, n_values, speed_of_sound):
+    """`element_harmonics` with the phase ``j^|k| e^{-jk phi}`` taken by one
+    complex exponential per order k = -R .. R: the reference the +-k pairing
+    must match bit for bit."""
+    n_values = np.atleast_1d(np.asarray(n_values, dtype=int))
+    r, phi, q, steer = (np.asarray(v)[..., None] for v in values)
+    x = r * np.atleast_1d(omegas) / speed_of_sound
+    reach = int(np.abs(n_values).max())
+    table = bessel_order_table(reach + 1, x)
+    s = np.empty_like(table[:-1])
+    d = np.empty_like(s)
+    np.add(table[2:], table[:-2], out=s[1:])
+    np.subtract(table[2:], table[:-2], out=d[1:])
+    s[0] = 0.0
+    d[0] = 2.0 * table[1]
+    alpha = steer - phi
+    s *= 0.5 * q * np.sin(alpha)
+    d *= 0.5 * q * np.cos(alpha)
+    omni = (1.0 - q) * table[:-1]
+    xi = np.empty((2 * reach + 1,) + x.shape, dtype=complex)
+    up, down = xi[reach:], xi[reach::-1]
+    np.subtract(omni, s, out=up.real)
+    np.add(omni[1:], s[1:], out=down[1:].real)
+    up.imag = d
+    down[1:].imag = d[1:]
+    k = np.arange(-reach, reach + 1)
+    along = (slice(None),) + (None,) * phi.ndim
+    powers = np.array([1 + 0j, 1j, -1 + 0j, -1j])
+    xi *= powers[np.abs(k) % 4][along] * np.exp(-1j * k[along] * phi)
+    return np.moveaxis(xi[n_values + reach], (0, -1), (-2, -3))
+
+
+class TestPairedPhase:
+    """One exponential serves each pair +-k; the tensor keeps every bit of
+    the form that takes one per order, signed zeros included."""
+
+    @pytest.mark.parametrize("count", [1, 80])
+    def test_bit_equal_to_one_exponential_per_order(self, count):
+        rng = np.random.default_rng(count)
+        omegas = 2.0 * np.pi * np.linspace(50.0, 4000.0, count)
+        for reach in range(1, 26):
+            trials, elements = int(rng.integers(1, 4)), int(rng.integers(1, 14))
+            shape = (trials, elements)
+            values = np.stack([
+                rng.uniform(0.0, 0.05, shape),
+                rng.uniform(-np.pi, np.pi, shape),
+                rng.choice([0.0, 0.3, 0.5, 1.0], shape),
+                rng.uniform(-np.pi, np.pi, shape),
+            ])
+            # an element at the origin, and phi of either sign of zero
+            values[:2, 0, 0] = 0.0
+            values[1, -1, -1] = -0.0
+            orders = np.arange(-reach, reach + 1)
+            if reach % 4 == 0:
+                orders = rng.integers(-reach, reach + 1, 7)
+                orders[0] = reach
+            got = element_harmonics(values, omegas, orders, 343.0)
+            want = exp_per_order_harmonics(values, omegas, orders, 343.0)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), reach
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes(), reach
+
+    def test_conjugate_pairs_bit_equal(self):
+        # e^{+jk phi} is the conjugate of e^{-jk phi} bit for bit under the C
+        # library's cexp, except for the sign of a zero imaginary part
+        phi = np.concatenate([
+            np.random.default_rng(2).uniform(-np.pi, np.pi, 20000), [np.pi, -np.pi, 1e-300],
+        ])
+        for k in range(1, 40):
+            minus, plus = np.exp(-1j * k * phi), np.exp(1j * k * phi)
+            assert minus.conj().tobytes() == plus.tobytes(), k

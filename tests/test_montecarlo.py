@@ -318,6 +318,37 @@ class TestChunkedAgainstOracle:
         assert serial.failures == threaded.failures
 
 
+class TestChunkSizes:
+    """A trial is budgeted the larger of its harmonic tensor and its pattern,
+    since the tensor is freed before the pattern is built."""
+
+    def test_desk_grid_is_sized_by_its_tensor(self):
+        # 9 elements x 80 points x 43 harmonics = 30,960 values a trial
+        config = small_config(
+            element_count=9, order=2, grid=FrequencyGrid(50.0, 4000.0, 80), angle_count=360
+        )
+        assert _parseval_harmonics_size(config) == 43
+        assert mc.chunk_trials(config) == 2
+
+    def test_one_point_grid_is_sized_by_its_pattern(self):
+        # 9 elements x 33 harmonics = 297 values, fewer than the 360 angles
+        config = small_config(trials=500, element_count=9, order=2, angle_count=360)
+        assert _parseval_harmonics_size(config) == 33
+        assert mc.chunk_trials(config) == 182
+
+    def test_four_hundred_trials_run_as_three_chunks(self):
+        config = small_config(trials=400, element_count=7, order=3, angle_count=360)
+        size = mc.chunk_trials(config)
+        assert size == 182 and -(-config.trials // size) == 3 and config.trials % size != 0
+
+
+def _parseval_harmonics_size(config) -> int:
+    return parseval_harmonics(
+        config.order, float(np.max(config.grid.omegas)), config.aperture_radius,
+        config.speed_of_sound,
+    ).size
+
+
 class TestChunkBoundaries:
     """Every trial is scored over the harmonics of the whole study, so the
     statistics and failures are the same bits whatever the chunk size."""
