@@ -58,7 +58,8 @@ _USER_ERRORS = (
 )
 
 
-# the keys each run config may hold, and those of its sections; a design
+# the keys each command's run config may hold; its pattern and grid_hz
+# sections hold fileio.PATTERN_KEYS and fileio.GRID_KEYS. A design
 # manifest's pattern also carries its "id" and is not checked
 _CONFIG_KEYS = {
     "generate": ("element_count", "aperture_radius_mm", "min_spacing_mm", "seed"),
@@ -72,14 +73,11 @@ _CONFIG_KEYS = {
         "grid_hz", "eval_frequency_hz", "master_seed", "element_model", "speed_of_sound_mps",
         "angle_step_deg", "db_floor", "integration_points",
     ),
-    "pattern": ("family", "order", "steer_deg", "a"),
-    "grid_hz": ("f_min", "f_max", "count"),
 }
 
 
-def _known(mapping: dict, kind: str, context: str) -> dict:
-    """``mapping``, refused by the first key that a ``kind`` config does not hold."""
-    keys = _CONFIG_KEYS[kind]
+def _known(mapping: dict, keys: tuple[str, ...], context: str) -> dict:
+    """``mapping``, refused by the first key that is not one of ``keys``."""
     for key in mapping:
         if key not in keys:
             raise ValueError(
@@ -88,15 +86,15 @@ def _known(mapping: dict, kind: str, context: str) -> dict:
     return mapping
 
 
-def _load_config(config_path: Path, kind: str) -> tuple[dict, str]:
+def _load_config(config_path: Path, command: str) -> tuple[dict, str]:
     """The run config at ``config_path`` with its context, unknown keys refused."""
     context = str(config_path)
-    return _known(fileio.load_json(config_path), kind, context), context
+    return _known(fileio.load_json(config_path), _CONFIG_KEYS[command], context), context
 
 
 def _pattern(config: dict, context: str) -> tuple[dict, str]:
     where = f"{context}: pattern"
-    return _known(read(config, "pattern", dict, context), "pattern", where), where
+    return _known(read(config, "pattern", dict, context), fileio.PATTERN_KEYS, where), where
 
 
 def _grid(config: dict, context: str) -> FrequencyGrid:
@@ -104,7 +102,7 @@ def _grid(config: dict, context: str) -> FrequencyGrid:
     if not grid_config:
         return DEFAULT_GRID
     where = f"{context}: grid_hz"
-    return fileio.grid_from_config(_known(grid_config, "grid_hz", where), context=where)
+    return fileio.grid_from_config(_known(grid_config, fileio.GRID_KEYS, where), context=where)
 
 
 def _speed_of_sound(args, config: dict, context: str, fallback: float = 343.0) -> float:

@@ -155,6 +155,11 @@ def load_geometry_file(path) -> ArrayGeometry:
 # ---------------------------------------------------------------------------
 # pattern and grid configs
 
+# the keys a run config's pattern section may hold; a Monte Carlo study's
+# pattern is read by the CLI from the same keys
+PATTERN_KEYS = ("family", "order", "steer_deg", "a")
+
+
 def pattern_from_config(config: dict, context: str = "pattern"):
     """Resolve a pattern config into (target, pattern_id, coefficients)."""
     family = read(config, "family", str, context)
@@ -164,6 +169,9 @@ def pattern_from_config(config: dict, context: str = "pattern"):
     coeffs, pattern_id = resolve_pattern(family, order, custom)
     target = SteeredTarget(coefficients=a_to_b(coeffs), theta_s=math.radians(steer_deg))
     return target, pattern_id, coeffs
+
+
+GRID_KEYS = ("f_min", "f_max", "count")
 
 
 def grid_from_config(config: dict, context: str = "grid_hz") -> FrequencyGrid:

@@ -35,14 +35,10 @@ BEAMPATTERN_FLOOR_DB = -50.0
 def magnitude_db(values, floor_db: float | None = None):
     """20*log10 of a magnitude, optionally clamped at a floor."""
     mags = np.abs(np.asarray(values))
-    # each step writes into the array abs made, where it is a float array;
-    # a scalar or an integer array takes new results
-    out = mags if isinstance(mags, np.ndarray) and mags.dtype == float else None
     if floor_db is not None:
-        mags = np.maximum(mags, 10.0 ** (floor_db / 20.0), out=out)
+        mags = np.maximum(mags, 10.0 ** (floor_db / 20.0))
     with np.errstate(divide="ignore"):
-        mags = np.log10(mags, out=out)
-    return np.multiply(mags, 20.0, out=out)
+        return 20.0 * np.log10(mags)
 
 
 def power_db(values):
@@ -225,27 +221,13 @@ def equispaced_pattern(coefficients, n_values, angle_count: int) -> np.ndarray:
     coefficients fold onto A residues and ``B = A ifft(folded)``; this is
     exact for any A, also below the harmonic count K.
     """
-    shift = int(n_values[0]) % angle_count
+    n_first = int(n_values[0])
     k = coefficients.shape[-1]
-    lead = coefficients.shape[:-1]
-    if k <= angle_count:
-        # at most one turn: harmonic n_first + p is added onto residue
-        # (shift + p) mod A, the run wrapping past A at most once. Adding onto
-        # zero, as the sum over turns does, also turns a -0 part into +0
-        folded = np.zeros(lead + (angle_count,), dtype=complex)
-        head = min(k, angle_count - shift)
-        folded[..., shift : shift + head] += coefficients[..., :head]
-        folded[..., : k - head] += coefficients[..., head:]
-    else:
-        # pad to whole turns of A; position p holds harmonic n_first + p, so
-        # the sum over turns is the fold up to a shift of n_first residues.
-        # At A = 1 NumPy sums the turns pairwise, so a loop of adds would
-        # round differently
-        turns = -(-k // angle_count)
-        padded = np.zeros(lead + (turns * angle_count,), dtype=complex)
-        padded[..., :k] = coefficients
-        folded = padded.reshape(lead + (turns, angle_count)).sum(axis=-2)
-        folded = np.roll(folded, shift, axis=-1)
-    pattern = np.fft.ifft(folded, axis=-1)
-    pattern *= angle_count
-    return pattern
+    # pad to whole turns of A; position p holds harmonic n_first + p, so the
+    # sum over turns is the fold up to a shift of n_first residues
+    turns = -(-k // angle_count)
+    padded = np.zeros(coefficients.shape[:-1] + (turns * angle_count,), dtype=complex)
+    padded[..., :k] = coefficients
+    folded = padded.reshape(coefficients.shape[:-1] + (turns, angle_count)).sum(axis=-2)
+    folded = np.roll(folded, n_first % angle_count, axis=-1)
+    return angle_count * np.fft.ifft(folded, axis=-1)

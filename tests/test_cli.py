@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffbeam import FrequencyGrid, PhysicalConstants, TrialConfig, beampattern, fileio
+from diffbeam import FrequencyGrid, PhysicalConstants, TrialConfig, beampattern, cli, fileio
 from diffbeam.cli import main
 from diffbeam.metrics import magnitude_db
 from tests.test_montecarlo import STAT_NAMES, oracle_statistics
@@ -441,14 +441,19 @@ class TestConfigValueTypes:
     does not hold are each refused on one ``error:`` line naming the file
     and the key, before any output is written."""
 
+    # with CONFIGS, every key a run config and its sections may hold
     OPTIONAL = {
         "generate": {},
-        "design": {"element_model": "omni", "speed_of_sound_mps": 340.0},
+        "design": {
+            "pattern": {"family": "custom", "order": 2, "steer_deg": 60.0, "a": [1.0, 2.0, 2.0]},
+            "element_model": "omni", "speed_of_sound_mps": 340.0,
+        },
         "evaluate": {
             "integration_points": 4096, "beampattern_floor_db": -40.0,
             "speed_of_sound_mps": 343.0,
         },
         "montecarlo": {
+            "pattern": {"family": "custom", "order": 2, "steer_deg": 60.0, "a": [1.0, 2.0, 2.0]},
             "element_model": "omni", "speed_of_sound_mps": 340.0, "angle_step_deg": 5.0,
             "db_floor": -100.0, "integration_points": 1024,
         },
@@ -565,15 +570,54 @@ class TestConfigValueTypes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "design", "evaluate", "montecarlo"])
-    def test_every_key_of_a_config_accepted(self, workspace, command):
+    def test_every_key_of_a_config_accepted(self, workspace, monkeypatch, command):
+        # the full config holds exactly the keys the CLI accepts, and running
+        # it looks up each of them and no other, so the key tables, the
+        # readers and OPTIONAL cannot drift apart
         if command == "evaluate":
             design = write_json(workspace / "design.json", self.CONFIGS["design"])
             assert main(["design", "--config", str(design), "--out", str(workspace / "design")]) == 0
         config = {**copy.deepcopy(self.CONFIGS[command]), **self.OPTIONAL[command]}
+        assert set(config) == set(cli._CONFIG_KEYS[command])
+        for section, keys in (("pattern", fileio.PATTERN_KEYS), ("grid_hz", fileio.GRID_KEYS)):
+            assert set(config.get(section, keys)) == set(keys)
         config_path = write_json(workspace / f"{command}_full.json", config)
+        objects = []
+        load_json = fileio.load_json
+
+        def looked_up(obj):
+            objects.append(LookedUp(obj))
+            return objects[-1]
+
+        def recording_load(path):
+            data = load_json(path)
+            if Path(path) != config_path:
+                return data
+            return json.loads(json.dumps(data), object_hook=looked_up)
+
+        monkeypatch.setattr(fileio, "load_json", recording_load)
         out = workspace / "out"
         assert main([*self.COMMANDS[command], "--config", str(config_path), "--out", str(out)]) == 0
         assert out.exists()
+        assert len(objects) == 1 + ("pattern" in config) + ("grid_hz" in config)
+        for obj in objects:
+            assert obj.keys_looked_up == set(obj)
+
+
+class LookedUp(dict):
+    """A JSON object that notes each key looked up in it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.keys_looked_up = set()
+
+    def __contains__(self, key):
+        self.keys_looked_up.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.keys_looked_up.add(key)
+        return super().__getitem__(key)
 
 
 @pytest.mark.parametrize(

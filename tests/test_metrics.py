@@ -332,36 +332,6 @@ class TestEquispacedPattern:
         got = equispaced_pattern(coefficients, n_values, angle_count)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("angle_count", [1, 4, 7, 15, 16, 359, 360, 1440])
-    def test_bit_equal_to_the_pad_sum_roll_fold(self, angle_count):
-        # one turn or less is added onto a zeroed buffer, more turns are
-        # summed; both must keep every bit of padding, summing and rolling
-        rng = np.random.default_rng(angle_count)
-        for k in range(1, 101):
-            coefficients = rng.normal(size=(2, 3, k)) + 1j * rng.normal(size=(2, 3, k))
-            coefficients[0, 0, 0] = complex(-0.0, -0.0)
-            coefficients[1, 2] = complex(-0.0, 0.0)
-            for n_first in {-(k // 2), 0, 7, -k - 3, angle_count - 1}:
-                n_values = np.arange(n_first, n_first + k)
-                got = equispaced_pattern(coefficients, n_values, angle_count)
-                want = pad_sum_roll_pattern(coefficients, n_values, angle_count)
-                assert got.shape == want.shape == (2, 3, angle_count)
-                assert np.array_equal(got, want), (k, n_first)
-                assert got.tobytes() == want.tobytes(), (k, n_first)
-
-
-def pad_sum_roll_pattern(coefficients, n_values, angle_count):
-    """`equispaced_pattern` by padding to whole turns of A, summing the turns
-    and rolling by n_first, for any harmonic count: the reference its
-    one-turn fold must match bit for bit."""
-    k = coefficients.shape[-1]
-    turns = -(-k // angle_count)
-    padded = np.zeros(coefficients.shape[:-1] + (turns * angle_count,), dtype=complex)
-    padded[..., :k] = coefficients
-    folded = padded.reshape(coefficients.shape[:-1] + (turns, angle_count)).sum(axis=-2)
-    folded = np.roll(folded, int(n_values[0]) % angle_count, axis=-1)
-    return angle_count * np.fft.ifft(folded, axis=-1)
-
 
 class TestLargeAperture:
     """A 0.5 m aperture at 8 kHz reaches x = omega r / c ~ 73, far past the
