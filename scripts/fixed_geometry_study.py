@@ -31,13 +31,14 @@ from diffbeam.fileio import save_geometry_file, write_table
 from diffbeam.metrics import (
     angle_count,
     coefficient_gains,
-    design_coefficients,
     equispaced_pattern,
     magnitude_db,
     parseval_harmonics,
+    pattern_coefficients,
     power_db,
 )
-from diffbeam.solver import rank_deficiency
+from diffbeam.modal import element_harmonics
+from diffbeam.solver import design_weights, rank_deficiency
 
 
 def sweep(geometry, constants, target, frequencies, angle_count, floor_db):
@@ -49,19 +50,19 @@ def sweep(geometry, constants, target, frequencies, angle_count, floor_db):
     values = geometry.element_values
     c = constants.speed_of_sound
     n_values = parseval_harmonics(target.order, np.max(omegas), np.max(values[0]), c)
-    weights, refused, condition, coefficients = design_coefficients(
-        values, omegas, target, "first_order", n_values, c
+    xi = element_harmonics(values, omegas, n_values, c)
+    weights, refused, condition = design_weights(
+        values, omegas, target, "first_order", c, harmonics=xi
     )
     skipped = [
         (f_hz, str(rank_deficiency(float(k), float(f_hz))))
         for f_hz, k in zip(frequencies[refused], condition[refused])
     ]
     kept = ~refused
-    wng, df = power_db(
-        coefficient_gains(coefficients[kept], weights[kept], n_values, target.theta_s)
-    )
+    coefficients = pattern_coefficients(xi, weights)[kept]
+    wng, df = power_db(coefficient_gains(coefficients, weights[kept], n_values, target.theta_s))
     rendered = magnitude_db(
-        equispaced_pattern(coefficients[kept], n_values, angle_count), floor_db=floor_db
+        equispaced_pattern(coefficients, n_values, angle_count), floor_db=floor_db
     )
     angles_deg = 360.0 * np.arange(angle_count) / angle_count
     target_db = magnitude_db(evaluate_target(target, np.radians(angles_deg)), floor_db=floor_db)

@@ -52,6 +52,14 @@ def load_json(path) -> dict:
     return data
 
 
+def write_json(path, payload) -> None:
+    """``payload`` as JSON, indented two spaces with sorted keys and a final
+    newline, in one write."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 _REQUIRED = object()
 _JSON_NAMES = {float: "number", int: "integer", str: "string", dict: "object", list: "array"}
 
@@ -142,10 +150,7 @@ def geometry_from_payload(payload: dict, context: str = "geometry") -> ArrayGeom
 
 
 def save_geometry_file(geometry: ArrayGeometry, path) -> None:
-    payload = geometry_to_payload(geometry)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, geometry_to_payload(geometry))
 
 
 def load_geometry_file(path) -> ArrayGeometry:
@@ -230,9 +235,7 @@ def write_design_manifest(
         "speed_of_sound_mps": speed_of_sound,
         "seed": seed,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def _read_filter_weights(filter_file, grid: FrequencyGrid) -> np.ndarray:
@@ -241,8 +244,9 @@ def _read_filter_weights(filter_file, grid: FrequencyGrid) -> np.ndarray:
     The file is parsed as one float table. Refused, naming the file: a
     header other than `_filter_header`, a row count other than the grid's,
     and, naming the first bad row, a row with another cell count, a cell
-    that is not a number, or a frequency off its grid point by more than
-    1e-9 (relative and absolute, as `math.isclose`).
+    that is not a number, a weight that is not finite, or a frequency off
+    its grid point by more than 1e-9 (relative and absolute, as
+    `math.isclose`).
     """
     with open(filter_file, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -277,6 +281,14 @@ def _read_filter_weights(filter_file, grid: FrequencyGrid) -> np.ndarray:
                     f"{cell!r} is not a number"
                 ) from None
         raise
+
+    finite = np.isfinite(table[:, 1:])
+    if not finite.all():
+        i, j = np.unravel_index(np.argmin(finite), finite.shape)
+        raise ValueError(
+            f"{filter_file}: row {i} column {header[j + 1]}: "
+            f"{cells[i * width + j + 1]!r} is not a finite number"
+        )
 
     frequencies, expected = table[:, 0], grid.frequencies_hz
     tolerance = np.maximum(1e-9 * np.maximum(np.abs(frequencies), np.abs(expected)), 1e-9)
@@ -365,14 +377,11 @@ def write_df_stats_csv(path, frequencies_hz, mean_db, std_db) -> None:
 
 
 def write_failures_report(path, trials: int, failures) -> None:
-    payload = {
+    write_json(path, {
         "total_trials": trials,
         "failed_trials": len(failures),
         "failures": [{"trial": f.index, "reason": f.reason} for f in failures],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def write_study(out_dir, stats) -> None:

@@ -8,13 +8,14 @@ against spatially white and 2-D diffuse noise; both are invariant to a
 complex rescaling of the filter.
 
 Every designed filter is scored from its pattern's harmonic coefficients
-``c_n = h^H Xi_n``: `design_coefficients` designs a stack of arrays and
-builds their c_n, `filter_coefficients` builds them for a designed
-filter, `coefficient_gains` takes both gains from them by Parseval and
-`equispaced_pattern` samples the pattern from them by an inverse FFT.
-`beampattern` is the direct element sum, for arbitrary angles and as the
-independent check of that path; the per-frequency quadrature gains
-`white_noise_gain` and `directivity_factor` live in `diffbeam.oracles`.
+``c_n = h^H Xi_n``: `pattern_coefficients` builds them for a stack of
+arrays and the weights `solver.design_weights` gave them,
+`filter_coefficients` for a designed filter, `coefficient_gains` takes
+both gains from them by Parseval and `equispaced_pattern` samples the
+pattern from them by an inverse FFT. `beampattern` is the direct element
+sum, for arbitrary angles and as the independent check of that path; the
+per-frequency quadrature gains `white_noise_gain` and
+`directivity_factor`, and `gain_curves`, live in `diffbeam.oracles`.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ import numpy as np
 
 from .errors import GeometryMismatchError, InvalidFilterError
 from .geometry import ArrayGeometry, PhysicalConstants
-from .modal import element_harmonics, model_values
-from .patterns import SteeredTarget
-from .solver import BeamformerFilter, design_rhs, solve_wide
+from .modal import element_harmonics
+from .solver import BeamformerFilter
 
 BEAMPATTERN_FLOOR_DB = -50.0
 
@@ -93,18 +93,6 @@ def render_pattern(weights, values, omega: float, theta, speed_of_sound: float) 
     return pattern.sum(axis=-2)
 
 
-def gain_curves(
-    filt: BeamformerFilter,
-    geometry: ArrayGeometry,
-    constants: PhysicalConstants,
-    theta_s: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """White noise gain and directivity factor (linear) over the grid, scored
-    by `coefficient_gains` from `filter_coefficients`."""
-    coefficients, n_values = filter_coefficients(filt, geometry, constants)
-    return coefficient_gains(coefficients, filt.weights, n_values, theta_s)
-
-
 def parseval_harmonics(
     order: int, omega_max: float, radius: float, speed_of_sound: float
 ) -> np.ndarray:
@@ -122,8 +110,10 @@ def parseval_harmonics(
 
 
 def pattern_coefficients(xi, weights) -> np.ndarray:
-    """``c_n = h^H Xi_n``: harmonic tensors (..., F, K, M) and weights
-    (..., F, M) to the pattern's coefficients (..., F, K)."""
+    """``c_n = h^H Xi_n``, the scoring half: harmonic tensors (..., F, K, M)
+    and weights (..., F, M) to the pattern's coefficients (..., F, K). The
+    tensors are the arrays' own, each element with its own q, whichever
+    element model designed the weights."""
     return (xi @ weights.conj()[..., None])[..., 0]
 
 
@@ -143,43 +133,6 @@ def filter_coefficients(
     n_values = parseval_harmonics(filt.order, np.max(omegas), np.max(values[0]), c)
     xi = element_harmonics(values, omegas, n_values, c)
     return pattern_coefficients(xi, filt.weights), n_values
-
-
-def design_coefficients(
-    values,
-    omegas,
-    target: SteeredTarget,
-    element_model: str,
-    n_values,
-    speed_of_sound: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Design a stack of arrays and build the coefficients of their patterns.
-
-    ``values`` (4, ..., M) holds each element's r, phi, q and theta_steer,
-    ``omegas`` (F,) the grid and ``n_values`` the harmonics ``-L .. L``,
-    ``L >= N``, the patterns are scored over (`parseval_harmonics`). One
-    `element_harmonics` tensor over ``n_values`` gives the coefficients; its
-    rows ``|n| <= N`` are the first-order design rows, while the omni model
-    designs from its own ``q = 0`` rows and is scored with the true q.
-
-    Returns ``(weights, refused, condition, coefficients)``: the first three
-    as `solve_wide` gives them, (..., F, M) and (..., F), and the coefficients
-    ``c_n = h^H Xi_n`` (..., F, K), NaN where the system was refused.
-    """
-    rows, elements = 2 * target.order + 1, np.shape(values)[-1]
-    if elements < rows:
-        raise ValueError(f"order {target.order} needs at least {rows} elements, got {elements}")
-    reach = int(n_values[-1])
-    design_rows = slice(reach - target.order, reach + target.order + 1)
-    xi = element_harmonics(values, omegas, n_values, speed_of_sound)
-    if element_model == "first_order":
-        design_xi = xi[..., design_rows, :]
-    else:
-        design_xi = element_harmonics(
-            model_values(values, element_model), omegas, n_values[design_rows], speed_of_sound
-        )
-    weights, refused, condition = solve_wide(design_xi.conj(), design_rhs(target))
-    return weights, refused, condition, pattern_coefficients(xi, weights)
 
 
 def coefficient_gains(

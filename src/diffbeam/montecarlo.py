@@ -29,14 +29,15 @@ from .errors import AllTrialsFailedError
 from .geometry import STACK_WINDOW, PhysicalConstants, sample_element_stack
 from .metrics import (
     coefficient_gains,
-    design_coefficients,
     equispaced_pattern,
     magnitude_db,
     parseval_harmonics,
+    pattern_coefficients,
     power_db,
 )
+from .modal import element_harmonics
 from .patterns import SteeredTarget, a_to_b, resolve_pattern
-from .solver import FrequencyGrid, rank_deficiency
+from .solver import FrequencyGrid, design_weights, rank_deficiency
 
 STATISTICS_FLOOR_DB = -120.0
 
@@ -261,10 +262,12 @@ def _run_chunk(
         return empty
 
     grid = config.grid
+    values = values[:, sampled]
     n_values = _parseval_harmonics(config)
-    weights, refused, condition, coefficients = design_coefficients(
-        values[:, sampled], grid.omegas, target, config.element_model, n_values,
-        config.speed_of_sound,
+    xi = element_harmonics(values, grid.omegas, n_values, config.speed_of_sound)
+    weights, refused, condition = design_weights(
+        values, grid.omegas, target, config.element_model, config.speed_of_sound,
+        harmonics=xi,
     )
     for t in np.flatnonzero(refused.any(axis=1)):
         f = int(np.argmax(refused[t]))
@@ -274,11 +277,13 @@ def _run_chunk(
     designed = ~refused.any(axis=1)
     if not designed.any():
         return empty
-    coefficients = coefficients[designed]  # (S, F, K)
+    coefficients = pattern_coefficients(xi, weights)[designed]  # (S, F, K)
+    del xi  # before the pattern is built, as `chunk_trials` budgets
+    weights = weights[designed]
 
     eval_index = grid.index(config.eval_frequency_hz)
     bp = equispaced_pattern(coefficients[:, eval_index], n_values, config.angle_count)
-    wng, df = coefficient_gains(coefficients, weights[designed], n_values, target.theta_s)
+    wng, df = coefficient_gains(coefficients, weights, n_values, target.theta_s)
     return _ChunkResult(
         magnitude_db(bp, floor_db=config.db_floor), power_db(wng), power_db(df), failures
     )

@@ -92,14 +92,6 @@ def a_to_b(coefficients: PatternCoefficients) -> SymmetricB:
     return SymmetricB(b=tuple(b))
 
 
-def b_to_a(coefficients: SymmetricB) -> PatternCoefficients:
-    """Inverse of `a_to_b`: a_0 = b_0, a_i = 2 b_i."""
-    order = coefficients.order
-    a = [coefficients.b[order]]
-    a.extend(2.0 * coefficients.b[order + i] for i in range(1, order + 1))
-    return PatternCoefficients(a=tuple(a))
-
-
 def evaluate_target(target: SteeredTarget, theta):
     """Target response at angle(s) ``theta``.
 
@@ -123,11 +115,17 @@ def normalize_distortionless(raw) -> PatternCoefficients:
     ------
     DegeneratePatternError
         When the coefficients sum to zero, i.e. the pattern has a null in
-        the direction it is meant to pass undistorted.
+        the direction it is meant to pass undistorted, or their sum is not
+        finite (an overflow, an infinite or a NaN coefficient).
     """
     a = np.asarray(raw, dtype=float)
-    total = float(a.sum())
-    if total == 0.0 or not math.isfinite(total):
+    with np.errstate(over="ignore"):  # an overflow is refused below, by name
+        total = float(a.sum())
+    if not math.isfinite(total):
+        raise DegeneratePatternError(
+            f"coefficient sum is {total!r}, not a finite number: the pattern cannot be normalized"
+        )
+    if total == 0.0:
         raise DegeneratePatternError(
             "coefficient sum is zero: pattern nulls its own steering direction"
         )

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import FrequencyGridError, RankDeficientSystemError
 from .geometry import ArrayGeometry, PhysicalConstants, geometry_digest
-from .modal import harmonic_tensor
+from .modal import element_harmonics, model_values
 from .patterns import SteeredTarget, apply_steering
 
 RANK_RTOL = 1e-10
@@ -156,6 +156,37 @@ def design_rhs(target: SteeredTarget) -> np.ndarray:
     return apply_steering(target.coefficients, target.theta_s).conj()
 
 
+def design_weights(
+    values, omegas, target: SteeredTarget, element_model: str, speed_of_sound: float,
+    harmonics=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The design half: weights for a stack of arrays, values (4, ..., M)
+    (rows r, phi, q, theta_steer) as built, over ``omegas`` (F,).
+
+    ``element_model`` sees the arrays through `model_values`; its rows
+    ``n = -N .. N`` come from one `element_harmonics` call and are solved as
+    one stack against `design_rhs`. A caller that has built the arrays' own
+    tensor to score them, over orders ``-L .. L`` with L >= N, passes it as
+    ``harmonics``: the first-order model then reads its rows off the centre,
+    the same bits as the build at reach N. Requires M >= 2N+1 and a
+    normalized target. Returns ``(weights, refused, condition)`` as
+    `solve_wide` gives them, (..., F, M) and (..., F).
+    """
+    order = target.order
+    rows, elements = 2 * order + 1, np.shape(values)[-1]
+    if elements < rows:
+        raise ValueError(f"order {order} needs at least {rows} elements, got {elements}")
+    rhs = design_rhs(target)
+    if harmonics is not None and element_model == "first_order":
+        reach = harmonics.shape[-2] // 2
+        xi = harmonics[..., reach - order : reach + order + 1, :]
+    else:
+        n_values = np.arange(-order, order + 1)
+        xi = element_harmonics(model_values(values, element_model), omegas, n_values,
+                               speed_of_sound)
+    return solve_wide(xi.conj(), rhs)
+
+
 def design_filter(
     geometry: ArrayGeometry,
     constants: PhysicalConstants,
@@ -164,28 +195,16 @@ def design_filter(
     element_model: str = "first_order",
     pattern_id: str = "custom",
 ) -> BeamformerFilter:
-    """Solve the conjugated matching system at every grid frequency.
-
-    Requires M >= 2N+1 and a distortionless-normalized target. The
-    right-hand side is frequency invariant; the matching matrices of the
-    whole grid come from one `harmonic_tensor` call and are solved as one
-    stack.
+    """The `design_weights` of one geometry over ``grid``, as a filter.
 
     Raises
     ------
     RankDeficientSystemError
         For the lowest refused grid frequency, which it names.
     """
-    rows = 2 * target.order + 1
-    if geometry.size < rows:
-        raise ValueError(
-            f"order {target.order} needs at least {rows} elements, "
-            f"geometry has {geometry.size}"
-        )
-    rhs = design_rhs(target)
-    n_values = np.arange(-target.order, target.order + 1)
-    xi = harmonic_tensor(geometry, constants, grid.omegas, n_values, element_model)
-    weights, refused, condition = solve_wide(xi.conj(), rhs)
+    weights, refused, condition = design_weights(
+        geometry.element_values, grid.omegas, target, element_model, constants.speed_of_sound
+    )
     if refused.any():
         i = int(np.argmax(refused))
         raise rank_deficiency(float(condition[i]), float(grid.frequencies_hz[i]))

@@ -152,6 +152,31 @@ class TestDesignCommand:
         )
         assert main(["design", "--config", str(config), "--out", str(tmp_path)]) == 1
 
+    # an overflowing sum and a NaN literal (which JSON readers accept) each
+    # get their own message, with no NumPy warning; a zero sum keeps its own
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, message", [
+        ([1e308, 1e308, 1e308], "coefficient sum is inf, not a finite number: "
+                                "the pattern cannot be normalized"),
+        ([float("nan"), 1.0, 1.0], "coefficient sum is nan, not a finite number: "
+                                   "the pattern cannot be normalized"),
+        ([1.0, -1.0, 0.0], "coefficient sum is zero: pattern nulls its own steering direction"),
+    ], ids=["overflow", "nan", "zero"])
+    def test_custom_pattern_sum_refused(self, workspace, capsys, a, message):
+        config = write_json(
+            workspace / "design.json",
+            {
+                "geometry_file": "geometry.json",
+                "pattern": {"family": "custom", "order": 2, "steer_deg": 0.0, "a": a},
+                "grid_hz": {"f_min": 1000.0, "f_max": 2000.0, "count": 2},
+            },
+        )
+        out = workspace / "design"
+        assert main(["design", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestEvaluateCommand:
     @pytest.fixture
@@ -238,6 +263,23 @@ class TestEvaluateCommand:
         code, _ = self.evaluate(workspace, design_dir, "no_step", angle_step_deg=step_deg)
         assert code == 1
         assert "angle step must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_weight_not_finite_refused(self, workspace, design_dir, capsys):
+        # a nan weight in row 2 and an inf one in row 4; the first is named
+        path = design_dir / "filter.csv"
+        lines = path.read_text().splitlines()
+        for line, column, text in ((3, 5, "nan"), (5, 12, "inf")):
+            cells = lines[line].split(",")
+            cells[column] = text
+            lines[line] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        code, out = self.evaluate(workspace, design_dir, "not_finite")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: row 2 column re_h3: 'nan' is not a finite number\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("floor_db", [float("nan"), float("inf"), float("-inf")])
     def test_floor_not_finite_refused(self, workspace, design_dir, capsys, floor_db):

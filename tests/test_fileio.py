@@ -211,6 +211,18 @@ class TestFilterRefusals:
         with pytest.raises(ValueError, match=rf"filter\.csv: {where}: '{text}' is not a number"):
             load_design(manifest)
 
+    @pytest.mark.parametrize("line, column, text, where", [
+        (1, 1, "nan", "row 0 column re_h1"),
+        (3, 8, "inf", "row 2 column im_h4"),
+        (4, 18, "-inf", "row 3 column im_h9"),
+    ])
+    def test_weight_not_finite(self, manifest, line, column, text, where):
+        self.edit(manifest, line, self.replace_cell(column, text))
+        with pytest.raises(
+            ValueError, match=rf"filter\.csv: {where}: '{text}' is not a finite number"
+        ):
+            load_design(manifest)
+
     @pytest.mark.parametrize("header", [
         ",".join(["freq"] + [f"{part}_h{m}" for m in range(1, 10) for part in ("re", "im")]),
         ",".join(["f_hz"] + [f"{part}_h{m}" for m in range(1, 10) for part in ("im", "re")]),

@@ -1,6 +1,7 @@
 """`scripts/fixed_geometry_study.py` designs and scores a whole band as one
 stack; each frequency must match its own one-point design."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -85,6 +86,31 @@ def test_sweep_matches_per_frequency_design(study, constants, fixed_geometry, or
         assert np.max(np.abs(rows[:, :, 2] - want_db)) <= 1e-9
     target_db = magnitude_db(evaluate_target(target, angle_grid(angle_count)), floor_db=FLOOR_DB)
     assert np.max(np.abs(rows[:, :, 3] - target_db)) <= 1e-9
+
+
+# the default run's files by sha256, taken before the study designed through
+# `design_weights` and scored through `pattern_coefficients`; a byte that
+# moves must be a recorded, deliberate change
+DEFAULT_DIGESTS = {
+    "beampattern_vs_frequency_n1.csv":
+        "31d29098c90ca5479409cc88490898ee478c105889ef7040a34f0a756174684b",
+    "beampattern_vs_frequency_n4.csv":
+        "e335263fbfcab4b6f510e560f4a18b70218ac7e3ce7f91aa3d89c8e8d00af113",
+    "geometry.json": "506141f206d13a2828e143f8dcbf02c510500731d0bcd93bc08809caba7bef1d",
+    "wng_df_n1.csv": "02cafe9f107cb716f29c92e17cec89cca99bb2c9872f5bb9da862fe233e1e3be",
+    "wng_df_n4.csv": "8c7bb9e4e335c32436794d112a3465cd050d1d0f931aa667ec7eb6f0149df207",
+}
+
+
+def test_default_outputs_digests(study, tmp_path, capsys):
+    out = tmp_path / "fixed"
+    assert study.main(["--out", str(out)]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert digests == DEFAULT_DIGESTS
+    assert capsys.readouterr().out == (
+        "order 1: 80 frequencies designed\n"
+        "order 4: 71 frequencies designed, 9 refused by the rank gate (50-450 Hz)\n"
+    )
 
 
 def test_too_few_elements_refused(study, constants):

@@ -1,5 +1,6 @@
-"""Package layering: the scalar oracles stay off the hot path, and the
-process-wide allocator policy stays at the entry points.
+"""Package layering: the scalar oracles stay off the hot path, the
+process-wide allocator policy stays at the entry points, and there is one
+design path and one scoring path.
 
 `diffbeam.oracles` holds the scalar reference implementations the tests
 check the vectorized code against. Only the package's ``__init__`` may
@@ -104,3 +105,36 @@ def test_the_call_scan_sees_module_level_and_nested_calls():
     assert calling_functions(ast.parse(source), "keep_freed_memory") == [
         "<module>", "main", "inner", "<module>",
     ]
+
+
+def test_one_design_path_and_one_scoring_path():
+    # every command and script designs through `design_weights` and scores
+    # through `pattern_coefficients`; the harmonic tensors come from
+    # `element_harmonics` alone, the test-only oracles aside
+    callers = {}
+    for path in sorted([*PACKAGE.glob("*.py"), *SCRIPTS.glob("*.py")]):
+        tree = ast.parse(path.read_text())
+        for name in ("design_weights", "pattern_coefficients", "element_harmonics",
+                     "harmonic_tensor"):
+            for scope in calling_functions(tree, name):
+                callers.setdefault(name, {}).setdefault(path.name, []).append(scope)
+    assert callers == {
+        "design_weights": {
+            "fixed_geometry_study.py": ["sweep"],
+            "montecarlo.py": ["_run_chunk"],
+            "solver.py": ["design_filter"],
+        },
+        "pattern_coefficients": {
+            "fixed_geometry_study.py": ["sweep"],
+            "metrics.py": ["filter_coefficients"],
+            "montecarlo.py": ["_run_chunk"],
+        },
+        "element_harmonics": {
+            "fixed_geometry_study.py": ["sweep"],
+            "metrics.py": ["filter_coefficients"],
+            "montecarlo.py": ["_run_chunk"],
+            "oracles.py": ["harmonic_tensor"],
+            "solver.py": ["design_weights"],
+        },
+        "harmonic_tensor": {"oracles.py": ["build_xi_matrix", "build_modal_system"]},
+    }

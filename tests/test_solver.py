@@ -13,9 +13,11 @@ from diffbeam import (
     design_filter,
     sample_random_geometry,
 )
+from diffbeam import solver
 from diffbeam.geometry import ArrayElement, ArrayGeometry, sample_element_values
-from diffbeam.modal import element_harmonics
-from diffbeam.solver import RANK_RTOL, design_rhs, solve_wide
+from diffbeam.metrics import parseval_harmonics
+from diffbeam.modal import element_harmonics, model_values
+from diffbeam.solver import RANK_RTOL, design_rhs, design_weights, solve_wide
 from tests.conftest import steered_hypercardioid
 from tests.test_modal import with_zero_shape
 
@@ -127,6 +129,85 @@ class TestGramReuse:
         for g, e in zip(got, expected):
             assert np.array_equal(g, e, equal_nan=True)
         assert (~got[1]).any()
+
+
+class TestDesignWeights:
+    """`design_weights` builds the model's rows n = -N .. N at reach N, or,
+    for the first-order model, reads them off the centre of the scoring
+    tensor its caller passes, whose reach is `parseval_harmonics`. Both are
+    the same bits, signed zeros included: the Bessel sweep runs from further
+    up but settles on the same doubles, and every other step is
+    elementwise. Designing from either cannot move a weight."""
+
+    @staticmethod
+    def stack(rng, trials, elements, aperture):
+        """(4, T, M) values with q drawn from {0, 0.3, 0.5, 1} and [0, 1]. The
+        first trial holds an element at the origin with phi = -0, one at
+        the rim with phi = -0, one steered along its own radius (alpha = 0)
+        and one steered against it (alpha = pi)."""
+        q = rng.choice([0.0, 0.3, 0.5, 1.0, -1.0], (trials, elements))
+        q = np.where(q < 0.0, rng.uniform(0.0, 1.0, q.shape), q)
+        values = np.stack([
+            aperture * np.sqrt(rng.uniform(0.0, 1.0, (trials, elements))),
+            rng.uniform(0.0, 2 * np.pi, (trials, elements)),
+            q,
+            rng.uniform(0.0, 2 * np.pi, (trials, elements)),
+        ])
+        values[:, 0, 0] = (0.0, -0.0, 1.0, 0.0)
+        values[:, 0, 1] = (aperture, -0.0, 0.5, 0.0)
+        values[3, 0, 2] = values[1, 0, 2]
+        values[3, 0, -1] = values[1, 0, -1] + np.pi
+        return values
+
+    @pytest.mark.parametrize("model", ["first_order", "omni"])
+    @pytest.mark.parametrize("elements, order, aperture, f_min, f_max, count", [
+        (3, 0, 0.005, 1000.0, 1000.0, 1),
+        (3, 1, 0.02, 50.0, 4000.0, 80),
+        (5, 2, 0.02, 50.0, 4000.0, 80),
+        (9, 2, 0.02, 1000.0, 1000.0, 1),
+        (7, 3, 0.02, 300.0, 4000.0, 75),
+        (13, 4, 0.02, 50.0, 4000.0, 80),
+        (13, 6, 0.1, 100.0, 12000.0, 40),
+        (11, 5, 0.35, 500.0, 11400.0, 24),
+        (4, 1, 0.2, 20.0, 20000.0, 9),
+    ])
+    def test_design_rows_are_the_scoring_tensors_centre_rows(
+        self, monkeypatch, model, elements, order, aperture, f_min, f_max, count
+    ):
+        rng = np.random.default_rng(elements * 100 + order)
+        values = self.stack(rng, 3, elements, aperture)
+        omegas = FrequencyGrid(f_min, f_max, count).omegas
+        n_values = parseval_harmonics(order, omegas.max(), aperture, 343.0)
+        reach = int(n_values[-1])
+        assert reach > order
+        scoring = element_harmonics(values, omegas, n_values, 343.0)
+        solved = []
+
+        def capture(a, b):
+            solved.append(a)
+            return solve_wide(a, b)
+
+        monkeypatch.setattr(solver, "solve_wide", capture)
+        target = steered_hypercardioid(order)
+        built_weights = design_weights(values, omegas, target, model, 343.0)
+        read_weights = design_weights(values, omegas, target, model, 343.0, harmonics=scoring)
+        built, read = solved
+
+        # the omni model builds its q = 0 rows whatever tensor is passed
+        model_scoring = element_harmonics(model_values(values, model), omegas, n_values, 343.0)
+        centre = model_scoring[..., reach - order : reach + order + 1, :].conj()
+        assert built.shape == centre.shape == (3, count, 2 * order + 1, elements)
+        assert built.tobytes() == centre.tobytes() == read.tobytes()
+        for b, r in zip(built_weights, read_weights):
+            assert b.tobytes() == r.tobytes()
+        # negative zeros occur, so the byte comparison checks their signs
+        zeros = np.concatenate([built.real[built.real == 0.0], built.imag[built.imag == 0.0]])
+        assert np.signbit(zeros).any()
+
+    def test_too_few_elements_refused_before_building(self):
+        values = np.zeros((4, 2, 4))
+        with pytest.raises(ValueError, match="order 2 needs at least 5 elements, got 4"):
+            design_weights(values, [1000.0], steered_hypercardioid(2), "first_order", 343.0)
 
 
 class TestDesignFilter:
