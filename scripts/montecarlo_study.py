@@ -18,6 +18,13 @@ full-scale run, --trials 10000, takes about 2.2 minutes at --threads 2
 Xeon host shared with other tenants, so single runs vary by about 10%.
 The CSVs are byte-identical for any --threads.
 
+The whole script's peak RSS is about 46 MB at desk scale at one worker
+(53 MB at --threads 2) and 142 MB at full scale at --threads 2 (184 MB
+before the chunks and the reduction held each array once). Most of the
+full-scale figure is one configuration's results: a 10,000-trial N=2,
+M=9 study peaks about 82 MB above its start, its 10,000 x 360
+beampattern rows (29 MB) held once by the chunks and once joined.
+
 Each configuration's line also gives the minor page faults of its run.
 `keep_freed_memory` keeps freed memory in the process heap, so after the
 first configuration a desk-scale run faults in tens to a few hundred

@@ -180,11 +180,15 @@ GRID_KEYS = ("f_min", "f_max", "count")
 
 
 def grid_from_config(config: dict, context: str = "grid_hz") -> FrequencyGrid:
-    return FrequencyGrid(
-        f_min_hz=read(config, "f_min", float, context),
-        f_max_hz=read(config, "f_max", float, context),
-        count=read(config, "count", int, context),
-    )
+    """The grid a ``grid_hz`` section holds; a grid `FrequencyGrid` refuses
+    is refused naming ``context``."""
+    f_min = read(config, "f_min", float, context)
+    f_max = read(config, "f_max", float, context)
+    count = read(config, "count", int, context)
+    try:
+        return FrequencyGrid(f_min_hz=f_min, f_max_hz=f_max, count=count)
+    except ValueError as err:
+        raise ValueError(f"{context}: {err}") from None
 
 
 def grid_to_payload(grid: FrequencyGrid) -> dict:

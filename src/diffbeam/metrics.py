@@ -26,19 +26,22 @@ import numpy as np
 
 from .errors import GeometryMismatchError, InvalidFilterError
 from .geometry import ArrayGeometry, PhysicalConstants
-from .modal import element_harmonics
+from .modal import check_reach, element_harmonics
 from .solver import BeamformerFilter
 
 BEAMPATTERN_FLOOR_DB = -50.0
 
 
 def magnitude_db(values, floor_db: float | None = None):
-    """20*log10 of a magnitude, optionally clamped at a floor."""
-    mags = np.abs(np.asarray(values))
+    """20*log10 of a magnitude, optionally clamped at a floor; a scalar for
+    a scalar, else an array of floats."""
+    mags = np.asarray(np.abs(values), dtype=float)
     if floor_db is not None:
-        mags = np.maximum(mags, 10.0 ** (floor_db / 20.0))
+        np.maximum(mags, 10.0 ** (floor_db / 20.0), out=mags)
     with np.errstate(divide="ignore"):
-        return 20.0 * np.log10(mags)
+        np.log10(mags, out=mags)
+    mags *= 20.0
+    return mags[()]
 
 
 def power_db(values):
@@ -124,13 +127,16 @@ def filter_coefficients(
     with the harmonics (K,) they stand for (`parseval_harmonics`).
 
     Raises `GeometryMismatchError` when the filter's element count is not
-    the geometry's.
+    the geometry's, and `ValueError` when an element lies past the Bessel
+    table's reach at the top of the grid (`check_reach`).
     """
     _check_element_count(filt, geometry)
     omegas = filt.grid.omegas
     values = geometry.element_values
     c = constants.speed_of_sound
-    n_values = parseval_harmonics(filt.order, np.max(omegas), np.max(values[0]), c)
+    radius = np.max(values[0])
+    check_reach(radius, np.max(omegas), c, "largest element radius")
+    n_values = parseval_harmonics(filt.order, np.max(omegas), radius, c)
     xi = element_harmonics(values, omegas, n_values, c)
     return pattern_coefficients(xi, filt.weights), n_values
 
@@ -174,13 +180,16 @@ def equispaced_pattern(coefficients, n_values, angle_count: int) -> np.ndarray:
     coefficients fold onto A residues and ``B = A ifft(folded)``; this is
     exact for any A, also below the harmonic count K.
     """
-    n_first = int(n_values[0])
-    k = coefficients.shape[-1]
-    # pad to whole turns of A; position p holds harmonic n_first + p, so the
-    # sum over turns is the fold up to a shift of n_first residues
-    turns = -(-k // angle_count)
-    padded = np.zeros(coefficients.shape[:-1] + (turns * angle_count,), dtype=complex)
-    padded[..., :k] = coefficients
-    folded = padded.reshape(coefficients.shape[:-1] + (turns, angle_count)).sum(axis=-2)
-    folded = np.roll(folded, n_first % angle_count, axis=-1)
-    return angle_count * np.fft.ifft(folded, axis=-1)
+    lead, k = coefficients.shape[:-1], coefficients.shape[-1]
+    # coefficient p, harmonic n_first + p, goes to turn p // A at its residue
+    # slot (n_first + p) mod A, so the sum over whole turns is the fold; every
+    # slot sums its harmonics in turn order
+    p = np.arange(k)
+    slots = p // angle_count * angle_count + (int(n_values[0]) + p) % angle_count
+    placed = np.zeros(lead + (-(-k // angle_count), angle_count), dtype=complex)
+    placed.reshape(lead + (-1,))[..., slots] = coefficients
+    folded = placed.sum(axis=-2)
+    del placed
+    np.fft.ifft(folded, axis=-1, out=folded)
+    folded *= angle_count
+    return folded

@@ -21,9 +21,11 @@ top to bottom (harmonic n at row index n + N).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .bessel import bessel_order_table
+from .bessel import TABLE_ARGUMENT_CAP, bessel_order_table
 
 # powers of the imaginary unit cycle with period four; indexing this table
 # keeps the phase factors exact instead of round-tripping through exp()
@@ -40,6 +42,19 @@ def model_values(values: np.ndarray, element_model: str) -> np.ndarray:
         values = values.copy()
         values[2] = 0.0
     return values
+
+
+def check_reach(radius: float, omega: float, speed_of_sound: float, what: str) -> None:
+    """Refuse a radius (m) at an angular frequency whose normalized aperture
+    ``omega r / c`` lies past the Bessel table's domain, naming it ``what``;
+    callers check before any work, with the largest radius and frequency."""
+    x = radius * omega / speed_of_sound
+    if not x <= TABLE_ARGUMENT_CAP:
+        raise ValueError(
+            f"{what} {radius * 1e3:g} mm at {omega / (2.0 * math.pi):g} Hz gives "
+            f"omega r / c = {x:.1f}, past {TABLE_ARGUMENT_CAP:g}, the largest argument "
+            "the Bessel table is checked for"
+        )
 
 
 def element_harmonics(values, omegas, n_values, speed_of_sound: float) -> np.ndarray:
@@ -85,6 +100,9 @@ def element_harmonics(values, omegas, n_values, speed_of_sound: float) -> np.nda
     np.add(omni[1:], s[1:], out=down[1:].real)
     up.imag = d
     down[1:].imag = d[1:]
+    # the real brackets are spent: free them before the phase and the layout
+    # copy, which would otherwise hold them beside two tensors
+    del table, s, d, omni
     # the phase j^{|k|} e^{-jk phi}, k = -R .. R, has no frequency axis; one
     # exponential serves each pair +-k, since e^{+jk phi} is the conjugate of
     # e^{-jk phi} bit for bit once a zero imaginary part is taken as +0, which

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import diffbeam.montecarlo as mc
 from diffbeam import FrequencyGrid, PhysicalConstants, TrialConfig, beampattern, cli, fileio
 from diffbeam.cli import main
 from diffbeam.metrics import magnitude_db
@@ -470,6 +471,96 @@ class TestMontecarloCommand:
         assert main(["montecarlo", "--config", str(config), "--out", str(out)]) == 0
         assert read_csv(out / "wng_stats.csv")[0] == ["freq_hz", "mean_wng", "std_wng"]
         assert read_csv(out / "df_stats.csv")[0] == ["freq_hz", "mean_df", "std_df"]
+
+
+class TestOutOfReachRefusals:
+    """A grid the Bessel table cannot reach, x = omega r / c > 100, or a
+    one-point grid whose ends differ, is refused on one ``error:`` line in
+    physical terms before any work, and nothing is written."""
+
+    # one element 1.2 m out: x = 2 pi 8000 1.2 / 343 = 175.9 at 8 kHz
+    GEOMETRY = {
+        "aperture_radius_mm": 1300.0,
+        "min_spacing_mm": 8.0,
+        "elements": [{"r_mm": 1200.0, "phi_deg": 0.0, "q": 0.5, "theta_steer_deg": 0.0}]
+        + [
+            {"r_mm": 100.0, "phi_deg": phi, "q": 0.5, "theta_steer_deg": 0.0}
+            for phi in (72.0, 144.0, 216.0, 288.0)
+        ],
+    }
+
+    def design_config(self, tmp_path, f_min, f_max, count):
+        write_json(tmp_path / "far.json", self.GEOMETRY)
+        return write_json(tmp_path / "design.json", {
+            "geometry_file": "far.json",
+            "pattern": {"family": "hypercardioid", "order": 2, "steer_deg": 60.0},
+            "grid_hz": {"f_min": f_min, "f_max": f_max, "count": count},
+        })
+
+    def refusal(self, capsys, argv) -> str:
+        code = main(argv)
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "np.float64(" not in lines[0]
+        return lines[0]
+
+    def test_design_past_the_table(self, tmp_path, capsys):
+        config = self.design_config(tmp_path, 500.0, 8000.0, 8)
+        out = tmp_path / "design"
+        line = self.refusal(capsys, ["design", "--config", str(config), "--out", str(out)])
+        assert line == (
+            "error: largest element radius 1200 mm at 8000 Hz gives omega r / c = 175.9, "
+            "past 100, the largest argument the Bessel table is checked for"
+        )
+        assert not out.exists()
+
+    def test_evaluate_past_the_table(self, tmp_path, capsys):
+        # designed at c = 343 m/s to 4 kHz (x = 87.9); scored at 300 m/s, x = 100.5
+        design = self.design_config(tmp_path, 2000.0, 4000.0, 3)
+        assert main(["design", "--config", str(design), "--out", str(tmp_path / "design")]) == 0
+        config = write_json(tmp_path / "evaluate.json", {
+            "geometry_file": "far.json",
+            "design_manifest": "design/design_manifest.json",
+            "eval_frequency_hz": 4000.0,
+        })
+        out = tmp_path / "evaluate"
+        line = self.refusal(
+            capsys, ["evaluate", "--config", str(config), "--out", str(out), "--c-mps", "300"]
+        )
+        assert "largest element radius 1200 mm at 4000 Hz gives omega r / c = 100.5" in line
+        assert "past 100" in line
+        assert not out.exists()
+
+    def test_montecarlo_past_the_table_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("sampled a study that cannot be scored")
+
+        monkeypatch.setattr(mc, "sample_element_stack", unreachable)
+        config = write_json(tmp_path / "mc.json", {
+            "trials": 20, "element_count": 7, "aperture_radius_mm": 1500.0,
+            "min_spacing_mm": 8.0,
+            "pattern": {"family": "hypercardioid", "order": 2, "steer_deg": 60.0},
+            "grid_hz": {"f_min": 500.0, "f_max": 8000.0, "count": 4},
+            "eval_frequency_hz": 500.0, "master_seed": 4242,
+        })
+        out = tmp_path / "mc"
+        line = self.refusal(capsys, ["montecarlo", "--config", str(config), "--out", str(out)])
+        assert line == (
+            "error: aperture radius 1500 mm at 8000 Hz gives omega r / c = 219.8, "
+            "past 100, the largest argument the Bessel table is checked for"
+        )
+        assert not out.exists()
+
+    def test_one_point_grid_with_unequal_ends(self, tmp_path, capsys):
+        config = self.design_config(tmp_path, 1000.0, 4000.0, 1)
+        out = tmp_path / "design"
+        line = self.refusal(capsys, ["design", "--config", str(config), "--out", str(out)])
+        assert line == (
+            f"error: {config}: grid_hz: a one-point grid designs at f_min only, so f_max "
+            "must equal it; got f_min 1000 and f_max 4000 Hz"
+        )
+        assert not out.exists()
 
 
 MISSING = object()

@@ -333,6 +333,49 @@ class TestEquispacedPattern:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def padded_fold_pattern(coefficients, n_values, angle_count):
+    """`equispaced_pattern` as it was first written: pad to whole turns, sum
+    the turns, roll by n_first residues and scale the inverse FFT."""
+    n_first = int(n_values[0])
+    k = coefficients.shape[-1]
+    turns = -(-k // angle_count)
+    padded = np.zeros(coefficients.shape[:-1] + (turns * angle_count,), dtype=complex)
+    padded[..., :k] = coefficients
+    folded = padded.reshape(coefficients.shape[:-1] + (turns, angle_count)).sum(axis=-2)
+    folded = np.roll(folded, n_first % angle_count, axis=-1)
+    return angle_count * np.fft.ifft(folded, axis=-1)
+
+
+class TestEquispacedPatternBits:
+    """The fold places each coefficient at its turn and residue slot and
+    transforms in its own buffer; every slot sums the same harmonics in the
+    same order as the padded fold, so the pattern is the same bits."""
+
+    @pytest.mark.parametrize("angle_count", [1, 2, 3, 36, 360, 1440])
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 36, 37, 43, 72, 150, 301])
+    def test_matches_the_padded_fold(self, angle_count, k):
+        rng = np.random.default_rng(1000 * angle_count + k)
+        coefficients = rng.normal(size=(4, k)) + 1j * rng.normal(size=(4, k))
+        coefficients *= 10.0 ** rng.uniform(-12, 3, size=(4, k))
+        # signed zeros in either part, and whole zero coefficients of each sign
+        for sign in (1.0, -1.0):
+            coefficients.real[rng.random((4, k)) < 0.15] = sign * 0.0
+            coefficients.imag[rng.random((4, k)) < 0.15] = sign * 0.0
+        for n_first in {-(k // 2), -k, 1 - angle_count, 5}:
+            n_values = np.arange(n_first, n_first + k)
+            got = equispaced_pattern(coefficients, n_values, angle_count)
+            want = padded_fold_pattern(coefficients, n_values, angle_count)
+            assert got.shape == want.shape == (4, angle_count)
+            assert got.tobytes() == want.tobytes(), n_first
+
+    def test_a_stack_of_grids(self):
+        rng = np.random.default_rng(5)
+        coefficients = rng.normal(size=(3, 2, 43)) + 1j * rng.normal(size=(3, 2, 43))
+        n_values = np.arange(-21, 22)
+        got = equispaced_pattern(coefficients, n_values, 360)
+        assert got.tobytes() == padded_fold_pattern(coefficients, n_values, 360).tobytes()
+
+
 class TestLargeAperture:
     """A 0.5 m aperture at 8 kHz reaches x = omega r / c ~ 73, far past the
     desk apertures (x < 2 at 2 cm and 4 kHz) and high in the Bessel table's
@@ -409,9 +452,23 @@ class TestDbHelpers:
     )
     def test_magnitude_accepts_any_array_like(self, values, floor_db, expected):
         got = magnitude_db(values, floor_db=floor_db)
+        assert type(got) is (np.ndarray if np.ndim(expected) else np.float64)
         assert np.shape(got) == np.shape(expected)
         assert np.asarray(got).dtype == float
         assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+
+    def test_magnitude_matches_the_out_of_place_steps(self):
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(5, 360)) + 1j * rng.normal(size=(5, 360))
+        values[0, :40] = 0.0
+        values[1, :40] *= 1e-4
+        with np.errstate(divide="ignore"):
+            for floor_db in (None, -50.0, -120.0):
+                mags = np.abs(values)
+                if floor_db is not None:
+                    mags = np.maximum(mags, 10.0 ** (floor_db / 20.0))
+                want = 20.0 * np.log10(mags)
+                assert magnitude_db(values, floor_db).tobytes() == want.tobytes()
 
     def test_magnitude_leaves_its_input_alone(self):
         values = np.array([-0.5, 2.0, 1e-9])

@@ -41,7 +41,9 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             array[0] = 1.0
 
-    @pytest.mark.parametrize("args", [(0.0, 100.0, 5), (200.0, 100.0, 5), (50.0, 100.0, 0)])
+    @pytest.mark.parametrize(
+        "args", [(0.0, 100.0, 5), (200.0, 100.0, 5), (50.0, 100.0, 0), (1000.0, 4000.0, 1)]
+    )
     def test_invalid(self, args):
         with pytest.raises(ValueError):
             FrequencyGrid(*args)
