@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import GeometryMismatchError, InvalidFilterError
 from .geometry import ArrayGeometry, PhysicalConstants
-from .modal import check_reach, element_harmonics
+from .modal import element_harmonics
 from .solver import BeamformerFilter
 
 BEAMPATTERN_FLOOR_DB = -50.0
@@ -127,16 +127,13 @@ def filter_coefficients(
     with the harmonics (K,) they stand for (`parseval_harmonics`).
 
     Raises `GeometryMismatchError` when the filter's element count is not
-    the geometry's, and `ValueError` when an element lies past the Bessel
-    table's reach at the top of the grid (`check_reach`).
+    the geometry's.
     """
     _check_element_count(filt, geometry)
     omegas = filt.grid.omegas
     values = geometry.element_values
     c = constants.speed_of_sound
-    radius = np.max(values[0])
-    check_reach(radius, np.max(omegas), c, "largest element radius")
-    n_values = parseval_harmonics(filt.order, np.max(omegas), radius, c)
+    n_values = parseval_harmonics(filt.order, np.max(omegas), np.max(values[0]), c)
     xi = element_harmonics(values, omegas, n_values, c)
     return pattern_coefficients(xi, filt.weights), n_values
 
@@ -190,6 +187,7 @@ def equispaced_pattern(coefficients, n_values, angle_count: int) -> np.ndarray:
     placed.reshape(lead + (-1,))[..., slots] = coefficients
     folded = placed.sum(axis=-2)
     del placed
+    # numpy.fft takes out= from NumPy 2.0, the floor pyproject.toml declares
     np.fft.ifft(folded, axis=-1, out=folded)
     folded *= angle_count
     return folded

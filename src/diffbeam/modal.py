@@ -47,7 +47,7 @@ def model_values(values: np.ndarray, element_model: str) -> np.ndarray:
 def check_reach(radius: float, omega: float, speed_of_sound: float, what: str) -> None:
     """Refuse a radius (m) at an angular frequency whose normalized aperture
     ``omega r / c`` lies past the Bessel table's domain, naming it ``what``;
-    callers check before any work, with the largest radius and frequency."""
+    given the largest radius and frequency, it refuses what the table would."""
     x = radius * omega / speed_of_sound
     if not x <= TABLE_ARGUMENT_CAP:
         raise ValueError(
@@ -81,6 +81,10 @@ def element_harmonics(values, omegas, n_values, speed_of_sound: float) -> np.nda
     # shaped (..., M, 1), broadcast along the longest axis; the result is moved
     # to (..., F, K, M) at the end
     x = r * np.atleast_1d(omegas) / speed_of_sound
+    # x peaks at the largest radius and the top of the grid: refuse there in
+    # physical terms before the table refuses in its own
+    check_reach(np.max(r, initial=0.0), np.max(omegas), speed_of_sound,
+                "largest element radius")
     reach = int(np.abs(n_values).max())
     table = bessel_order_table(reach + 1, x)
     s = np.empty_like(table[:-1])

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import FrequencyGridError, RankDeficientSystemError
 from .geometry import ArrayGeometry, PhysicalConstants, geometry_digest
-from .modal import check_reach, element_harmonics, model_values
+from .modal import element_harmonics, model_values
 from .patterns import SteeredTarget, apply_steering
 
 RANK_RTOL = 1e-10
@@ -204,14 +204,9 @@ def design_filter(
 
     Raises
     ------
-    ValueError
-        When an element lies past the Bessel table's reach at the top of
-        the grid (`check_reach`).
     RankDeficientSystemError
         For the lowest refused grid frequency, which it names.
     """
-    check_reach(np.max(geometry.element_values[0]), np.max(grid.omegas),
-                constants.speed_of_sound, "largest element radius")
     weights, refused, condition = design_weights(
         geometry.element_values, grid.omegas, target, element_model, constants.speed_of_sound
     )

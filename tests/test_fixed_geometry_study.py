@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from diffbeam import (
+    ArrayElement,
+    ArrayGeometry,
     FrequencyGrid,
     RankDeficientSystemError,
     beampattern,
@@ -117,6 +119,20 @@ def test_too_few_elements_refused(study, constants):
     geometry = sample_random_geometry(5, 0.02, 0.008, seed=69)
     with pytest.raises(ValueError, match="order 4 needs at least 9 elements"):
         study.sweep(geometry, constants, steered_hypercardioid(4), [1000.0], 8, FLOOR_DB)
+
+
+def test_element_past_the_table_refused_in_physical_terms(study, constants):
+    # one element 1.2 m out: x = 2 pi 8000 1.2 / 343 = 175.9 at 8 kHz
+    elements = [ArrayElement(1.2, 0.0, 0.5, 0.0)] + [
+        ArrayElement(0.1, 2.0 * np.pi * m / 8, 0.5, 0.0) for m in range(1, 9)
+    ]
+    geometry = ArrayGeometry(elements, aperture_radius=1.3, min_spacing=0.008)
+    with pytest.raises(ValueError) as excinfo:
+        study.sweep(geometry, constants, steered_hypercardioid(4), [500.0, 8000.0], 8, FLOOR_DB)
+    assert str(excinfo.value) == (
+        "largest element radius 1200 mm at 8000 Hz gives omega r / c = 175.9, "
+        "past 100, the largest argument the Bessel table is checked for"
+    )
 
 
 @pytest.mark.parametrize(
