@@ -793,13 +793,37 @@ class TestGoldenOutputs:
             "dd3ae27648890df26b902d0f41808a1935aaacc5fb10791b98d32da705c0af0e",
     }
 
-    def test_csv_digests(self, workspace):
+    # the same flow with "element_model": "omni" in the design and the study
+    # configs: omni designs its own q = 0 rows and is scored with the true q
+    OMNI_DIGESTS = {
+        "design/filter.csv":
+            "62580030dc466feab04b173671d0d18ecf7c3d3c8dd6b9430a39326eb5830d2a",
+        "evaluate/beampattern.csv":
+            "c2086d6922832bed03ed42258eef00f8f7c63e7c550c1e1fe5e4f8ad417e705e",
+        "evaluate/df.csv":
+            "5cc9df85f63ba04097357a2cc106899c2db07066b8b66e90b1e3b1c9a5ea24c0",
+        "evaluate/wng.csv":
+            "e44bb573344fe696445ad27913577784386915650e093988de4a8471996ad8ae",
+        "montecarlo/bp_stats.csv":
+            "c8b5e1eb1bddff9167e589fdad7b2dd3545d837f7bc6282b83c2b04d1b7b1b2b",
+        "montecarlo/df_stats.csv":
+            "2abd1eaf7fa2d55a6d028a110f94cc9967aee0ef9a8d95b57a5f429fdc125b4d",
+        "montecarlo/wng_stats.csv":
+            "05910d7162bf365cd65de050b7c2623da750a964bfc9876fe0b6ce26707d00fe",
+    }
+
+    @staticmethod
+    def run_flow(workspace, **model) -> dict:
+        """The sha256 of every CSV of the design -> evaluate -> montecarlo
+        flow, with ``model`` (an ``element_model``, or nothing) in the
+        design and the study configs."""
         design = write_json(
             workspace / "design.json",
             {
                 "geometry_file": "geometry.json",
                 "pattern": {"family": "hypercardioid", "order": 2, "steer_deg": 60.0},
                 "grid_hz": {"f_min": 500.0, "f_max": 4000.0, "count": 8},
+                **model,
             },
         )
         evaluate = write_json(
@@ -823,15 +847,21 @@ class TestGoldenOutputs:
                 "eval_frequency_hz": 1000.0,
                 "master_seed": 4242,
                 "angle_step_deg": 5.0,
+                **model,
             },
         )
         for command, config in (("design", design), ("evaluate", evaluate), ("montecarlo", study)):
             assert main([command, "--config", str(config), "--out", str(workspace / command)]) == 0
-        digests = {
+        return {
             path.relative_to(workspace).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in workspace.rglob("*.csv")
         }
-        assert digests == self.DIGESTS
+
+    def test_csv_digests(self, workspace):
+        assert self.run_flow(workspace) == self.DIGESTS
+
+    def test_omni_csv_digests(self, workspace):
+        assert self.run_flow(workspace, element_model="omni") == self.OMNI_DIGESTS
 
     # a study past the stacked sampler's window: at 13 elements about a third
     # of the trials are handed over to the single-geometry sampler, and the
