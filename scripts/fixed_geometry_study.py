@@ -33,7 +33,7 @@ from diffbeam.metrics import (
     coefficient_gains,
     equispaced_pattern,
     magnitude_db,
-    parseval_harmonics,
+    parseval_reach,
     pattern_coefficients,
     power_db,
 )
@@ -49,21 +49,17 @@ def sweep(geometry, constants, target, frequencies, angle_count, floor_db):
     omegas = 2.0 * np.pi * frequencies
     values = geometry.element_values
     c = constants.speed_of_sound
-    n_values = parseval_harmonics(target.order, np.max(omegas), np.max(values[0]), c)
-    xi = element_harmonics(values, omegas, n_values, c)
-    weights, refused, condition = design_weights(
-        values, omegas, target, "first_order", c, harmonics=xi
-    )
+    reach = parseval_reach(target.order, np.max(omegas), np.max(values[0]), c)
+    xi = element_harmonics(values, omegas, reach, c)
+    weights, refused, condition = design_weights(xi, target)
     skipped = [
         (f_hz, str(rank_deficiency(float(k), float(f_hz))))
         for f_hz, k in zip(frequencies[refused], condition[refused])
     ]
     kept = ~refused
     coefficients = pattern_coefficients(xi, weights)[kept]
-    wng, df = power_db(coefficient_gains(coefficients, weights[kept], n_values, target.theta_s))
-    rendered = magnitude_db(
-        equispaced_pattern(coefficients, n_values, angle_count), floor_db=floor_db
-    )
+    wng, df = power_db(coefficient_gains(coefficients, weights[kept], target.theta_s))
+    rendered = magnitude_db(equispaced_pattern(coefficients, angle_count), floor_db=floor_db)
     angles_deg = 360.0 * np.arange(angle_count) / angle_count
     target_db = magnitude_db(evaluate_target(target, np.radians(angles_deg)), floor_db=floor_db)
     kept_hz = frequencies[kept]

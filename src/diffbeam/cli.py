@@ -21,6 +21,7 @@ import numpy as np
 from . import fileio
 from .errors import (
     AllTrialsFailedError,
+    FrequencyGridError,
     GeometryMismatchError,
     InfeasibleGeometryError,
     RankDeficientSystemError,
@@ -41,8 +42,9 @@ from .metrics import (
     magnitude_db,
     power_db,
 )
+from .modal import ELEMENT_MODELS
 from .montecarlo import STATISTICS_FLOOR_DB, TrialConfig, keep_freed_memory, run_trials
-from .patterns import evaluate_target
+from .patterns import PATTERN_FAMILIES, evaluate_target
 from .solver import FrequencyGrid, design_filter
 
 # default sweep: 50 Hz to 4 kHz in 50 Hz steps
@@ -105,6 +107,16 @@ def _grid(config: dict, context: str) -> FrequencyGrid:
     return fileio.grid_from_config(_known(grid_config, fileio.GRID_KEYS, where), context=where)
 
 
+def _eval_frequency(config: dict, context: str, grid: FrequencyGrid) -> float:
+    """The config's ``eval_frequency_hz``; one off ``grid`` is refused naming the key."""
+    f_hz = read(config, "eval_frequency_hz", float, context)
+    try:
+        grid.index(f_hz)
+    except FrequencyGridError as err:
+        raise ValueError(f"{context}: 'eval_frequency_hz': {err}") from None
+    return f_hz
+
+
 def _speed_of_sound(args, config: dict, context: str, fallback: float = 343.0) -> float:
     if args.c_mps is not None:
         return args.c_mps
@@ -157,7 +169,7 @@ def _cmd_design(args) -> int:
     geometry = fileio.load_geometry_file(geometry_file)
     target, pattern_id, coeffs = fileio.pattern_from_config(*_pattern(config, context))
     grid = _grid(config, context)
-    element_model = read(config, "element_model", str, context, default="first_order")
+    element_model = read(config, "element_model", ELEMENT_MODELS, context, default="first_order")
     c = _speed_of_sound(args, config, context)
     constants = PhysicalConstants(speed_of_sound=c)
 
@@ -203,7 +215,7 @@ def _cmd_evaluate(args) -> int:
     if not math.isfinite(floor_db):
         raise ValueError(f"beampattern_floor_db must be finite, got {floor_db!r} dB")
 
-    eval_index = filt.grid.index(read(config, "eval_frequency_hz", float, context))
+    eval_index = filt.grid.index(_eval_frequency(config, context, filt.grid))
     theta_deg = 360.0 * np.arange(count) / count
     target, _, _ = fileio.pattern_from_config(
         {**read(manifest, "pattern", dict, str(manifest_path)), "family": "custom"},
@@ -211,9 +223,9 @@ def _cmd_evaluate(args) -> int:
     )
     target_values = evaluate_target(target, np.radians(theta_deg))
 
-    coefficients, n_values = filter_coefficients(filt, geometry, constants)
-    rendered = equispaced_pattern(coefficients[eval_index], n_values, count)
-    wng, df = coefficient_gains(coefficients, filt.weights, n_values, filt.theta_s)
+    coefficients = filter_coefficients(filt, geometry, constants)
+    rendered = equispaced_pattern(coefficients[eval_index], count)
+    wng, df = coefficient_gains(coefficients, filt.weights, filt.theta_s)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -235,6 +247,7 @@ def _cmd_montecarlo(args) -> int:
     pattern, where = _pattern(config, context)
     custom = read_numbers(pattern, "a", where, default=None)
     _inert_integration_points(config, context)
+    grid = _grid(config, context)
     trial_config = TrialConfig(
         trials=read(config, "trials", object, context),
         element_count=read(config, "element_count", int, context),
@@ -242,12 +255,13 @@ def _cmd_montecarlo(args) -> int:
         steer_deg=read(pattern, "steer_deg", float, where),
         aperture_radius=read(config, "aperture_radius_mm", float, context) * 1e-3,
         min_spacing=read(config, "min_spacing_mm", float, context) * 1e-3,
-        grid=_grid(config, context),
-        eval_frequency_hz=read(config, "eval_frequency_hz", float, context),
+        grid=grid,
+        eval_frequency_hz=_eval_frequency(config, context, grid),
         master_seed=_seed(args, config, "master_seed", context),
-        pattern_family=read(pattern, "family", str, where, default="hypercardioid"),
+        pattern_family=read(pattern, "family", PATTERN_FAMILIES, where, default="hypercardioid"),
         custom_a=tuple(custom) if custom is not None else None,
-        element_model=read(config, "element_model", str, context, default="first_order"),
+        element_model=read(config, "element_model", ELEMENT_MODELS, context,
+                           default="first_order"),
         speed_of_sound=_speed_of_sound(args, config, context),
         angle_count=angle_count(read(config, "angle_step_deg", float, context, default=1.0)),
         db_floor=read(config, "db_floor", float, context, default=STATISTICS_FLOOR_DB),

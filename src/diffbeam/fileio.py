@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import ArrayElement, ArrayGeometry
-from .patterns import PatternCoefficients, SteeredTarget, a_to_b, resolve_pattern
+from .patterns import PATTERN_FAMILIES, PatternCoefficients, SteeredTarget, a_to_b, resolve_pattern
 from .solver import BeamformerFilter, FrequencyGrid
 
 FORMAT_VERSION = 1
@@ -64,15 +64,15 @@ _REQUIRED = object()
 _JSON_NAMES = {float: "number", int: "integer", str: "string", dict: "object", list: "array"}
 
 
-def read(mapping: dict, key: str, kind: type, context: str, default=_REQUIRED):
+def read(mapping: dict, key: str, kind, context: str, default=_REQUIRED):
     """``mapping[key]`` as a JSON value of ``kind``, or ``default`` when absent.
 
     ``float`` takes any JSON number a double can hold and returns a float,
     ``int`` only an integer literal (``80.0`` is refused), ``str``,
-    ``dict`` and ``list`` their JSON type, and ``object`` any value, for a
-    key whose user checks it. Booleans are not numbers. A missing required
-    key, or a value of another type, raises `ValueError` naming
-    ``context`` and ``key``.
+    ``dict`` and ``list`` their JSON type, ``object`` any value, for a key
+    whose user checks it, and a tuple of names one of them. Booleans are not
+    numbers. A missing required key, or a value of another type, raises
+    `ValueError` naming ``context`` and ``key``.
     """
     if not isinstance(mapping, dict):
         raise ValueError(f"{context}: expected a JSON object, got {type(mapping).__name__}")
@@ -95,7 +95,11 @@ def read_numbers(mapping: dict, key: str, context: str, default=_REQUIRED):
     ]
 
 
-def _typed(value, kind: type, name: str):
+def _typed(value, kind, name: str):
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ValueError(f"{name} must be one of {', '.join(kind)}, got {value!r}")
+        return value
     accepted = (int, float) if kind is float else kind
     if not isinstance(value, accepted) or (isinstance(value, bool) and kind in (int, float)):
         raise ValueError(f"{name} must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
@@ -167,7 +171,7 @@ PATTERN_KEYS = ("family", "order", "steer_deg", "a")
 
 def pattern_from_config(config: dict, context: str = "pattern"):
     """Resolve a pattern config into (target, pattern_id, coefficients)."""
-    family = read(config, "family", str, context)
+    family = read(config, "family", PATTERN_FAMILIES, context)
     order = read(config, "order", int, context)
     steer_deg = read(config, "steer_deg", float, context)
     custom = read_numbers(config, "a", context, default=None)

@@ -96,11 +96,9 @@ def render_pattern(weights, values, omega: float, theta, speed_of_sound: float) 
     return pattern.sum(axis=-2)
 
 
-def parseval_harmonics(
-    order: int, omega_max: float, radius: float, speed_of_sound: float
-) -> np.ndarray:
-    """Harmonics ``n = -L .. L`` that hold a pattern of order ``order`` from
-    elements within ``radius`` of the origin, up to ``omega_max`` (rad/s).
+def parseval_reach(order: int, omega_max: float, radius: float, speed_of_sound: float) -> int:
+    """The reach L of the harmonics ``n = -L .. L`` that hold a pattern of order
+    ``order`` from elements within ``radius`` of the origin, up to ``omega_max`` (rad/s).
 
     ``L = N + ceil(x + 12 (x/2)^(1/3)) + 6`` for the largest normalized
     aperture ``x = omega_max radius / c``: past n ~ x the Bessel terms fall
@@ -108,8 +106,7 @@ def parseval_harmonics(
     small x the weights grow like ``1 / J_N(x)``, hence the ``+ N + 6``.
     """
     x = float(omega_max * radius) / speed_of_sound
-    reach = order + math.ceil(x + 12.0 * (x / 2.0) ** (1.0 / 3.0)) + 6
-    return np.arange(-reach, reach + 1)
+    return order + math.ceil(x + 12.0 * (x / 2.0) ** (1.0 / 3.0)) + 6
 
 
 def pattern_coefficients(xi, weights) -> np.ndarray:
@@ -122,9 +119,9 @@ def pattern_coefficients(xi, weights) -> np.ndarray:
 
 def filter_coefficients(
     filt: BeamformerFilter, geometry: ArrayGeometry, constants: PhysicalConstants
-) -> tuple[np.ndarray, np.ndarray]:
-    """The pattern coefficients (F, K) of a designed filter over its grid,
-    with the harmonics (K,) they stand for (`parseval_harmonics`).
+) -> np.ndarray:
+    """The pattern coefficients (F, 2L + 1) of a designed filter over its
+    grid, L its `parseval_reach`.
 
     Raises `GeometryMismatchError` when the filter's element count is not
     the geometry's.
@@ -133,26 +130,25 @@ def filter_coefficients(
     omegas = filt.grid.omegas
     values = geometry.element_values
     c = constants.speed_of_sound
-    n_values = parseval_harmonics(filt.order, np.max(omegas), np.max(values[0]), c)
-    xi = element_harmonics(values, omegas, n_values, c)
-    return pattern_coefficients(xi, filt.weights), n_values
+    reach = parseval_reach(filt.order, np.max(omegas), np.max(values[0]), c)
+    return pattern_coefficients(element_harmonics(values, omegas, reach, c), filt.weights)
 
 
-def coefficient_gains(
-    coefficients, weights, n_values, theta_s: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """WNG and DF (linear) from pattern coefficients (..., F, K) over
-    harmonics ``n_values`` (K,) and the weights (..., F, M) behind them.
+def coefficient_gains(coefficients, weights, theta_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """WNG and DF (linear) from pattern coefficients (..., F, K) and the
+    weights (..., F, M) behind them.
 
     The rendered pattern is ``B(theta) = sum_n c_n e^{jn theta}``, so by
     Parseval the diffuse-noise mean of ``|B|^2`` is ``sum_n |c_n|^2``: both
     gains are exact, with no angular quadrature, once the coefficients reach
-    past every harmonic the pattern holds (`parseval_harmonics`).
+    past every harmonic the pattern holds (`parseval_reach`).
     """
     norm_sq = np.sum(np.abs(weights) ** 2, axis=-1)
     if np.any(norm_sq == 0.0):
         raise InvalidFilterError("filter has zero norm at this frequency")
-    peak = np.abs(coefficients @ np.exp(1j * n_values * theta_s)) ** 2
+    reach = coefficients.shape[-1] // 2
+    n = np.arange(-reach, reach + 1)
+    peak = np.abs(coefficients @ np.exp(1j * n * theta_s)) ** 2
     return peak / norm_sq, peak / np.sum(np.abs(coefficients) ** 2, axis=-1)
 
 
@@ -168,21 +164,20 @@ def angle_count(step_deg: float) -> int:
     return count
 
 
-def equispaced_pattern(coefficients, n_values, angle_count: int) -> np.ndarray:
+def equispaced_pattern(coefficients, angle_count: int) -> np.ndarray:
     """``B(theta_a)`` at ``theta_a = 2 pi a / A``, a = 0 .. A-1, from pattern
-    coefficients (..., K) over the consecutive harmonics ``n_values`` (K,),
-    to (..., A).
+    coefficients (..., K), to (..., A).
 
     At those angles ``e^{jn theta_a}`` depends on n mod A only, so the
     coefficients fold onto A residues and ``B = A ifft(folded)``; this is
     exact for any A, also below the harmonic count K.
     """
     lead, k = coefficients.shape[:-1], coefficients.shape[-1]
-    # coefficient p, harmonic n_first + p, goes to turn p // A at its residue
-    # slot (n_first + p) mod A, so the sum over whole turns is the fold; every
+    # coefficient p, harmonic p - K // 2, goes to turn p // A at its residue
+    # slot (p - K // 2) mod A, so the sum over whole turns is the fold; every
     # slot sums its harmonics in turn order
     p = np.arange(k)
-    slots = p // angle_count * angle_count + (int(n_values[0]) + p) % angle_count
+    slots = p // angle_count * angle_count + (p - k // 2) % angle_count
     placed = np.zeros(lead + (-(-k // angle_count), angle_count), dtype=complex)
     placed.reshape(lead + (-1,))[..., slots] = coefficients
     folded = placed.sum(axis=-2)

@@ -15,8 +15,12 @@ exponential serves both n and -n. Its scalar oracles (the closed form
 `harmonic_coefficient_quadrature` and the plane-wave matrix
 `build_psi_matrix`) and the one-geometry builders the tests use
 (`harmonic_tensor`, `build_xi_matrix`, `build_modal_system`) live in
-`diffbeam.oracles`. Rows of the matching matrices are ordered n = -N .. N
-top to bottom (harmonic n at row index n + N).
+`diffbeam.oracles`.
+
+Every harmonic tensor and coefficient vector in the package covers the
+orders n = -L .. L, harmonic n at index n + L, and is described by its
+reach L alone: a tensor's K = 2L + 1 gives L = K // 2, the matching rows
+of order N are its centre n = -N .. N, and no order list is passed.
 """
 
 from __future__ import annotations
@@ -57,9 +61,10 @@ def check_reach(radius: float, omega: float, speed_of_sound: float, what: str) -
         )
 
 
-def element_harmonics(values, omegas, n_values, speed_of_sound: float) -> np.ndarray:
-    """Matching-matrix entries ``P_{n,m} e^{-jn theta_m}`` over a stack of
-    arrays and a frequency grid: values (4, ..., M) to (..., F, K, M).
+def element_harmonics(values, omegas, reach: int, speed_of_sound: float) -> np.ndarray:
+    """Matching-matrix entries ``P_{n,m} e^{-jn theta_m}`` of the orders
+    ``n = -reach .. reach`` over a stack of arrays and a frequency grid:
+    values (4, ..., M) to (..., F, 2 reach + 1, M).
 
     ``values`` holds the rows r, phi, q and theta_steer of every element.
     With ``alpha = theta_steer - phi``, ``S_n = J_{n+1} + J_{n-1}`` and
@@ -72,10 +77,8 @@ def element_harmonics(values, omegas, n_values, speed_of_sound: float) -> np.nda
     Every frequency-dependent step is real and covers n >= 0 only, from one
     Bessel table over every argument ``x = omega r / c`` of the stack; the
     phase has no frequency axis and takes one complex exponential per pair
-    of orders +-n. Orders ``-R .. R``, R = max |n_values|, are built and ``n_values`` (any
-    order, repeats allowed) is read off them.
+    of orders +-n.
     """
-    n_values = np.atleast_1d(np.asarray(n_values, dtype=int))
     r, phi, q, steer = (np.asarray(v)[..., None] for v in values)
     # frequency is the last axis while building, so that the element factors,
     # shaped (..., M, 1), broadcast along the longest axis; the result is moved
@@ -85,7 +88,6 @@ def element_harmonics(values, omegas, n_values, speed_of_sound: float) -> np.nda
     # physical terms before the table refuses in its own
     check_reach(np.max(r, initial=0.0), np.max(omegas), speed_of_sound,
                 "largest element radius")
-    reach = int(np.abs(n_values).max())
     table = bessel_order_table(reach + 1, x)
     s = np.empty_like(table[:-1])
     d = np.empty_like(s)
@@ -97,7 +99,7 @@ def element_harmonics(values, omegas, n_values, speed_of_sound: float) -> np.nda
     s *= 0.5 * q * np.sin(alpha)
     d *= 0.5 * q * np.cos(alpha)
     omni = (1.0 - q) * table[:-1]
-    # rows n = -R .. R; `up` holds n >= 0 and `down` the mirror -n
+    # rows n = -reach .. reach; `up` holds n >= 0 and `down` the mirror -n
     xi = np.empty((2 * reach + 1,) + x.shape, dtype=complex)
     up, down = xi[reach:], xi[reach::-1]
     np.subtract(omni, s, out=up.real)
@@ -107,7 +109,7 @@ def element_harmonics(values, omegas, n_values, speed_of_sound: float) -> np.nda
     # the real brackets are spent: free them before the phase and the layout
     # copy, which would otherwise hold them beside two tensors
     del table, s, d, omni
-    # the phase j^{|k|} e^{-jk phi}, k = -R .. R, has no frequency axis; one
+    # the phase j^{|k|} e^{-jk phi}, |k| <= reach, has no frequency axis; one
     # exponential serves each pair +-k, since e^{+jk phi} is the conjugate of
     # e^{-jk phi} bit for bit once a zero imaginary part is taken as +0, which
     # 0 - imag does
@@ -121,10 +123,4 @@ def element_harmonics(values, omegas, n_values, speed_of_sound: float) -> np.nda
     # the phase of n = 0 is 1 + 0j; multiplying by it still sets the signs of
     # zero parts as the complex product does
     up[0] *= 1.0 + 0.0j
-    rows = n_values + reach
-    # every caller asks for a run of orders, read as a view: a gather would
-    # allocate and fault in one more tensor-sized array, a large share of the
-    # kernel's time
-    if np.all(np.diff(rows) == 1):
-        rows = slice(rows[0], rows[-1] + 1)
-    return np.ascontiguousarray(np.moveaxis(xi[rows], (0, -1), (-2, -3)))
+    return np.ascontiguousarray(np.moveaxis(xi, (0, -1), (-2, -3)))

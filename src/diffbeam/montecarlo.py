@@ -31,11 +31,11 @@ from .metrics import (
     coefficient_gains,
     equispaced_pattern,
     magnitude_db,
-    parseval_harmonics,
+    parseval_reach,
     pattern_coefficients,
     power_db,
 )
-from .modal import check_reach, element_harmonics
+from .modal import ELEMENT_MODELS, check_reach, element_harmonics, model_values
 from .patterns import SteeredTarget, a_to_b, resolve_pattern
 from .solver import FrequencyGrid, design_weights, rank_deficiency
 
@@ -80,6 +80,8 @@ class TrialConfig:
             )
         if not math.isfinite(self.db_floor):
             raise ValueError(f"db_floor must be finite, got {self.db_floor!r} dB")
+        if self.element_model not in ELEMENT_MODELS:
+            raise ValueError(f"unknown element model {self.element_model!r}")
         if self.element_count < 2 * self.order + 1:
             raise ValueError(
                 f"order {self.order} needs at least {2 * self.order + 1} elements"
@@ -185,14 +187,14 @@ def keep_freed_memory() -> bool:
     return bool(mmap_set and trim_set)
 
 
-def _parseval_harmonics(config: TrialConfig) -> np.ndarray:
-    """Harmonics ``n = -L .. L`` every trial of the study is scored over.
+def _parseval_reach(config: TrialConfig) -> int:
+    """The reach L of the harmonics every trial of the study is scored over.
 
-    They reach the largest normalized aperture any trial can have, the
+    It covers the largest normalized aperture any trial can have, the
     aperture radius at the top of the grid, so no result depends on which
     trials share a chunk.
     """
-    return parseval_harmonics(
+    return parseval_reach(
         config.order, np.max(config.grid.omegas), config.aperture_radius,
         config.speed_of_sound,
     )
@@ -206,7 +208,7 @@ def chunk_trials(config: TrialConfig) -> int:
     the pattern coefficients are formed, before the pattern is built, so a
     trial is budgeted the larger of the two.
     """
-    harmonics = _parseval_harmonics(config).size
+    harmonics = 2 * _parseval_reach(config) + 1
     per_trial = max(config.element_count * config.grid.count * harmonics, config.angle_count)
     return max(1, CHUNK_ELEMENTS // per_trial)
 
@@ -268,12 +270,12 @@ def _run_chunk(
 
     grid = config.grid
     values = values[:, sampled]
-    n_values = _parseval_harmonics(config)
-    xi = element_harmonics(values, grid.omegas, n_values, config.speed_of_sound)
-    weights, refused, condition = design_weights(
-        values, grid.omegas, target, config.element_model, config.speed_of_sound,
-        harmonics=xi,
-    )
+    xi = element_harmonics(values, grid.omegas, _parseval_reach(config), config.speed_of_sound)
+    # first-order designs from the arrays' own tensor; omni builds its q = 0 rows
+    model = xi if config.element_model == "first_order" else element_harmonics(
+        model_values(values, "omni"), grid.omegas, target.order, config.speed_of_sound)
+    weights, refused, condition = design_weights(model, target)
+    del model
     for t in np.flatnonzero(refused.any(axis=1)):
         f = int(np.argmax(refused[t]))
         error = rank_deficiency(float(condition[t, f]), float(grid.frequencies_hz[f]))
@@ -287,8 +289,8 @@ def _run_chunk(
     weights = weights[designed]
 
     eval_index = grid.index(config.eval_frequency_hz)
-    bp = equispaced_pattern(coefficients[:, eval_index], n_values, config.angle_count)
-    wng, df = coefficient_gains(coefficients, weights, n_values, target.theta_s)
+    bp = equispaced_pattern(coefficients[:, eval_index], config.angle_count)
+    wng, df = coefficient_gains(coefficients, weights, target.theta_s)
     return _ChunkResult(
         magnitude_db(bp, floor_db=config.db_floor), power_db(wng), power_db(df), failures
     )

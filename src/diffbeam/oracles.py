@@ -375,8 +375,11 @@ def harmonic_tensor(
     """`modal.element_harmonics` of one geometry as ``element_model`` sees it:
     entry ``[f, i, m]`` is ``P_{n,m} e^{-jn theta_m}`` for ``n = n_values[i]``
     at ``omegas[f]`` (rad/s), shape (F, len(n_values), M)."""
+    n_values = np.asarray(n_values, dtype=int)
+    reach = int(np.abs(n_values).max())
     values = model_values(geometry.element_values, element_model)
-    return element_harmonics(values, omegas, n_values, constants.speed_of_sound)
+    xi = element_harmonics(values, omegas, reach, constants.speed_of_sound)
+    return xi[..., n_values + reach, :]
 
 
 def build_xi_matrix(
@@ -418,8 +421,8 @@ def gain_curves(
 ) -> tuple[np.ndarray, np.ndarray]:
     """White noise gain and directivity factor (linear) over the grid, scored
     by `metrics.coefficient_gains` from `metrics.filter_coefficients`."""
-    coefficients, n_values = filter_coefficients(filt, geometry, constants)
-    return coefficient_gains(coefficients, filt.weights, n_values, theta_s)
+    coefficients = filter_coefficients(filt, geometry, constants)
+    return coefficient_gains(coefficients, filt.weights, theta_s)
 
 
 def b_to_a(coefficients: SymmetricB) -> PatternCoefficients:

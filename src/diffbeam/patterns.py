@@ -4,7 +4,7 @@ A target of order N is the cosine series ``sum_n a_n cos(n(theta - theta_s))``
 or, equivalently, the symmetric two-sided harmonic form
 ``sum_{n=-N..N} b_n exp(jn(theta - theta_s))`` with ``b_0 = a_0`` and
 ``b_{+-i} = a_i / 2``. Two-sided vectors are stored with harmonic n at
-position ``n + N``; every module in the package shares that convention.
+position ``n + N``, the convention `diffbeam.modal` states for the package.
 """
 
 from __future__ import annotations
@@ -54,12 +54,6 @@ class SymmetricB:
     @property
     def order(self) -> int:
         return len(self.b) // 2
-
-    def harmonic(self, n: int) -> float:
-        """Coefficient for harmonic ``n`` (|n| <= order)."""
-        if abs(n) > self.order:
-            raise ValueError(f"harmonic {n} outside the pattern order {self.order}")
-        return self.b[n + self.order]
 
     def as_array(self) -> np.ndarray:
         return np.array(self.b)

@@ -161,35 +161,23 @@ def design_rhs(target: SteeredTarget) -> np.ndarray:
     return apply_steering(target.coefficients, target.theta_s).conj()
 
 
-def design_weights(
-    values, omegas, target: SteeredTarget, element_model: str, speed_of_sound: float,
-    harmonics=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The design half: weights for a stack of arrays, values (4, ..., M)
-    (rows r, phi, q, theta_steer) as built, over ``omegas`` (F,).
+def design_weights(xi, target: SteeredTarget) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The design half: weights for a stack of arrays from their model's
+    harmonic tensors ``xi`` (..., F, K, M), of any reach L >= N.
 
-    ``element_model`` sees the arrays through `model_values`; its rows
-    ``n = -N .. N`` come from one `element_harmonics` call and are solved as
-    one stack against `design_rhs`. A caller that has built the arrays' own
-    tensor to score them, over orders ``-L .. L`` with L >= N, passes it as
-    ``harmonics``: the first-order model then reads its rows off the centre,
-    the same bits as the build at reach N. Requires M >= 2N+1 and a
-    normalized target. Returns ``(weights, refused, condition)`` as
-    `solve_wide` gives them, (..., F, M) and (..., F).
+    The rows ``n = -N .. N``, read off the centre of ``xi``, are solved as
+    one stack against `design_rhs`; the centre of a reach-L tensor holds the
+    same bits as a build at reach N. Requires M >= 2N+1 and a normalized
+    target. Returns ``(weights, refused, condition)`` as `solve_wide` gives
+    them, (..., F, M) and (..., F).
     """
     order = target.order
-    rows, elements = 2 * order + 1, np.shape(values)[-1]
+    rows, elements = 2 * order + 1, xi.shape[-1]
     if elements < rows:
         raise ValueError(f"order {order} needs at least {rows} elements, got {elements}")
+    reach = xi.shape[-2] // 2
     rhs = design_rhs(target)
-    if harmonics is not None and element_model == "first_order":
-        reach = harmonics.shape[-2] // 2
-        xi = harmonics[..., reach - order : reach + order + 1, :]
-    else:
-        n_values = np.arange(-order, order + 1)
-        xi = element_harmonics(model_values(values, element_model), omegas, n_values,
-                               speed_of_sound)
-    return solve_wide(xi.conj(), rhs)
+    return solve_wide(xi[..., reach - order : reach + order + 1, :].conj(), rhs)
 
 
 def design_filter(
@@ -200,16 +188,17 @@ def design_filter(
     element_model: str = "first_order",
     pattern_id: str = "custom",
 ) -> BeamformerFilter:
-    """The `design_weights` of one geometry over ``grid``, as a filter.
+    """The `design_weights` of one geometry over ``grid``, from the tensor of
+    reach N that ``element_model`` sees (`modal.model_values`), as a filter.
 
     Raises
     ------
     RankDeficientSystemError
         For the lowest refused grid frequency, which it names.
     """
-    weights, refused, condition = design_weights(
-        geometry.element_values, grid.omegas, target, element_model, constants.speed_of_sound
-    )
+    values = model_values(geometry.element_values, element_model)
+    xi = element_harmonics(values, grid.omegas, target.order, constants.speed_of_sound)
+    weights, refused, condition = design_weights(xi, target)
     if refused.any():
         i = int(np.argmax(refused))
         raise rank_deficiency(float(condition[i]), float(grid.frequencies_hz[i]))

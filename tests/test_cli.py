@@ -570,9 +570,11 @@ class TestConfigValueTypes:
     """Every config value is read as its JSON type. A missing key, a
     fractional integer, a boolean, a number in a string, a section that is
     not an object, a coefficient vector that is not an array, a negative
-    seed and a key the run config or its ``pattern`` or ``grid_hz`` section
-    does not hold are each refused on one ``error:`` line naming the file
-    and the key, before any output is written."""
+    seed, a key the run config or its ``pattern`` or ``grid_hz`` section
+    does not hold, an unknown element model or pattern family and an
+    evaluation frequency off the grid are each refused on one ``error:``
+    line naming the file and the key, before any trial is sampled or any
+    output is written."""
 
     # with CONFIGS, every key a run config and its sections may hold
     OPTIONAL = {
@@ -678,9 +680,24 @@ class TestConfigValueTypes:
                          id="montecarlo-unknown-in-pattern"),
             pytest.param("montecarlo", ("grid_hz", "points"), 4,
                          id="montecarlo-unknown-in-grid"),
+            pytest.param("design", ("element_model",), "cardioid", id="design-unknown-model"),
+            pytest.param("montecarlo", ("element_model",), "cardioid",
+                         id="montecarlo-unknown-model"),
+            pytest.param("design", ("pattern", "family"), "supercardioid",
+                         id="design-unknown-family"),
+            pytest.param("montecarlo", ("pattern", "family"), "supercardioid",
+                         id="montecarlo-unknown-family"),
+            pytest.param("evaluate", ("eval_frequency_hz",), 1100.0, id="evaluate-off-grid"),
+            pytest.param("montecarlo", ("eval_frequency_hz",), 1100.0,
+                         id="montecarlo-off-grid"),
         ],
     )
-    def test_refused_naming_file_and_key(self, workspace, capsys, command, path, value):
+    def test_refused_naming_file_and_key(self, workspace, capsys, monkeypatch, command, path,
+                                         value):
+        def unreachable(*args):
+            raise AssertionError("sampled a study its config refuses")
+
+        monkeypatch.setattr(mc, "sample_element_stack", unreachable)
         if command == "evaluate":
             design = write_json(workspace / "design.json", self.CONFIGS["design"])
             assert main(["design", "--config", str(design), "--out", str(workspace / "design")]) == 0

@@ -21,7 +21,7 @@ from diffbeam.geometry import ArrayElement, ArrayGeometry
 from diffbeam.metrics import (
     equispaced_pattern,
     magnitude_db,
-    parseval_harmonics,
+    parseval_reach,
     pattern_coefficients,
     power_db,
     render_pattern,
@@ -312,32 +312,37 @@ class TestEquispacedPattern:
         rng = np.random.default_rng(angle_count)
         values, weights = self.random_stack(rng)
         omega, c = 2 * np.pi * 3000.0, 343.0
-        n_values = parseval_harmonics(0, omega, values[0].max(), c)
-        assert n_values.size > 16
-        xi = element_harmonics(values, [omega], n_values, c)
+        reach = parseval_reach(0, omega, values[0].max(), c)
+        assert 2 * reach + 1 > 16
+        xi = element_harmonics(values, [omega], reach, c)
         coefficients = pattern_coefficients(xi, weights[:, None, :])[:, 0]
         theta = 2 * np.pi * np.arange(angle_count) / angle_count
-        got = equispaced_pattern(coefficients, n_values, angle_count)
+        got = equispaced_pattern(coefficients, angle_count)
         want = render_pattern(weights, values, omega, theta, c)
         assert got.shape == want.shape == (5, angle_count)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n_first, angle_count", [(-7, 4), (3, 5), (-12, 25), (5, 1)])
     def test_any_run_of_harmonics(self, n_first, angle_count):
+        # a pattern whose harmonics are the run n_first .. n_first + 10, held
+        # as coefficients over -L .. L that are zero outside the run
         rng = np.random.default_rng(angle_count)
-        coefficients = rng.normal(size=(3, 11)) + 1j * rng.normal(size=(3, 11))
+        run = rng.normal(size=(3, 11)) + 1j * rng.normal(size=(3, 11))
         n_values = np.arange(n_first, n_first + 11)
+        reach = int(np.abs(n_values).max())
+        coefficients = np.zeros((3, 2 * reach + 1), dtype=complex)
+        coefficients[:, n_values + reach] = run
         theta = 2 * np.pi * np.arange(angle_count) / angle_count
-        want = coefficients @ np.exp(1j * np.outer(n_values, theta))
-        got = equispaced_pattern(coefficients, n_values, angle_count)
+        want = run @ np.exp(1j * np.outer(n_values, theta))
+        got = equispaced_pattern(coefficients, angle_count)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def padded_fold_pattern(coefficients, n_values, angle_count):
+def padded_fold_pattern(coefficients, angle_count):
     """`equispaced_pattern` as it was first written: pad to whole turns, sum
-    the turns, roll by n_first residues and scale the inverse FFT."""
-    n_first = int(n_values[0])
+    the turns, roll by the first harmonic's residue and scale the inverse FFT."""
     k = coefficients.shape[-1]
+    n_first = -(k // 2)
     turns = -(-k // angle_count)
     padded = np.zeros(coefficients.shape[:-1] + (turns * angle_count,), dtype=complex)
     padded[..., :k] = coefficients
@@ -361,19 +366,16 @@ class TestEquispacedPatternBits:
         for sign in (1.0, -1.0):
             coefficients.real[rng.random((4, k)) < 0.15] = sign * 0.0
             coefficients.imag[rng.random((4, k)) < 0.15] = sign * 0.0
-        for n_first in {-(k // 2), -k, 1 - angle_count, 5}:
-            n_values = np.arange(n_first, n_first + k)
-            got = equispaced_pattern(coefficients, n_values, angle_count)
-            want = padded_fold_pattern(coefficients, n_values, angle_count)
-            assert got.shape == want.shape == (4, angle_count)
-            assert got.tobytes() == want.tobytes(), n_first
+        got = equispaced_pattern(coefficients, angle_count)
+        want = padded_fold_pattern(coefficients, angle_count)
+        assert got.shape == want.shape == (4, angle_count)
+        assert got.tobytes() == want.tobytes()
 
     def test_a_stack_of_grids(self):
         rng = np.random.default_rng(5)
         coefficients = rng.normal(size=(3, 2, 43)) + 1j * rng.normal(size=(3, 2, 43))
-        n_values = np.arange(-21, 22)
-        got = equispaced_pattern(coefficients, n_values, 360)
-        assert got.tobytes() == padded_fold_pattern(coefficients, n_values, 360).tobytes()
+        got = equispaced_pattern(coefficients, 360)
+        assert got.tobytes() == padded_fold_pattern(coefficients, 360).tobytes()
 
 
 class TestLargeAperture:

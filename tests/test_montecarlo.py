@@ -21,7 +21,7 @@ from diffbeam import (
 )
 from diffbeam._seeding import trial_seeds, uniform_windows
 from diffbeam.geometry import STACK_WINDOW
-from diffbeam.metrics import magnitude_db, parseval_harmonics, power_db
+from diffbeam.metrics import magnitude_db, parseval_reach, power_db
 from diffbeam.montecarlo import TrialFailure
 from tests.test_rank_gate import HIGH_ORDER_GRID, STUDY_SEED
 
@@ -55,6 +55,10 @@ class TestConfigValidation:
     def test_eval_frequency_must_be_on_grid(self):
         with pytest.raises(ValueError):
             small_config(eval_frequency_hz=1234.0)
+
+    def test_unknown_element_model_refused(self):
+        with pytest.raises(ValueError, match="unknown element model 'cardioid'"):
+            small_config(element_model="cardioid")
 
 
 class TestKeepFreedMemory:
@@ -288,8 +292,8 @@ class TestChunkedAgainstOracle:
             grid=FrequencyGrid(300.0, 300.0, 1), eval_frequency_hz=300.0,
             angle_count=angle_count,
         )
-        harmonics = parseval_harmonics(config.order, 0.0, 0.0, config.speed_of_sound)
-        assert angle_count > 300 or harmonics.size > angle_count
+        harmonics = 2 * parseval_reach(config.order, 0.0, 0.0, config.speed_of_sound) + 1
+        assert angle_count > 300 or harmonics > angle_count
         stats = run_trials(config)
         expected, failures = oracle_statistics(config)
         assert [(f.index, f.reason) for f in stats.failures] == failures
@@ -328,13 +332,13 @@ class TestChunkSizes:
         config = small_config(
             element_count=9, order=2, grid=FrequencyGrid(50.0, 4000.0, 80), angle_count=360
         )
-        assert _parseval_harmonics_size(config) == 43
+        assert _harmonic_count(config) == 43
         assert mc.chunk_trials(config) == 2
 
     def test_one_point_grid_is_sized_by_its_pattern(self):
         # 9 elements x 33 harmonics = 297 values, fewer than the 360 angles
         config = small_config(trials=500, element_count=9, order=2, angle_count=360)
-        assert _parseval_harmonics_size(config) == 33
+        assert _harmonic_count(config) == 33
         assert mc.chunk_trials(config) == 182
 
     def test_four_hundred_trials_run_as_three_chunks(self):
@@ -343,11 +347,11 @@ class TestChunkSizes:
         assert size == 182 and -(-config.trials // size) == 3 and config.trials % size != 0
 
 
-def _parseval_harmonics_size(config) -> int:
-    return parseval_harmonics(
+def _harmonic_count(config) -> int:
+    return 2 * parseval_reach(
         config.order, float(np.max(config.grid.omegas)), config.aperture_radius,
         config.speed_of_sound,
-    ).size
+    ) + 1
 
 
 class TestChunkBoundaries:

@@ -15,7 +15,7 @@ from diffbeam import (
 )
 from diffbeam import solver
 from diffbeam.geometry import ArrayElement, ArrayGeometry, sample_element_values
-from diffbeam.metrics import parseval_harmonics
+from diffbeam.metrics import parseval_reach
 from diffbeam.modal import element_harmonics, model_values
 from diffbeam.solver import RANK_RTOL, design_rhs, design_weights, solve_wide
 from tests.conftest import steered_hypercardioid
@@ -124,7 +124,7 @@ class TestGramReuse:
             [sample_element_values(elements, 0.02, 0.008, seed=s) for s in range(16)], axis=1
         )
         omegas = FrequencyGrid(50.0, 4000.0, 80).omegas
-        xi = element_harmonics(values, omegas, np.arange(-order, order + 1), 343.0)
+        xi = element_harmonics(values, omegas, order, 343.0)
         rhs = design_rhs(steered_hypercardioid(order))
         got = solve_wide(xi.conj(), rhs)
         expected = equilibrated_reference(xi.conj(), rhs)
@@ -134,12 +134,14 @@ class TestGramReuse:
 
 
 class TestDesignWeights:
-    """`design_weights` builds the model's rows n = -N .. N at reach N, or,
-    for the first-order model, reads them off the centre of the scoring
-    tensor its caller passes, whose reach is `parseval_harmonics`. Both are
-    the same bits, signed zeros included: the Bessel sweep runs from further
-    up but settles on the same doubles, and every other step is
-    elementwise. Designing from either cannot move a weight."""
+    """`design_weights` reads the rows n = -N .. N off the centre of the
+    tensor it is given: a build at reach N, as `design_filter` makes, or a
+    scoring tensor at the `parseval_reach` L > N, as the Monte Carlo chunks
+    and the fixed-geometry study pass for the first-order model. Both give
+    the same bits, for either element model, signed zeros included: the
+    Bessel sweep runs from further up but settles on the same doubles, and
+    every other step is elementwise. Designing from either cannot move a
+    weight."""
 
     @staticmethod
     def stack(rng, trials, elements, aperture):
@@ -179,10 +181,11 @@ class TestDesignWeights:
         rng = np.random.default_rng(elements * 100 + order)
         values = self.stack(rng, 3, elements, aperture)
         omegas = FrequencyGrid(f_min, f_max, count).omegas
-        n_values = parseval_harmonics(order, omegas.max(), aperture, 343.0)
-        reach = int(n_values[-1])
+        reach = parseval_reach(order, omegas.max(), aperture, 343.0)
         assert reach > order
-        scoring = element_harmonics(values, omegas, n_values, 343.0)
+        seen = model_values(values, model)
+        at_order = element_harmonics(seen, omegas, order, 343.0)
+        at_reach = element_harmonics(seen, omegas, reach, 343.0)
         solved = []
 
         def capture(a, b):
@@ -191,13 +194,11 @@ class TestDesignWeights:
 
         monkeypatch.setattr(solver, "solve_wide", capture)
         target = steered_hypercardioid(order)
-        built_weights = design_weights(values, omegas, target, model, 343.0)
-        read_weights = design_weights(values, omegas, target, model, 343.0, harmonics=scoring)
+        built_weights = design_weights(at_order, target)
+        read_weights = design_weights(at_reach, target)
         built, read = solved
 
-        # the omni model builds its q = 0 rows whatever tensor is passed
-        model_scoring = element_harmonics(model_values(values, model), omegas, n_values, 343.0)
-        centre = model_scoring[..., reach - order : reach + order + 1, :].conj()
+        centre = at_reach[..., reach - order : reach + order + 1, :].conj()
         assert built.shape == centre.shape == (3, count, 2 * order + 1, elements)
         assert built.tobytes() == centre.tobytes() == read.tobytes()
         for b, r in zip(built_weights, read_weights):
@@ -206,10 +207,11 @@ class TestDesignWeights:
         zeros = np.concatenate([built.real[built.real == 0.0], built.imag[built.imag == 0.0]])
         assert np.signbit(zeros).any()
 
-    def test_too_few_elements_refused_before_building(self):
-        values = np.zeros((4, 2, 4))
+    def test_too_few_elements_refused_before_solving(self, monkeypatch):
+        monkeypatch.setattr(solver, "solve_wide", None)
+        xi = np.zeros((2, 1, 5, 4), dtype=complex)
         with pytest.raises(ValueError, match="order 2 needs at least 5 elements, got 4"):
-            design_weights(values, [1000.0], steered_hypercardioid(2), "first_order", 343.0)
+            design_weights(xi, steered_hypercardioid(2))
 
 
 class TestDesignFilter:
