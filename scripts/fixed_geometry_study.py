@@ -30,6 +30,7 @@ from diffbeam import (
 from diffbeam.fileio import save_geometry_file, write_table
 from diffbeam.metrics import (
     angle_count,
+    check_floor_db,
     coefficient_gains,
     equispaced_pattern,
     magnitude_db,
@@ -90,6 +91,10 @@ def main(argv=None) -> int:
         angles = angle_count(args.angle_step_deg)
     except ValueError as err:
         parser.error(f"argument --angle-step-deg: {err}")
+    try:
+        check_floor_db(args.floor_db, "floor")
+    except ValueError as err:
+        parser.error(f"argument --floor-db: {err}")
 
     constants = PhysicalConstants(speed_of_sound=args.c_mps)
     geometry = sample_random_geometry(args.elements, 0.02, 0.008, seed=args.seed)

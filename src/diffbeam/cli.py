@@ -36,6 +36,7 @@ from .geometry import (
 from .metrics import (
     BEAMPATTERN_FLOOR_DB,
     angle_count,
+    check_floor_db,
     coefficient_gains,
     equispaced_pattern,
     filter_coefficients,
@@ -43,7 +44,13 @@ from .metrics import (
     power_db,
 )
 from .modal import ELEMENT_MODELS
-from .montecarlo import STATISTICS_FLOOR_DB, TrialConfig, keep_freed_memory, run_trials
+from .montecarlo import (
+    STATISTICS_FLOOR_DB,
+    TrialConfig,
+    check_trials,
+    keep_freed_memory,
+    run_trials,
+)
 from .patterns import PATTERN_FAMILIES, evaluate_target
 from .solver import FrequencyGrid, design_filter
 
@@ -115,6 +122,27 @@ def _eval_frequency(config: dict, context: str, grid: FrequencyGrid) -> float:
     except FrequencyGridError as err:
         raise ValueError(f"{context}: 'eval_frequency_hz': {err}") from None
     return f_hz
+
+
+def _checked(config: dict, key: str, kind, context: str, check, **default):
+    """``check`` of the config's ``key``, read as `read` reads it; a value
+    ``check`` refuses is refused on one line naming the file and the key."""
+    value = read(config, key, kind, context, **default)
+    try:
+        return check(value)
+    except ValueError as err:
+        raise ValueError(f"{err} ({context}: {key!r})") from None
+
+
+def _floor_db(config: dict, key: str, context: str, default: float) -> float:
+    """The config's dB floor ``key``, refused where `magnitude_db` cannot clamp at it."""
+    return _checked(config, key, float, context, functools.partial(check_floor_db, name=key),
+                    default=default)
+
+
+def _angle_count(config: dict, context: str) -> int:
+    """The number of angles the config's ``angle_step_deg``, 1 by default, closes the circle in."""
+    return _checked(config, "angle_step_deg", float, context, angle_count, default=1.0)
 
 
 def _speed_of_sound(args, config: dict, context: str, fallback: float = 343.0) -> float:
@@ -209,11 +237,9 @@ def _cmd_evaluate(args) -> int:
 
     designed_c = read(manifest, "speed_of_sound_mps", float, str(manifest_path), default=343.0)
     constants = PhysicalConstants(speed_of_sound=_speed_of_sound(args, config, context, designed_c))
-    count = angle_count(read(config, "angle_step_deg", float, context, default=1.0))
+    count = _angle_count(config, context)
     _inert_integration_points(config, context)
-    floor_db = read(config, "beampattern_floor_db", float, context, default=BEAMPATTERN_FLOOR_DB)
-    if not math.isfinite(floor_db):
-        raise ValueError(f"beampattern_floor_db must be finite, got {floor_db!r} dB")
+    floor_db = _floor_db(config, "beampattern_floor_db", context, BEAMPATTERN_FLOOR_DB)
 
     eval_index = filt.grid.index(_eval_frequency(config, context, filt.grid))
     theta_deg = 360.0 * np.arange(count) / count
@@ -249,7 +275,7 @@ def _cmd_montecarlo(args) -> int:
     _inert_integration_points(config, context)
     grid = _grid(config, context)
     trial_config = TrialConfig(
-        trials=read(config, "trials", object, context),
+        trials=_checked(config, "trials", object, context, check_trials),
         element_count=read(config, "element_count", int, context),
         order=read(pattern, "order", int, where),
         steer_deg=read(pattern, "steer_deg", float, where),
@@ -263,8 +289,8 @@ def _cmd_montecarlo(args) -> int:
         element_model=read(config, "element_model", ELEMENT_MODELS, context,
                            default="first_order"),
         speed_of_sound=_speed_of_sound(args, config, context),
-        angle_count=angle_count(read(config, "angle_step_deg", float, context, default=1.0)),
-        db_floor=read(config, "db_floor", float, context, default=STATISTICS_FLOOR_DB),
+        angle_count=_angle_count(config, context),
+        db_floor=_floor_db(config, "db_floor", context, STATISTICS_FLOOR_DB),
     )
     stats = run_trials(trial_config, workers=args.threads)
 
@@ -327,7 +353,10 @@ def main(argv=None) -> int:
         return args.handler(args)
     except _USER_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
+    except MemoryError as err:
+        # an array a config's sizes call for that cannot be allocated
+        print(f"error: {err or 'out of memory'} ({args.config})", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

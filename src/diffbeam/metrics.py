@@ -44,6 +44,21 @@ def magnitude_db(values, floor_db: float | None = None):
     return mags[()]
 
 
+def check_floor_db(floor_db: float, name: str) -> float:
+    """``floor_db`` if `magnitude_db` can clamp at it: finite, with an
+    amplitude ``10 ** (floor_db / 20)`` a double holds, so at most 20 log10
+    of the largest double, about 6165.09 dB; refused naming ``name``."""
+    try:
+        if math.isfinite(floor_db) and math.isfinite(10.0 ** (floor_db / 20.0)):
+            return floor_db
+    except OverflowError:
+        pass
+    raise ValueError(
+        f"{name} must be finite and at most about 6165.09 dB, where its amplitude "
+        f"overflows a double; got {floor_db!r} dB"
+    )
+
+
 def power_db(values):
     """10*log10 of a linear power ratio."""
     with np.errstate(divide="ignore"):
@@ -152,13 +167,24 @@ def coefficient_gains(coefficients, weights, theta_s: float) -> tuple[np.ndarray
     return peak / norm_sq, peak / np.sum(np.abs(coefficients) ** 2, axis=-1)
 
 
+# the most angles a pattern can have: its complex values must be an array
+# whose size in bytes NumPy can index
+_MAX_ANGLES = np.iinfo(np.intp).max // np.dtype(complex).itemsize
+
+
 def angle_count(step_deg: float) -> int:
     """The number of angles ``step_deg`` apart that close the circle, for
-    `equispaced_pattern`; refused unless the step is positive, finite and
-    divides 360 degrees to 1e-9."""
+    `equispaced_pattern`; refused unless the step is positive, finite,
+    divides 360 degrees to 1e-9 and gives no more than ``_MAX_ANGLES``."""
     if not (math.isfinite(step_deg) and step_deg > 0.0):
         raise ValueError(f"angle step must be positive and finite, got {step_deg!r} deg")
-    count = int(round(360.0 / step_deg))
+    angles = 360.0 / step_deg
+    if angles > _MAX_ANGLES:
+        raise ValueError(
+            f"angle step {step_deg!r} deg gives {angles:.3g} angles, more than "
+            f"the {_MAX_ANGLES:.3g} an array of complex values can hold"
+        )
+    count = int(round(angles))
     if count < 1 or abs(count * step_deg - 360.0) > 1e-9:
         raise ValueError(f"angle step {step_deg} deg must divide 360 evenly")
     return count
@@ -178,8 +204,10 @@ def equispaced_pattern(coefficients, angle_count: int) -> np.ndarray:
     # slot sums its harmonics in turn order
     p = np.arange(k)
     slots = p // angle_count * angle_count + (p - k // 2) % angle_count
-    placed = np.zeros(lead + (-(-k // angle_count), angle_count), dtype=complex)
-    placed.reshape(lead + (-1,))[..., slots] = coefficients
+    turns = -(-k // angle_count)
+    placed = np.zeros(lead + (turns, angle_count), dtype=complex)
+    # an explicit width, so a stack of no rows reshapes too
+    placed.reshape(lead + (turns * angle_count,))[..., slots] = coefficients
     folded = placed.sum(axis=-2)
     del placed
     # numpy.fft takes out= from NumPy 2.0, the floor pyproject.toml declares

@@ -5,11 +5,11 @@ filter, and evaluates the metrics; mean and standard deviation are
 aggregated in the dB domain across trials. Per-trial seeds are derived by
 splitting the master seed with the trial index, all in one stacked hash,
 and the geometries are sampled as stacks of trials before any chunk runs.
-Trials then run in chunks; a chunk's designs and metrics are each
-computed as one stack, over harmonics fixed by the configuration, so no
-result depends on where the chunk boundaries fall. The reduction runs in
-trial-index order, so the statistics are identical no matter how many
-workers execute the chunks.
+Chunks of sampled arrays are then designed and scored as stacks, over
+harmonics fixed by the configuration, so no result depends on which
+trials share a chunk; one ledger holds every failed trial. The rows are
+reduced in trial-index order, so the statistics are identical no matter
+how many workers execute the chunks.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from ._seeding import trial_seeds
 from .errors import AllTrialsFailedError
 from .geometry import STACK_WINDOW, PhysicalConstants, sample_element_stack
 from .metrics import (
+    check_floor_db,
     coefficient_gains,
     equispaced_pattern,
     magnitude_db,
@@ -67,9 +68,7 @@ class TrialConfig:
     db_floor: float = STATISTICS_FLOOR_DB
 
     def __post_init__(self):
-        trials = self.trials
-        if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
-            raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+        check_trials(self.trials)
         if not (math.isfinite(self.aperture_radius) and self.aperture_radius > 0.0):
             raise ValueError(
                 f"aperture_radius must be positive and finite, got {self.aperture_radius!r} m"
@@ -78,14 +77,11 @@ class TrialConfig:
             raise ValueError(
                 f"min_spacing must be non-negative and finite, got {self.min_spacing!r} m"
             )
-        if not math.isfinite(self.db_floor):
-            raise ValueError(f"db_floor must be finite, got {self.db_floor!r} dB")
+        check_floor_db(self.db_floor, "db_floor")
         if self.element_model not in ELEMENT_MODELS:
             raise ValueError(f"unknown element model {self.element_model!r}")
         if self.element_count < 2 * self.order + 1:
-            raise ValueError(
-                f"order {self.order} needs at least {2 * self.order + 1} elements"
-            )
+            raise ValueError(f"order {self.order} needs at least {2 * self.order + 1} elements")
         self.grid.index(self.eval_frequency_hz)
         PhysicalConstants(speed_of_sound=self.speed_of_sound)  # refuses c <= 0, inf, nan
         # before any trial is sampled: every element lies within the aperture
@@ -93,13 +89,21 @@ class TrialConfig:
                     "aperture radius")
 
     def target(self) -> tuple[SteeredTarget, str]:
-        coeffs, pattern_id = resolve_pattern(
-            self.pattern_family, self.order, self.custom_a
-        )
+        coeffs, pattern_id = resolve_pattern(self.pattern_family, self.order, self.custom_a)
         return (
             SteeredTarget(coefficients=a_to_b(coeffs), theta_s=math.radians(self.steer_deg)),
             pattern_id,
         )
+
+
+def check_trials(trials) -> int:
+    """``trials`` if it is an integer from 1 to 2**32 - 1, so that every trial
+    index is one seed word: the seeds of 2**32 trials alone take 32 GiB."""
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if trials >= 1 << 32:
+        raise ValueError(f"trials must be below 2**32, got {trials}")
+    return trials
 
 
 @dataclass(frozen=True)
@@ -213,14 +217,6 @@ def chunk_trials(config: TrialConfig) -> int:
     return max(1, CHUNK_ELEMENTS // per_trial)
 
 
-@dataclass(frozen=True)
-class _ChunkResult:
-    bp_db: np.ndarray  # (S, K) at eval_frequency_hz, over the chunk's S successes
-    wng_db: np.ndarray  # (S, F)
-    df_db: np.ndarray  # (S, F)
-    failures: list[TrialFailure]
-
-
 def _sample_trials(config: TrialConfig) -> tuple[np.ndarray, list[str | None]]:
     """Every trial's element values (4, T, M) and failure reason, in trial order.
 
@@ -241,49 +237,24 @@ def _sample_trials(config: TrialConfig) -> tuple[np.ndarray, list[str | None]]:
 
 
 def _run_chunk(
-    config: TrialConfig,
-    target: SteeredTarget,
-    indices: range,
-    values: np.ndarray,
-    reasons: list[str | None],
-) -> _ChunkResult:
-    """Design and score a run of trials, sampled as ``values`` (4, T, M), as one stack.
-
-    A trial fails when its geometry could not be sampled (its reason is
-    not None) or the rank gate refuses any of its grid frequencies; its
-    reason is the error that `sample_random_geometry` or `design_filter`
-    raises for it.
-    """
-    sampled = np.array([reason is None for reason in reasons])
-    kept = [index for index, ok in zip(indices, sampled) if ok]
-    failures = [
-        TrialFailure(index=index, reason=reason)
-        for index, reason in zip(indices, reasons)
-        if reason is not None
-    ]
-    empty = _ChunkResult(
-        np.empty((0, config.angle_count)), np.empty((0, config.grid.count)),
-        np.empty((0, config.grid.count)), failures,
-    )
-    if not kept:
-        return empty
-
+    config: TrialConfig, target: SteeredTarget, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, str]]]:
+    """Design and score a block of sampled arrays ``values`` (4, T, M) as one stack:
+    the bp (S, K) rows at ``eval_frequency_hz`` and WNG and DF (S, F) rows in dB
+    of the S trials the rank gate designs, and a (position, reason) pair for
+    each trial it refuses, the reason the error `design_filter` raises for it."""
     grid = config.grid
-    values = values[:, sampled]
     xi = element_harmonics(values, grid.omegas, _parseval_reach(config), config.speed_of_sound)
     # first-order designs from the arrays' own tensor; omni builds its q = 0 rows
     model = xi if config.element_model == "first_order" else element_harmonics(
         model_values(values, "omni"), grid.omegas, target.order, config.speed_of_sound)
     weights, refused, condition = design_weights(model, target)
     del model
-    for t in np.flatnonzero(refused.any(axis=1)):
-        f = int(np.argmax(refused[t]))
-        error = rank_deficiency(float(condition[t, f]), float(grid.frequencies_hz[f]))
-        failures.append(TrialFailure(index=kept[t], reason=str(error)))
-    failures.sort(key=lambda failure: failure.index)
     designed = ~refused.any(axis=1)
-    if not designed.any():
-        return empty
+    refusals = [
+        (t, str(rank_deficiency(float(condition[t, f]), float(grid.frequencies_hz[f]))))
+        for t, f in zip(np.flatnonzero(~designed), np.argmax(refused[~designed], axis=1))
+    ]
     coefficients = pattern_coefficients(xi, weights)[designed]  # (S, F, K)
     del xi  # before the pattern is built, as `chunk_trials` budgets
     weights = weights[designed]
@@ -291,9 +262,7 @@ def _run_chunk(
     eval_index = grid.index(config.eval_frequency_hz)
     bp = equispaced_pattern(coefficients[:, eval_index], config.angle_count)
     wng, df = coefficient_gains(coefficients, weights, target.theta_s)
-    return _ChunkResult(
-        magnitude_db(bp, floor_db=config.db_floor), power_db(wng), power_db(df), failures
-    )
+    return magnitude_db(bp, floor_db=config.db_floor), power_db(wng), power_db(df), refusals
 
 
 def _mean_std(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,10 +283,10 @@ def run_trials(config: TrialConfig, workers: int = 1) -> TrialStatistics:
     """Run the experiment and aggregate mean/std in the dB domain.
 
     The calling thread seeds and samples every trial first, in stacked
-    batches. Trials then run in chunks of `chunk_trials`, one stack per
-    layer each, and ``workers`` threads share out the chunks. Failed
-    trials (rank-deficient systems, infeasible geometries) never enter the
-    statistics; they are counted and reported. The chunks depend on
+    batches. The sampled arrays run in blocks of `chunk_trials`, one stack
+    per layer each, and ``workers`` threads share out the blocks. Failed
+    trials (infeasible geometries, rank-deficient systems) never enter the
+    statistics; one ledger counts and reports them. The blocks depend on
     ``config`` alone and are reduced in trial-index order, so the result
     is a pure function of ``config`` regardless of ``workers``.
 
@@ -328,30 +297,34 @@ def run_trials(config: TrialConfig, workers: int = 1) -> TrialStatistics:
     """
     target, _ = config.target()
     values, reasons = _sample_trials(config)
+    failures = [TrialFailure(i, reason) for i, reason in enumerate(reasons) if reason is not None]
+    sampled = np.flatnonzero([reason is None for reason in reasons])
+    values = values[:, sampled]
     size = chunk_trials(config)
-    chunks = [range(s, min(s + size, config.trials)) for s in range(0, config.trials, size)]
-    pieces = [(c, values[:, c.start : c.stop], reasons[c.start : c.stop]) for c in chunks]
+    starts = range(0, sampled.size, size)
+    blocks = [values[:, start : start + size] for start in starts]
     run = functools.partial(_run_chunk, config, target)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, *zip(*pieces)))
+            results = list(pool.map(run, blocks))
     else:
-        results = [run(*piece) for piece in pieces]
+        results = [run(block) for block in blocks]
 
-    failures = tuple(f for r in results for f in r.failures)
+    failures += [TrialFailure(int(sampled[start + t]), reason)
+                 for start, (*_, refusals) in zip(starts, results) for t, reason in refusals]
+    failures.sort(key=lambda failure: failure.index)
     if len(failures) == config.trials:
         raise AllTrialsFailedError(
             f"all {config.trials} trials failed; first reason: {failures[0].reason}"
         )
 
-    # each statistic's table is reduced, and freed, before the next is joined
+    # each statistic's table, of bp, WNG and DF rows in turn, is reduced, and
+    # freed, before the next is joined
     (bp_mean, bp_std), (wng_mean, wng_std), (df_mean, df_std) = (
-        _mean_std(np.concatenate([getattr(r, name) for r in results]))
-        for name in ("bp_db", "wng_db", "df_db")
+        _mean_std(np.concatenate([r[row] for r in results])) for row in range(3)
     )
-    angles_deg = 360.0 * np.arange(config.angle_count) / config.angle_count
     return TrialStatistics(
-        angles_deg=angles_deg,
+        angles_deg=360.0 * np.arange(config.angle_count) / config.angle_count,
         bp_mean_db=bp_mean,
         bp_std_db=bp_std,
         frequencies_hz=config.grid.frequencies_hz,
@@ -361,5 +334,5 @@ def run_trials(config: TrialConfig, workers: int = 1) -> TrialStatistics:
         df_std_db=df_std,
         eval_frequency_hz=config.eval_frequency_hz,
         trials=config.trials,
-        failures=failures,
+        failures=tuple(failures),
     )

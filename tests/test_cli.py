@@ -571,10 +571,12 @@ class TestConfigValueTypes:
     fractional integer, a boolean, a number in a string, a section that is
     not an object, a coefficient vector that is not an array, a negative
     seed, a key the run config or its ``pattern`` or ``grid_hz`` section
-    does not hold, an unknown element model or pattern family and an
-    evaluation frequency off the grid are each refused on one ``error:``
-    line naming the file and the key, before any trial is sampled or any
-    output is written."""
+    does not hold, an unknown element model or pattern family, an
+    evaluation frequency off the grid, a dB floor whose amplitude overflows
+    a double, an angle step that does not divide 360 degrees or gives more
+    angles than an array can hold and 2**32 trials or more are each refused
+    on one ``error:`` line naming the file and the key, before any trial is
+    sampled or any output is written."""
 
     # with CONFIGS, every key a run config and its sections may hold
     OPTIONAL = {
@@ -690,6 +692,15 @@ class TestConfigValueTypes:
             pytest.param("evaluate", ("eval_frequency_hz",), 1100.0, id="evaluate-off-grid"),
             pytest.param("montecarlo", ("eval_frequency_hz",), 1100.0,
                          id="montecarlo-off-grid"),
+            pytest.param("evaluate", ("beampattern_floor_db",), 1e308,
+                         id="evaluate-floor-overflows"),
+            pytest.param("montecarlo", ("db_floor",), 1e308, id="montecarlo-floor-overflows"),
+            pytest.param("evaluate", ("angle_step_deg",), 7.0, id="evaluate-uneven-step"),
+            pytest.param("evaluate", ("angle_step_deg",), 1e-300, id="evaluate-step-past-arrays"),
+            pytest.param("montecarlo", ("angle_step_deg",), 1e-300,
+                         id="montecarlo-step-past-arrays"),
+            pytest.param("montecarlo", ("trials",), 2**32, id="montecarlo-trials-past-2**32"),
+            pytest.param("montecarlo", ("trials",), 10**15, id="montecarlo-trials-1e15"),
         ],
     )
     def test_refused_naming_file_and_key(self, workspace, capsys, monkeypatch, command, path,
@@ -752,6 +763,49 @@ class TestConfigValueTypes:
         assert len(objects) == 1 + ("pattern" in config) + ("grid_hz" in config)
         for obj in objects:
             assert obj.keys_looked_up == set(obj)
+
+
+class TestAllocationFailures:
+    """A config whose sizes call for an array no address space can hold is
+    refused on one ``error:`` line naming the file, with no traceback and
+    nothing written. Every size here is far past the 128 PiB a 57-bit
+    address space holds, so no host can grant it."""
+
+    @pytest.mark.parametrize(
+        "command, path, value, shape",
+        [
+            pytest.param("design", ("grid_hz", "count"), 10**18, "(1000000000000000000,)",
+                         id="design-grid"),
+            pytest.param("montecarlo", ("grid_hz", "count"), 10**18, "(1000000000000000000,)",
+                         id="montecarlo-grid"),
+            # 2**56 angles: 512 PiB of int64 indices before the angles are taken
+            pytest.param("evaluate", ("angle_step_deg",), 360.0 / 2**56, "(72057594037927936,)",
+                         id="evaluate-angles"),
+        ],
+    )
+    def test_refused_naming_the_file(self, workspace, capsys, monkeypatch, command, path, value,
+                                     shape):
+        def unreachable(*args):
+            raise AssertionError("sampled a study that cannot be allocated")
+
+        monkeypatch.setattr(mc, "sample_element_stack", unreachable)
+        configs = TestConfigValueTypes.CONFIGS
+        if command == "evaluate":
+            design = write_json(workspace / "design.json", configs["design"])
+            assert main(["design", "--config", str(design), "--out", str(workspace / "design")]) == 0
+        config = copy.deepcopy(configs[command])
+        *sections, key = path
+        functools.reduce(dict.__getitem__, sections, config)[key] = value
+        config_path = write_json(workspace / f"{command}_huge.json", config)
+        out = workspace / "out"
+        code = main([*TestConfigValueTypes.COMMANDS[command], "--config", str(config_path),
+                     "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(lines) == 1
+        assert lines[0].startswith("error: Unable to allocate ") and shape in lines[0]
+        assert lines[0].endswith(f" ({config_path})")
+        assert not out.exists()
 
 
 class LookedUp(dict):

@@ -148,3 +148,17 @@ def test_angle_step_refused(study, tmp_path, capsys, step_deg, message):
     err = capsys.readouterr().err
     assert "error: argument --angle-step-deg: angle step" in err and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("floor_db", ["7000", "1e308", "nan", "inf"])
+def test_floor_past_a_double_refused(study, tmp_path, capsys, floor_db):
+    # 20 log10 of the largest double, about 6165.09 dB, is the highest floor
+    # whose amplitude a double holds
+    out = tmp_path / "fixed"
+    with pytest.raises(SystemExit) as excinfo:
+        study.main(["--out", str(out), "--floor-db", floor_db])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --floor-db: floor must be finite and at most about 6165.09 dB" in err
+    assert "Traceback" not in err
+    assert not out.exists()

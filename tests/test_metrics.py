@@ -19,6 +19,8 @@ from diffbeam import (
 )
 from diffbeam.geometry import ArrayElement, ArrayGeometry
 from diffbeam.metrics import (
+    angle_count,
+    check_floor_db,
     equispaced_pattern,
     magnitude_db,
     parseval_reach,
@@ -377,6 +379,12 @@ class TestEquispacedPatternBits:
         got = equispaced_pattern(coefficients, 360)
         assert got.tobytes() == padded_fold_pattern(coefficients, 360).tobytes()
 
+    @pytest.mark.parametrize("angle_count", [8, 360])
+    def test_a_stack_of_no_rows(self, angle_count):
+        # a Monte Carlo block whose every trial the rank gate refuses
+        got = equispaced_pattern(np.zeros((0, 43), dtype=complex), angle_count)
+        assert got.shape == (0, angle_count) and got.dtype == complex
+
 
 class TestLargeAperture:
     """A 0.5 m aperture at 8 kHz reaches x = omega r / c ~ 73, far past the
@@ -480,5 +488,32 @@ class TestDbHelpers:
     def test_magnitude_of_zero_is_minus_infinity_without_a_floor(self):
         assert magnitude_db([0.0, 1.0])[0] == -np.inf
 
+    @pytest.mark.parametrize(
+        "floor_db", [-120.0, 0.0, 6165.09, math.nextafter(6165.094311198335, 0.0), -1e308]
+    )
+    def test_floor_whose_amplitude_a_double_holds_accepted(self, floor_db):
+        assert check_floor_db(floor_db, "db_floor") == floor_db
+        assert magnitude_db(1.0, floor_db=floor_db) >= min(floor_db, 0.0)
+
+    @pytest.mark.parametrize(
+        "floor_db", [6165.094311198335, 7000.0, 1e308, math.nan, math.inf, -math.inf]
+    )
+    def test_floor_past_a_double_refused(self, floor_db):
+        # 20 log10 of the largest double is 6165.094311198335, whose amplitude overflows
+        with pytest.raises(ValueError, match="^floor must be finite and at most about 6165.09 dB"):
+            check_floor_db(floor_db, "floor")
+
     def test_power_db(self):
         assert power_db(100.0) == pytest.approx(20.0)
+
+
+class TestAngleCount:
+    @pytest.mark.parametrize("step_deg, count", [(1.0, 360), (45.0, 8), (360.0 / 2**56, 2**56)])
+    def test_steps_that_close_the_circle(self, step_deg, count):
+        assert angle_count(step_deg) == count
+
+    @pytest.mark.parametrize("step_deg", [1e-16, 1e-300, 5e-324])
+    def test_more_angles_than_an_array_holds_refused(self, step_deg):
+        # (2**63 - 1) // 16 complex values is the most a NumPy array can address
+        with pytest.raises(ValueError, match="an array of complex values can hold"):
+            angle_count(step_deg)

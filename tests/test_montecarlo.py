@@ -52,6 +52,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(trials=0)
 
+    def test_trials_below_two_to_the_32(self):
+        # every trial index is one seed word; nothing is allocated for the trials up front
+        assert small_config(trials=2**32 - 1).trials == 2**32 - 1
+        with pytest.raises(ValueError, match=r"^trials must be below 2\*\*32, got 4294967296$"):
+            small_config(trials=2**32)
+
+    @pytest.mark.parametrize("db_floor", [7000.0, 1e308])
+    def test_floor_whose_amplitude_overflows_refused(self, db_floor):
+        with pytest.raises(ValueError, match="^db_floor must be finite and at most about 6165.09"):
+            small_config(db_floor=db_floor)
+
     def test_eval_frequency_must_be_on_grid(self):
         with pytest.raises(ValueError):
             small_config(eval_frequency_hz=1234.0)
@@ -356,9 +367,34 @@ def _harmonic_count(config) -> int:
 
 class TestChunkBoundaries:
     """Every trial is scored over the harmonics of the whole study, so the
-    statistics and failures are the same bits whatever the chunk size."""
+    statistics and failures are the same bits whatever the chunk size and
+    however many workers run the chunks."""
 
-    @pytest.mark.parametrize("study", ["n2_m9_1khz", "desk_grid", "n3_m7_band", "omni"])
+    # trials the patched sampler fails: the first, both sides of the first
+    # boundary of 7-trial chunks, and both neighbours of each of the rank
+    # gate's refusals of the N3 M7 band study's first 60 trials, 43 and 55
+    UNSAMPLED = (0, 6, 7, 42, 44, 54, 56)
+
+    @staticmethod
+    def fail_sampling(monkeypatch, config, indices):
+        """Patch the sampler so that the trials ``indices`` come back unsampled."""
+        seeds = trial_seeds(config.master_seed, 0, config.trials)
+        failing = {int(seeds[i]) for i in indices}
+        sample = mc.sample_element_stack
+
+        def sampler(element_count, aperture_radius, min_spacing, batch_seeds):
+            values, reasons = sample(element_count, aperture_radius, min_spacing, batch_seeds)
+            for t, seed in enumerate(batch_seeds):
+                if int(seed) in failing:
+                    values[:, t] = np.nan
+                    reasons[t] = f"seed {int(seed)} not sampled"
+            return values, reasons
+
+        monkeypatch.setattr(mc, "sample_element_stack", sampler)
+
+    @pytest.mark.parametrize(
+        "study", ["n2_m9_1khz", "desk_grid", "n3_m7_band", "omni", "unsampled_beside_refused"]
+    )
     def test_statistics_bit_equal_across_chunk_sizes(self, monkeypatch, study):
         config = {
             "n2_m9_1khz": lambda: small_config(
@@ -373,14 +409,26 @@ class TestChunkBoundaries:
                 grid=FrequencyGrid(700.0, 700.0, 1), eval_frequency_hz=700.0,
                 element_model="omni",
             ),
+            "unsampled_beside_refused": lambda: study_n3_m7(trials=60),
         }[study]()
+        if study == "unsampled_beside_refused":
+            self.fail_sampling(monkeypatch, config, self.UNSAMPLED)
         runs = []
         for size in (1, 7, 1000):
             monkeypatch.setattr(mc, "chunk_trials", lambda config, size=size: size)
-            runs.append(run_trials(config))
+            for workers in (1, 2):
+                runs.append(run_trials(config, workers=workers))
         first = runs[0]
         if study in ("n3_m7_band", "omni"):
             assert first.failures
+        if study == "unsampled_beside_refused":
+            seeds = trial_seeds(config.master_seed, 0, config.trials)
+            assert [f.index for f in first.failures] == sorted(self.UNSAMPLED + (43, 55))
+            for failure in first.failures:
+                if failure.index in self.UNSAMPLED:
+                    assert failure.reason == f"seed {seeds[failure.index]} not sampled"
+                else:
+                    assert failure.reason.startswith("modal system is rank deficient")
         for other in runs[1:]:
             assert other.failures == first.failures
             for name in STAT_NAMES:
