@@ -95,6 +95,13 @@ def main(argv=None) -> int:
         check_floor_db(args.floor_db, "floor")
     except ValueError as err:
         parser.error(f"argument --floor-db: {err}")
+    try:
+        # the sweep renders every frequency's pattern at once: NumPy refuses a
+        # stack past the byte ceiling `angle_count` checks one row against
+        np.empty((args.f_count, angles), dtype=complex)
+    except (ValueError, MemoryError) as err:
+        parser.error(f"arguments --f-count and --angle-step-deg: {args.f_count} "
+                     f"frequencies of {angles} angles: {err}")
 
     constants = PhysicalConstants(speed_of_sound=args.c_mps)
     geometry = sample_random_geometry(args.elements, 0.02, 0.008, seed=args.seed)

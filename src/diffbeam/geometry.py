@@ -27,13 +27,12 @@ _PLACEMENT_CAP = 2000  # candidate draws per element before a full restart
 # doubles of each trial's stream a stacked sample draws per element: the
 # scalar sampler's first two blocks
 STACK_WINDOW = 16
+# trials per stacked batch hold their stream windows to about this many
+# doubles, 1 MiB
+SAMPLE_BATCH_DOUBLES = 1 << 17
 # squared distances this close to min_spacing**2, relatively, are not decided
 # in the stack: np.cos and math.cos may differ in the last ulp
 _NEAR_SPACING = 1e-12
-# a lockstep step costs about 30 us whatever the number of trials, so fewer
-# trials than this are sampled one at a time: at M = 5-13 the stack broke
-# even at 16-48 trials (2-vCPU Xeon) and took 2.6x as long at 8
-_LOCKSTEP_MIN_TRIALS = 16
 
 
 def wrap_angle(angle: float) -> float:
@@ -291,14 +290,14 @@ def sample_element_stack(
     for a sampled trial, else the message of the `InfeasibleGeometryError`
     `sample_element_values` raises for its seed (its values are then NaN).
 
-    Each trial's first ``STACK_WINDOW * M`` doubles are drawn at once and
-    the candidates are placed in lockstep; a batch of fewer than
-    ``_LOCKSTEP_MIN_TRIALS`` is sampled one trial at a time instead. A
-    trial the window cannot settle is sampled again, from scratch, by
-    `sample_element_values`: one not placed within the window, one whose
-    shapes and steering angles run past its end, and one whose placement
-    turns on a squared distance within ``_NEAR_SPACING`` (relative) of
-    ``min_spacing**2``. So every trial's values are that function's bits.
+    Each trial's first ``STACK_WINDOW * M`` doubles are drawn at once, in
+    batches of trials whose windows hold about ``SAMPLE_BATCH_DOUBLES``,
+    and each batch is placed slot by slot. A trial the window cannot
+    settle is sampled again, from scratch, by `sample_element_values`: one
+    not placed within the window, one whose shapes and steering angles run
+    past its end, and one whose placement turns on a squared distance
+    within ``_NEAR_SPACING`` (relative) of ``min_spacing**2``. So every
+    trial's values are that function's bits.
     """
     element_count = int(element_count)
     if element_count < 1:
@@ -307,10 +306,13 @@ def sample_element_stack(
     values = np.full((4, seeds.size, element_count), np.nan)
     settled = np.zeros(seeds.size, dtype=bool)
     # a request the area heuristic rules out is left to `sample_element_values` to refuse
-    feasible = element_count * (min_spacing / 2.0) ** 2 <= aperture_radius**2
-    if feasible and seeds.size >= _LOCKSTEP_MIN_TRIALS:
-        window = uniform_windows(seeds, STACK_WINDOW * element_count)
-        settled = _place_in_lockstep(window, aperture_radius, min_spacing, values)
+    if element_count * (min_spacing / 2.0) ** 2 <= aperture_radius**2:
+        width = STACK_WINDOW * element_count
+        batch = max(1, SAMPLE_BATCH_DOUBLES // width)
+        for start in range(0, seeds.size, batch):
+            part = slice(start, start + batch)
+            window = uniform_windows(seeds[part], width)
+            settled[part] = _place_by_slot(window, aperture_radius, min_spacing, values[:, part])
     reasons: list[str | None] = [None] * seeds.size
     for t in np.flatnonzero(~settled):
         try:
@@ -322,17 +324,19 @@ def sample_element_stack(
     return values, reasons
 
 
-def _place_in_lockstep(
+def _place_by_slot(
     window: np.ndarray, aperture_radius: float, min_spacing: float, values: np.ndarray
 ) -> np.ndarray:
     """Fill ``values[:, t]`` for each trial its ``window[t]`` settles; the mask of those trials.
 
     Candidate c is ``window[:, 2c]`` (radius) and ``window[:, 2c + 1]``
-    (angle). At step c every open trial tests its candidate c against its
-    placed elements, the unplaced slots held at NaN, which no comparison
-    passes. A candidate is rejected by a squared distance below the band
-    around ``min_spacing**2`` and accepted when every one lies above it;
-    a trial whose candidate is neither leaves the walk unsettled. Only
+    (angle). Element 0 is candidate 0. Each further slot measures every
+    candidate against the element placed last, and a candidate stays
+    rejected once a squared distance falls below the band around
+    ``min_spacing**2`` and near once one falls at or below its top. A
+    trial takes its first candidate past its last element that is not
+    rejected, which is the candidate the scalar sampler accepts; one that
+    is near leaves the trial unsettled, as does one that is missing. Only
     candidates that leave room for the 2M trailing doubles are walked,
     and no more than one element's cap or the budget allows, so no trial
     settled here restarts or runs out of draws.
@@ -340,35 +344,33 @@ def _place_in_lockstep(
     trials, width = window.shape
     count = values.shape[2]
     steps = min((width - 2 * count) // 2, _PLACEMENT_CAP, SAMPLING_BUDGET)
+    if steps < 1:
+        return np.zeros(trials, dtype=bool)
     radius = aperture_radius * np.sqrt(window[:, 0 : 2 * steps : 2])
     angle = TWO_PI * window[:, 1 : 2 * steps : 2]
     x, y = radius * np.cos(angle), radius * np.sin(angle)
     min_sq = min_spacing * min_spacing
     below = min_sq - _NEAR_SPACING * min_sq
     above = min_sq + _NEAR_SPACING * min_sq
-    placed_x = np.full((trials, count), np.nan)
-    placed_y = np.full((trials, count), np.nan)
+    rows = np.arange(trials)
+    later = np.arange(steps)
     chosen = np.zeros((trials, count), dtype=np.intp)
-    placed = np.zeros(trials, dtype=np.intp)
-    open_rows = np.arange(trials)
-    for c in range(steps):
-        if not open_rows.size:
-            break
-        dx = x[open_rows, c, None] - placed_x[open_rows]
-        dy = y[open_rows, c, None] - placed_y[open_rows]
+    settled = np.ones(trials, dtype=bool)
+    rejected = np.zeros((trials, steps), dtype=bool)
+    near = np.zeros((trials, steps), dtype=bool)
+    for slot in range(1, count):
+        last = chosen[:, slot - 1, None]
+        # x_c - x_last, the operands and order of the scalar sampler's test
+        dx = x - np.take_along_axis(x, last, axis=1)
+        dy = y - np.take_along_axis(y, last, axis=1)
         dist_sq = dx * dx + dy * dy
-        rejected = (dist_sq < below).any(axis=1)
-        accepted = ~(dist_sq <= above).any(axis=1)
-        rows = open_rows[accepted]
-        slots = placed[rows]
-        placed_x[rows, slots] = x[rows, c]
-        placed_y[rows, slots] = y[rows, c]
-        chosen[rows, slots] = c
-        placed[rows] = slots + 1
-        # a candidate neither rejected nor accepted here sits in the band: hand it over
-        open_rows = open_rows[rejected | accepted & (placed[open_rows] < count)]
+        rejected |= dist_sq < below
+        near |= dist_sq <= above
+        free = ~rejected & (later > last)
+        pick = np.argmax(free, axis=1)
+        settled &= free[rows, pick] & ~near[rows, pick]
+        chosen[:, slot] = pick
 
-    settled = placed == count
     rows = np.flatnonzero(settled)
     picks, column = chosen[rows], rows[:, None]
     values[0, rows] = radius[column, picks]

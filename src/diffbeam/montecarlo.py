@@ -26,7 +26,7 @@ import numpy as np
 
 from ._seeding import trial_seeds
 from .errors import AllTrialsFailedError
-from .geometry import STACK_WINDOW, PhysicalConstants, sample_element_stack
+from .geometry import PhysicalConstants, sample_element_stack
 from .metrics import (
     check_floor_db,
     coefficient_gains,
@@ -66,6 +66,8 @@ class TrialConfig:
     speed_of_sound: float = 343.0
     angle_count: int = 360
     db_floor: float = STATISTICS_FLOOR_DB
+    # the grid index of eval_frequency_hz, looked up once here
+    eval_index: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_trials(self.trials)
@@ -82,7 +84,7 @@ class TrialConfig:
             raise ValueError(f"unknown element model {self.element_model!r}")
         if self.element_count < 2 * self.order + 1:
             raise ValueError(f"order {self.order} needs at least {2 * self.order + 1} elements")
-        self.grid.index(self.eval_frequency_hz)
+        object.__setattr__(self, "eval_index", self.grid.index(self.eval_frequency_hz))
         PhysicalConstants(speed_of_sound=self.speed_of_sound)  # refuses c <= 0, inf, nan
         # before any trial is sampled: every element lies within the aperture
         check_reach(self.aperture_radius, np.max(self.grid.omegas), self.speed_of_sound,
@@ -149,10 +151,6 @@ def trial_seed(master_seed: int, index: int) -> int:
 # (-17.5%) but added 9.6 MB of peak RSS
 CHUNK_ELEMENTS = 1 << 16
 
-# trials per sampling batch hold their stream windows to about this many
-# doubles, 1 MiB
-SAMPLE_BATCH_DOUBLES = 1 << 17
-
 
 # glibc's mallopt parameters
 _M_TRIM_THRESHOLD = -1
@@ -217,25 +215,6 @@ def chunk_trials(config: TrialConfig) -> int:
     return max(1, CHUNK_ELEMENTS // per_trial)
 
 
-def _sample_trials(config: TrialConfig) -> tuple[np.ndarray, list[str | None]]:
-    """Every trial's element values (4, T, M) and failure reason, in trial order.
-
-    The trials are sampled in batches of `sample_element_stack`, each
-    batch's windows held to ``SAMPLE_BATCH_DOUBLES``.
-    """
-    seeds = trial_seeds(int(config.master_seed), 0, config.trials)
-    batch = max(1, SAMPLE_BATCH_DOUBLES // (STACK_WINDOW * config.element_count))
-    stacks = [
-        sample_element_stack(
-            config.element_count, config.aperture_radius, config.min_spacing,
-            seeds[start : start + batch],
-        )
-        for start in range(0, config.trials, batch)
-    ]
-    values = np.concatenate([stack for stack, _ in stacks], axis=1)
-    return values, [reason for _, reasons in stacks for reason in reasons]
-
-
 def _run_chunk(
     config: TrialConfig, target: SteeredTarget, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, str]]]:
@@ -259,8 +238,7 @@ def _run_chunk(
     del xi  # before the pattern is built, as `chunk_trials` budgets
     weights = weights[designed]
 
-    eval_index = grid.index(config.eval_frequency_hz)
-    bp = equispaced_pattern(coefficients[:, eval_index], config.angle_count)
+    bp = equispaced_pattern(coefficients[:, config.eval_index], config.angle_count)
     wng, df = coefficient_gains(coefficients, weights, target.theta_s)
     return magnitude_db(bp, floor_db=config.db_floor), power_db(wng), power_db(df), refusals
 
@@ -292,11 +270,18 @@ def run_trials(config: TrialConfig, workers: int = 1) -> TrialStatistics:
 
     Raises
     ------
+    MemoryError
+        When one chunk's pattern cannot be allocated, before any trial is drawn.
     AllTrialsFailedError
         When not a single trial produced a design.
     """
     target, _ = config.target()
-    values, reasons = _sample_trials(config)
+    # a pattern no chunk can allocate is refused before any trial is drawn
+    np.empty((chunk_trials(config), config.angle_count), dtype=complex)
+    values, reasons = sample_element_stack(
+        config.element_count, config.aperture_radius, config.min_spacing,
+        trial_seeds(int(config.master_seed), 0, config.trials),
+    )
     failures = [TrialFailure(i, reason) for i, reason in enumerate(reasons) if reason is not None]
     sampled = np.flatnonzero([reason is None for reason in reasons])
     values = values[:, sampled]

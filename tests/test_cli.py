@@ -781,6 +781,9 @@ class TestAllocationFailures:
             # 2**56 angles: 512 PiB of int64 indices before the angles are taken
             pytest.param("evaluate", ("angle_step_deg",), 360.0 / 2**56, "(72057594037927936,)",
                          id="evaluate-angles"),
+            # 2**56 angles: one trial's pattern, 1 EiB, refused before any trial is drawn
+            pytest.param("montecarlo", ("angle_step_deg",), 360.0 / 2**56,
+                         "(1, 72057594037927936)", id="montecarlo-angles"),
         ],
     )
     def test_refused_naming_the_file(self, workspace, capsys, monkeypatch, command, path, value,

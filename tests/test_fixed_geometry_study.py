@@ -150,6 +150,25 @@ def test_angle_step_refused(study, tmp_path, capsys, step_deg, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "f_count, message",
+    [("80", "array is too big"), ("1", "Unable to allocate 1.00 EiB")],
+    ids=["past-the-ceiling", "past-memory"],
+)
+def test_sweep_past_an_array_refused(study, tmp_path, capsys, f_count, message):
+    # 2**56 angles pass for one row; 80 rows of them are more bytes than NumPy
+    # can index, and one row, 1 EiB, more than any address space holds
+    out = tmp_path / "fixed"
+    with pytest.raises(SystemExit) as excinfo:
+        study.main(["--out", str(out), "--f-count", f_count,
+                    "--angle-step-deg", repr(360.0 / 2**56)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: arguments --f-count and --angle-step-deg: " in err and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("floor_db", ["7000", "1e308", "nan", "inf"])
 def test_floor_past_a_double_refused(study, tmp_path, capsys, floor_db):
     # 20 log10 of the largest double, about 6165.09 dB, is the highest floor

@@ -224,7 +224,8 @@ class TestBufferedSampler:
     def stack_sample(hand_over, element_count, seeds):
         """`sample_element_stack` over ``seeds`` at the desk aperture; asserts
         that the hand-over mode sent every trial it must to the single sampler,
-        and that up to 9 elements the unpatched window settles some trials."""
+        and that from 8 seeds and up to 9 elements the unpatched window
+        settles some trials."""
         single = geometry_module.sample_element_values
         handed_over = []
 
@@ -241,7 +242,7 @@ class TestBufferedSampler:
             )
         if hand_over == "short-window" or (hand_over == "wide-band" and element_count > 1):
             assert handed_over == list(seeds)
-        elif len(seeds) >= geometry_module._LOCKSTEP_MIN_TRIALS and element_count <= 9:
+        elif len(seeds) >= 8 and element_count <= 9:
             assert len(handed_over) < len(seeds)
         return values, reasons
 
@@ -256,6 +257,43 @@ class TestBufferedSampler:
                 assert np.array_equal(values[:, t], expected), (elements, seed)
 
     @pytest.mark.parametrize("hand_over", HAND_OVERS)
+    @pytest.mark.parametrize("batch", [1, 2, 8, 15])
+    def test_small_batches_match_loop_oracle(self, hand_over, batch):
+        # every batch size runs through the stack, down to a single seed
+        seeds = range(1000, 1000 + batch)
+        for elements in range(1, 18):
+            values, reasons = self.stack_sample(hand_over, elements, seeds)
+            assert reasons == [None] * batch
+            for t, seed in enumerate(seeds):
+                expected = loop_sample(elements, 0.02, 0.008, seed).element_values
+                assert np.array_equal(values[:, t], expected), (elements, seed)
+
+    def test_batches_of_the_budget_match_one_batch(self, monkeypatch):
+        seeds = np.arange(30, dtype=np.uint64)
+        windows = geometry_module.uniform_windows
+        batches = []
+
+        def counted(batch_seeds, width):
+            batches.append(len(batch_seeds))
+            return windows(batch_seeds, width)
+
+        monkeypatch.setattr(geometry_module, "uniform_windows", counted)
+        for elements in (1, 5, 9, 13, 17):
+            whole = geometry_module.sample_element_stack(elements, 0.02, 0.008, seeds)
+            assert batches == [30]
+            # ten trials' windows to a batch
+            budget = 10 * geometry_module.STACK_WINDOW * elements
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(geometry_module, "SAMPLE_BATCH_DOUBLES", budget)
+                values, reasons = geometry_module.sample_element_stack(
+                    elements, 0.02, 0.008, seeds
+                )
+            assert batches == [30, 10, 10, 10]
+            assert values.tobytes() == whole[0].tobytes()
+            assert reasons == whole[1]
+            batches.clear()
+
+    @pytest.mark.parametrize("hand_over", HAND_OVERS)
     def test_stack_restarts_match_loop_oracle(self, hand_over):
         seeds = range(20)
         values, reasons = self.stack_sample(hand_over, 17, seeds)
@@ -268,8 +306,6 @@ class TestBufferedSampler:
     def test_stack_budget_exhaustion_matches_oracle(self, monkeypatch, hand_over):
         seeds = range(3)
         monkeypatch.setattr(geometry_module, "SAMPLING_BUDGET", 20_000)
-        # three trials are too few for the lockstep walk unless the floor drops
-        monkeypatch.setattr(geometry_module, "_LOCKSTEP_MIN_TRIALS", 1)
         expected = []
         for seed in seeds:
             with pytest.raises(InfeasibleGeometryError) as error:
