@@ -38,7 +38,7 @@ import time
 from pathlib import Path
 
 from diffbeam import FrequencyGrid, TrialConfig, run_trials
-from diffbeam.fileio import write_study
+from diffbeam.fileio import pattern_from_config, write_study
 from diffbeam.montecarlo import keep_freed_memory
 
 APERTURE_M = 0.02
@@ -52,11 +52,13 @@ HIGH_ORDER_GRID = FrequencyGrid(300.0, 4000.0, 75)
 
 def experiment_configs(name, trials, seed):
     def config(order, elements, grid):
+        target, _, _ = pattern_from_config(
+            {"family": "hypercardioid", "order": order, "steer_deg": 60.0}
+        )
         return TrialConfig(
             trials=trials,
             element_count=elements,
-            order=order,
-            steer_deg=60.0,
+            target=target,
             aperture_radius=APERTURE_M,
             min_spacing=SPACING_M,
             grid=grid,

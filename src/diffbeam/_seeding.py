@@ -91,23 +91,18 @@ def trial_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
     """``SeedSequence([master_seed, i]).generate_state(1, np.uint64)[0]`` for
     ``i`` in ``range(start, stop)``, as uint64.
 
-    An index's word count sets its entropy's length, so the range is hashed
-    in runs of indices with the same number of words.
+    Every index is one uint32 word, so ``start`` must be non-negative and
+    ``stop`` at most 2**32.
     """
+    if start < 0 or stop > 1 << 32:
+        raise ValueError(
+            f"trial indices must run from 0 to 2**32 - 1, got range({start}, {stop})"
+        )
     head = _words(master_seed)
-    runs = [np.empty(0, dtype=np.uint64)]
-    while start < stop:
-        count = len(_words(start))
-        end = min(stop, 1 << (32 * count))
-        dtype = np.uint64 if end <= 1 << 64 else object
-        indices = np.arange(start, end, dtype=dtype)
-        entropy = np.empty((end - start, len(head) + count), dtype=np.uint32)
-        entropy[:, : len(head)] = head
-        for k in range(count):
-            entropy[:, len(head) + k] = (indices >> (32 * k)) & _MASK32
-        runs.append(_generate_state64(_pool(entropy), 1)[:, 0])
-        start = end
-    return np.concatenate(runs)
+    entropy = np.empty((max(0, stop - start), len(head) + 1), dtype=np.uint32)
+    entropy[:, : len(head)] = head
+    entropy[:, len(head)] = np.arange(start, stop)
+    return _generate_state64(_pool(entropy), 1)[:, 0]
 
 
 def uniform_windows(seeds: np.ndarray, width: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from .errors import (
     InfeasibleGeometryError,
     RankDeficientSystemError,
 )
-from .fileio import read, read_numbers
+from .fileio import read
 from .geometry import (
     PhysicalConstants,
     geometry_digest,
@@ -51,7 +51,7 @@ from .montecarlo import (
     keep_freed_memory,
     run_trials,
 )
-from .patterns import PATTERN_FAMILIES, evaluate_target
+from .patterns import evaluate_target
 from .solver import FrequencyGrid, design_filter
 
 # default sweep: 50 Hz to 4 kHz in 50 Hz steps
@@ -271,21 +271,20 @@ def _cmd_montecarlo(args) -> int:
     config_path = Path(args.config)
     config, context = _load_config(config_path, "montecarlo")
     pattern, where = _pattern(config, context)
-    custom = read_numbers(pattern, "a", where, default=None)
+    # a study's pattern reads as a design's, but is a hypercardioid unless it names a family
+    pattern.setdefault("family", "hypercardioid")
+    target, _, _ = fileio.pattern_from_config(pattern, where)
     _inert_integration_points(config, context)
     grid = _grid(config, context)
     trial_config = TrialConfig(
         trials=_checked(config, "trials", object, context, check_trials),
         element_count=read(config, "element_count", int, context),
-        order=read(pattern, "order", int, where),
-        steer_deg=read(pattern, "steer_deg", float, where),
+        target=target,
         aperture_radius=read(config, "aperture_radius_mm", float, context) * 1e-3,
         min_spacing=read(config, "min_spacing_mm", float, context) * 1e-3,
         grid=grid,
         eval_frequency_hz=_eval_frequency(config, context, grid),
         master_seed=_seed(args, config, "master_seed", context),
-        pattern_family=read(pattern, "family", PATTERN_FAMILIES, where, default="hypercardioid"),
-        custom_a=tuple(custom) if custom is not None else None,
         element_model=read(config, "element_model", ELEMENT_MODELS, context,
                            default="first_order"),
         speed_of_sound=_speed_of_sound(args, config, context),

@@ -164,18 +164,24 @@ def load_geometry_file(path) -> ArrayGeometry:
 # ---------------------------------------------------------------------------
 # pattern and grid configs
 
-# the keys a run config's pattern section may hold; a Monte Carlo study's
-# pattern is read by the CLI from the same keys
+# the keys a run config's pattern section may hold
 PATTERN_KEYS = ("family", "order", "steer_deg", "a")
 
 
 def pattern_from_config(config: dict, context: str = "pattern"):
-    """Resolve a pattern config into (target, pattern_id, coefficients)."""
+    """Resolve a pattern config into (target, pattern_id, coefficients).
+
+    A pattern `resolve_pattern` refuses is refused with ``context`` at the
+    end of its message.
+    """
     family = read(config, "family", PATTERN_FAMILIES, context)
     order = read(config, "order", int, context)
     steer_deg = read(config, "steer_deg", float, context)
     custom = read_numbers(config, "a", context, default=None)
-    coeffs, pattern_id = resolve_pattern(family, order, custom)
+    try:
+        coeffs, pattern_id = resolve_pattern(family, order, custom)
+    except ValueError as err:
+        raise ValueError(f"{err} ({context})") from None
     target = SteeredTarget(coefficients=a_to_b(coeffs), theta_s=math.radians(steer_deg))
     return target, pattern_id, coeffs
 

@@ -1,15 +1,17 @@
 """Monte Carlo robustness studies over random array geometries.
 
-Each trial draws a fresh geometry from a per-trial seed, designs the
-filter, and evaluates the metrics; mean and standard deviation are
-aggregated in the dB domain across trials. Per-trial seeds are derived by
-splitting the master seed with the trial index, all in one stacked hash,
-and the geometries are sampled as stacks of trials before any chunk runs.
-Chunks of sampled arrays are then designed and scored as stacks, over
-harmonics fixed by the configuration, so no result depends on which
-trials share a chunk; one ledger holds every failed trial. The rows are
-reduced in trial-index order, so the statistics are identical no matter
-how many workers execute the chunks.
+A study is one `TrialConfig`, whose ``target`` is the `SteeredTarget`
+every trial designs for, as `design_filter` takes it. Each trial draws a
+fresh geometry from a per-trial seed, designs the filter, and evaluates
+the metrics; mean and standard deviation are aggregated in the dB domain
+across trials. Per-trial seeds are derived by splitting the master seed
+with the trial index, one 32-bit word, all in one stacked hash, and the
+geometries are sampled as stacks of trials before any chunk runs. Chunks
+of sampled arrays are then designed and scored as stacks, over harmonics
+fixed by the configuration, so no result depends on which trials share a
+chunk; one ledger holds every failed trial. The rows are reduced in
+trial-index order, so the statistics are identical no matter how many
+workers execute the chunks.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .metrics import (
     power_db,
 )
 from .modal import ELEMENT_MODELS, check_reach, element_harmonics, model_values
-from .patterns import SteeredTarget, a_to_b, resolve_pattern
+from .patterns import SteeredTarget
 from .solver import FrequencyGrid, design_weights, rank_deficiency
 
 STATISTICS_FLOOR_DB = -120.0
@@ -47,21 +49,21 @@ STATISTICS_FLOOR_DB = -120.0
 class TrialConfig:
     """Everything one experiment needs, fixed up front.
 
-    ``eval_frequency_hz`` (where the beampattern statistics are taken)
-    must be a point of the design grid; metrics are never interpolated.
+    ``target`` is the steered pattern every trial designs for, as
+    `design_filter` takes it; `fileio.pattern_from_config` builds it from a
+    pattern section. ``eval_frequency_hz`` (where the beampattern statistics
+    are taken) must be a point of the design grid; metrics are never
+    interpolated.
     """
 
     trials: int
     element_count: int
-    order: int
-    steer_deg: float
+    target: SteeredTarget
     aperture_radius: float
     min_spacing: float
     grid: FrequencyGrid
     eval_frequency_hz: float
     master_seed: int
-    pattern_family: str = "hypercardioid"
-    custom_a: tuple[float, ...] | None = None
     element_model: str = "first_order"
     speed_of_sound: float = 343.0
     angle_count: int = 360
@@ -82,20 +84,14 @@ class TrialConfig:
         check_floor_db(self.db_floor, "db_floor")
         if self.element_model not in ELEMENT_MODELS:
             raise ValueError(f"unknown element model {self.element_model!r}")
-        if self.element_count < 2 * self.order + 1:
-            raise ValueError(f"order {self.order} needs at least {2 * self.order + 1} elements")
+        order = self.target.order
+        if self.element_count < 2 * order + 1:
+            raise ValueError(f"order {order} needs at least {2 * order + 1} elements")
         object.__setattr__(self, "eval_index", self.grid.index(self.eval_frequency_hz))
         PhysicalConstants(speed_of_sound=self.speed_of_sound)  # refuses c <= 0, inf, nan
         # before any trial is sampled: every element lies within the aperture
         check_reach(self.aperture_radius, np.max(self.grid.omegas), self.speed_of_sound,
                     "aperture radius")
-
-    def target(self) -> tuple[SteeredTarget, str]:
-        coeffs, pattern_id = resolve_pattern(self.pattern_family, self.order, self.custom_a)
-        return (
-            SteeredTarget(coefficients=a_to_b(coeffs), theta_s=math.radians(self.steer_deg)),
-            pattern_id,
-        )
 
 
 def check_trials(trials) -> int:
@@ -139,7 +135,8 @@ def trial_seed(master_seed: int, index: int) -> int:
     """Splittable per-trial seed: independent of scheduling, stable forever.
 
     ``np.random.SeedSequence([master_seed, index]).generate_state(1,
-    np.uint64)[0]``, by the stacked hash that seeds a whole study.
+    np.uint64)[0]``, by the stacked hash that seeds a whole study; ``index``
+    is one 32-bit word, from 0 to 2**32 - 1.
     """
     index = int(index)
     return int(trial_seeds(int(master_seed), index, index + 1)[0])
@@ -197,7 +194,7 @@ def _parseval_reach(config: TrialConfig) -> int:
     trials share a chunk.
     """
     return parseval_reach(
-        config.order, np.max(config.grid.omegas), config.aperture_radius,
+        config.target.order, np.max(config.grid.omegas), config.aperture_radius,
         config.speed_of_sound,
     )
 
@@ -216,13 +213,13 @@ def chunk_trials(config: TrialConfig) -> int:
 
 
 def _run_chunk(
-    config: TrialConfig, target: SteeredTarget, values: np.ndarray
+    config: TrialConfig, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, str]]]:
     """Design and score a block of sampled arrays ``values`` (4, T, M) as one stack:
     the bp (S, K) rows at ``eval_frequency_hz`` and WNG and DF (S, F) rows in dB
     of the S trials the rank gate designs, and a (position, reason) pair for
     each trial it refuses, the reason the error `design_filter` raises for it."""
-    grid = config.grid
+    grid, target = config.grid, config.target
     xi = element_harmonics(values, grid.omegas, _parseval_reach(config), config.speed_of_sound)
     # first-order designs from the arrays' own tensor; omni builds its q = 0 rows
     model = xi if config.element_model == "first_order" else element_harmonics(
@@ -275,7 +272,6 @@ def run_trials(config: TrialConfig, workers: int = 1) -> TrialStatistics:
     AllTrialsFailedError
         When not a single trial produced a design.
     """
-    target, _ = config.target()
     # a pattern no chunk can allocate is refused before any trial is drawn
     np.empty((chunk_trials(config), config.angle_count), dtype=complex)
     values, reasons = sample_element_stack(
@@ -288,7 +284,7 @@ def run_trials(config: TrialConfig, workers: int = 1) -> TrialStatistics:
     size = chunk_trials(config)
     starts = range(0, sampled.size, size)
     blocks = [values[:, start : start + size] for start in starts]
-    run = functools.partial(_run_chunk, config, target)
+    run = functools.partial(_run_chunk, config)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, blocks))

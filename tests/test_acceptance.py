@@ -16,6 +16,7 @@ import scipy.linalg
 
 import diffbeam as db
 from diffbeam import FrequencyGrid, TrialConfig
+from diffbeam.fileio import pattern_from_config
 from tests.conftest import FIXED_GEOMETRY_SEED, steered_hypercardioid
 from tests.test_modal import with_zero_shape
 
@@ -30,18 +31,18 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def mc_config(order, element_count, family="hypercardioid", custom_a=None):
+    pattern = {"family": family, "order": order, "steer_deg": 60.0}
+    if custom_a is not None:
+        pattern["a"] = list(custom_a)
     return TrialConfig(
         trials=MC_TRIALS,
         element_count=element_count,
-        order=order,
-        steer_deg=60.0,
+        target=pattern_from_config(pattern)[0],
         aperture_radius=0.02,
         min_spacing=0.008,
         grid=MC_GRID,
         eval_frequency_hz=1000.0,
         master_seed=MC_MASTER_SEED,
-        pattern_family=family,
-        custom_a=custom_a,
         db_floor=-50.0,
     )
 

@@ -154,7 +154,8 @@ class TestDesignCommand:
         assert main(["design", "--config", str(config), "--out", str(tmp_path)]) == 1
 
     # an overflowing sum and a NaN literal (which JSON readers accept) each
-    # get their own message, with no NumPy warning; a zero sum keeps its own
+    # get their own message, with no NumPy warning; a zero sum keeps its own,
+    # and each ends naming the file and its pattern section
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("a, message", [
         ([1e308, 1e308, 1e308], "coefficient sum is inf, not a finite number: "
@@ -175,7 +176,7 @@ class TestDesignCommand:
         out = workspace / "design"
         assert main(["design", "--config", str(config), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {message}\n"
+        assert err == f"error: {message} ({config}: pattern)\n"
         assert not out.exists()
 
 
@@ -456,14 +457,60 @@ class TestMontecarloCommand:
         monkeypatch.setattr(fileio, "write_study", capture)
         assert main(["montecarlo", "--config", str(path), "--out", str(tmp_path / "mc")]) == 0
         expected, failures = oracle_statistics(TrialConfig(
-            trials=6, element_count=7, order=2, steer_deg=60.0, aperture_radius=0.02,
-            min_spacing=0.008, grid=FrequencyGrid(500.0, 2000.0, 4),
+            trials=6, element_count=7, target=fileio.pattern_from_config(config["pattern"])[0],
+            aperture_radius=0.02, min_spacing=0.008, grid=FrequencyGrid(500.0, 2000.0, 4),
             eval_frequency_hz=1000.0, master_seed=4242, angle_count=180,
         ))
         stats = written["stats"]
         assert failures == [] and stats.failures == ()
         for name in STAT_NAMES:
             assert np.max(np.abs(getattr(stats, name) - expected[name])) <= 1e-9, name
+
+    @pytest.mark.parametrize("order, a, message", [
+        (1, [1.0, -1.0], "coefficient sum is zero: pattern nulls its own steering direction"),
+        (2, [1.0, 1.0], "custom coefficients imply order 1, config says 2"),
+    ], ids=["zero-sum", "order-mismatch"])
+    def test_custom_pattern_refused_naming_the_file(self, tmp_path, capsys, monkeypatch,
+                                                    order, a, message):
+        def unreachable(*args):
+            raise AssertionError("sampled a study whose pattern is refused")
+
+        monkeypatch.setattr(mc, "sample_element_stack", unreachable)
+        config = json.loads(self.mc_config(tmp_path).read_text())
+        config["pattern"] = {"family": "custom", "order": order, "steer_deg": 60.0, "a": a}
+        path = write_json(tmp_path / "custom.json", config)
+        out = tmp_path / "mc"
+        assert main(["montecarlo", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message} ({path}: pattern)\n"
+        assert not out.exists()
+
+    def test_pattern_without_family_is_hypercardioid(self, tmp_path):
+        named = self.mc_config(tmp_path)
+        config = json.loads(named.read_text())
+        assert config["pattern"].pop("family") == "hypercardioid"
+        unnamed = write_json(tmp_path / "unnamed.json", config)
+        for path in (named, unnamed):
+            out = tmp_path / path.stem
+            assert main(["montecarlo", "--config", str(path), "--out", str(out)]) == 0
+        for name in ("bp_stats.csv", "wng_stats.csv", "df_stats.csv", "failures.json"):
+            assert (tmp_path / "unnamed" / name).read_bytes() == (tmp_path / "mc" / name).read_bytes()
+
+    def test_custom_study_equals_run_trials_of_its_target(self, tmp_path):
+        # the CLI's study is the TrialConfig of the target the shared reader builds
+        config = json.loads(self.mc_config(tmp_path, trials=8).read_text())
+        pattern = {"family": "custom", "order": 1, "steer_deg": 45.0, "a": [1.0, 3.0]}
+        config["pattern"] = pattern
+        path = write_json(tmp_path / "custom.json", config)
+        assert main(["montecarlo", "--config", str(path), "--out", str(tmp_path / "cli")]) == 0
+        target, _, _ = fileio.pattern_from_config(pattern)
+        stats = mc.run_trials(TrialConfig(
+            trials=8, element_count=5, target=target, aperture_radius=0.02, min_spacing=0.008,
+            grid=FrequencyGrid(1000.0, 1000.0, 1), eval_frequency_hz=1000.0, master_seed=4242,
+            angle_count=180,
+        ))
+        fileio.write_study(tmp_path / "api", stats)
+        for name in ("bp_stats.csv", "wng_stats.csv", "df_stats.csv", "failures.json"):
+            assert (tmp_path / "api" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
 
     def test_stats_headers(self, tmp_path):
         config = self.mc_config(tmp_path)

@@ -20,18 +20,23 @@ from diffbeam import (
     trial_seed,
 )
 from diffbeam._seeding import trial_seeds, uniform_windows
+from diffbeam.fileio import pattern_from_config
 from diffbeam.geometry import STACK_WINDOW
 from diffbeam.metrics import magnitude_db, parseval_reach, power_db
 from diffbeam.montecarlo import TrialFailure
 from tests.test_rank_gate import HIGH_ORDER_GRID, STUDY_SEED
 
 
-def small_config(**overrides):
+def small_config(order=1, **overrides):
+    """An 8-trial study of the steered order-``order`` hypercardioid, its
+    target read as a run config's pattern section is."""
+    target, _, _ = pattern_from_config(
+        {"family": "hypercardioid", "order": order, "steer_deg": 60.0}
+    )
     defaults = dict(
         trials=8,
         element_count=5,
-        order=1,
-        steer_deg=60.0,
+        target=target,
         aperture_radius=0.02,
         min_spacing=0.008,
         grid=FrequencyGrid(1000.0, 1000.0, 1),
@@ -137,11 +142,20 @@ class TestSeedDerivation:
 
     @pytest.mark.parametrize("index", [2**32 - 1, 2**32], ids=["2^32-1", "2^32"])
     def test_index_past_one_word(self, index):
+        # every trial index is one seed word: 2**32 - 1 is the last, 2**32 is refused
+        if index == 2**32:
+            refused = r"^trial indices must run from 0 to 2\*\*32 - 1, got range\("
+            for master in SEED_MASTERS:
+                with pytest.raises(ValueError, match=refused):
+                    trial_seed(master, index)
+            with pytest.raises(ValueError, match=refused):
+                trial_seeds(7, index - 2, index + 1)
+            return
         for master in SEED_MASTERS:
             sequence = np.random.SeedSequence([master, index])
             assert trial_seed(master, index) == int(sequence.generate_state(1, np.uint64)[0])
-        assert trial_seeds(7, index - 2, index + 2).tolist() == [
-            trial_seed(7, i) for i in range(index - 2, index + 2)
+        assert trial_seeds(7, index - 2, index + 1).tolist() == [
+            trial_seed(7, i) for i in range(index - 2, index + 1)
         ]
 
 
@@ -191,7 +205,7 @@ def study_n3_m7(**overrides):
 
 def oracle_statistics(config):
     """The study trial by trial through the public per-geometry functions."""
-    target, _ = config.target()
+    target = config.target
     constants = PhysicalConstants(speed_of_sound=config.speed_of_sound)
     theta = 2.0 * np.pi * np.arange(config.angle_count) / config.angle_count
     omega = 2.0 * np.pi * config.eval_frequency_hz
@@ -234,13 +248,12 @@ class TestFailureAccounting:
         assert [f.index for f in stats.failures] == refused
         assert all(isinstance(f, TrialFailure) for f in stats.failures)
         assert stats.successes == 100 - len(refused)
-        target, _ = config.target()
         for failure in stats.failures:
             geometry = sample_random_geometry(
                 7, 0.02, 0.008, seed=trial_seed(STUDY_SEED, failure.index)
             )
             with pytest.raises(RankDeficientSystemError) as err:
-                design_filter(geometry, PhysicalConstants(), target, HIGH_ORDER_GRID)
+                design_filter(geometry, PhysicalConstants(), config.target, HIGH_ORDER_GRID)
             assert failure.reason == str(err.value)
 
     def test_all_failed_raises(self):
@@ -303,7 +316,7 @@ class TestChunkedAgainstOracle:
             grid=FrequencyGrid(300.0, 300.0, 1), eval_frequency_hz=300.0,
             angle_count=angle_count,
         )
-        harmonics = 2 * parseval_reach(config.order, 0.0, 0.0, config.speed_of_sound) + 1
+        harmonics = 2 * parseval_reach(config.target.order, 0.0, 0.0, config.speed_of_sound) + 1
         assert angle_count > 300 or harmonics > angle_count
         stats = run_trials(config)
         expected, failures = oracle_statistics(config)
@@ -360,7 +373,7 @@ class TestChunkSizes:
 
 def _harmonic_count(config) -> int:
     return 2 * parseval_reach(
-        config.order, float(np.max(config.grid.omegas)), config.aperture_radius,
+        config.target.order, float(np.max(config.grid.omegas)), config.aperture_radius,
         config.speed_of_sound,
     ) + 1
 
