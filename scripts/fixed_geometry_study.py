@@ -13,21 +13,13 @@ Example:
 """
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from diffbeam import (
-    PhysicalConstants,
-    SteeredTarget,
-    a_to_b,
-    evaluate_target,
-    hypercardioid_coefficients,
-    sample_random_geometry,
-)
-from diffbeam.fileio import save_geometry_file, write_table
+from diffbeam import PhysicalConstants, evaluate_target, sample_random_geometry
+from diffbeam.fileio import pattern_from_config, save_geometry_file, write_table
 from diffbeam.metrics import (
     angle_count,
     check_floor_db,
@@ -111,9 +103,8 @@ def main(argv=None) -> int:
     save_geometry_file(geometry, args.out / "geometry.json")
 
     for order in (int(o) for o in args.orders.split(",")):
-        target = SteeredTarget(
-            coefficients=a_to_b(hypercardioid_coefficients(order)),
-            theta_s=math.radians(args.steer_deg),
+        target, _, _ = pattern_from_config(
+            {"family": "hypercardioid", "order": order, "steer_deg": args.steer_deg}
         )
         patterns, curves, skipped = sweep(
             geometry, constants, target, frequencies, angles, args.floor_db

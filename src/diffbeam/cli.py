@@ -3,16 +3,17 @@
 Subcommands mirror the workflow: ``geometry generate|validate`` to
 produce or check array layouts, ``design`` to solve for filter weights,
 ``evaluate`` to render beampattern/WNG/DF CSVs for one design, and
-``montecarlo`` for randomized robustness studies. Every output is a
-deterministic function of (config, seed); the ``--threads`` knob changes
-wall time only, never bytes.
+``montecarlo`` for randomized robustness studies. Each takes ``--config``
+and ``--out``; ``geometry``, ``design`` and ``montecarlo`` take ``--seed``
+and ``montecarlo`` ``--threads``, which changes wall time only, never
+bytes. Every output is a deterministic function of (config, seed). The
+speed of sound is set by the config key ``speed_of_sound_mps`` alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from pathlib import Path
 
@@ -26,9 +27,8 @@ from .errors import (
     InfeasibleGeometryError,
     RankDeficientSystemError,
 )
-from .fileio import read
+from .fileio import read, read_checked, read_constants
 from .geometry import (
-    PhysicalConstants,
     geometry_digest,
     sample_random_geometry,
     validate_geometry,
@@ -80,7 +80,7 @@ _CONFIG_KEYS = {
     "montecarlo": (
         "trials", "element_count", "aperture_radius_mm", "min_spacing_mm", "pattern",
         "grid_hz", "eval_frequency_hz", "master_seed", "element_model", "speed_of_sound_mps",
-        "angle_step_deg", "db_floor", "integration_points",
+        "angle_step_deg", "db_floor",
     ),
 }
 
@@ -124,31 +124,15 @@ def _eval_frequency(config: dict, context: str, grid: FrequencyGrid) -> float:
     return f_hz
 
 
-def _checked(config: dict, key: str, kind, context: str, check, **default):
-    """``check`` of the config's ``key``, read as `read` reads it; a value
-    ``check`` refuses is refused on one line naming the file and the key."""
-    value = read(config, key, kind, context, **default)
-    try:
-        return check(value)
-    except ValueError as err:
-        raise ValueError(f"{err} ({context}: {key!r})") from None
-
-
 def _floor_db(config: dict, key: str, context: str, default: float) -> float:
     """The config's dB floor ``key``, refused where `magnitude_db` cannot clamp at it."""
-    return _checked(config, key, float, context, functools.partial(check_floor_db, name=key),
-                    default=default)
+    return read_checked(config, key, float, context,
+                        functools.partial(check_floor_db, name=key), default)
 
 
 def _angle_count(config: dict, context: str) -> int:
     """The number of angles the config's ``angle_step_deg``, 1 by default, closes the circle in."""
-    return _checked(config, "angle_step_deg", float, context, angle_count, default=1.0)
-
-
-def _speed_of_sound(args, config: dict, context: str, fallback: float = 343.0) -> float:
-    if args.c_mps is not None:
-        return args.c_mps
-    return read(config, "speed_of_sound_mps", float, context, default=fallback)
+    return read_checked(config, "angle_step_deg", float, context, angle_count, 1.0)
 
 
 def _seed(args, config: dict, key: str, context: str) -> int:
@@ -198,8 +182,7 @@ def _cmd_design(args) -> int:
     target, pattern_id, coeffs = fileio.pattern_from_config(*_pattern(config, context))
     grid = _grid(config, context)
     element_model = read(config, "element_model", ELEMENT_MODELS, context, default="first_order")
-    c = _speed_of_sound(args, config, context)
-    constants = PhysicalConstants(speed_of_sound=c)
+    constants = read_constants(config, context)
 
     filt = design_filter(
         geometry, constants, target, grid, element_model, pattern_id=pattern_id
@@ -207,18 +190,16 @@ def _cmd_design(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fileio.write_filter_csv(filt, out_dir / "filter.csv")
+    fileio.write_filter_csv(out_dir / fileio.FILTER_FILE, filt)
     fileio.write_design_manifest(
         out_dir / "design_manifest.json",
         filt,
         pattern_coefficients=coeffs,
-        steer_deg=math.degrees(target.theta_s),
         geometry_file=str(geometry_file),
-        speed_of_sound=c,
-        filter_file="filter.csv",
+        speed_of_sound=constants.speed_of_sound,
         seed=args.seed,
     )
-    print(out_dir / "filter.csv")
+    print(out_dir / fileio.FILTER_FILE)
     return 0
 
 
@@ -227,26 +208,22 @@ def _cmd_evaluate(args) -> int:
     config, context = _load_config(config_path, "evaluate")
     base = config_path.parent
     geometry = fileio.load_geometry_file(base / read(config, "geometry_file", str, context))
-    manifest_path = base / read(config, "design_manifest", str, context)
-    filt, manifest = fileio.load_design(manifest_path)
+    filt, target, designed_c = fileio.load_design(
+        base / read(config, "design_manifest", str, context)
+    )
     if geometry_digest(geometry) != filt.geometry_digest:
         raise GeometryMismatchError(
             "geometry file does not match the design manifest digest; "
             "evaluating a filter on a different array is not meaningful"
         )
 
-    designed_c = read(manifest, "speed_of_sound_mps", float, str(manifest_path), default=343.0)
-    constants = PhysicalConstants(speed_of_sound=_speed_of_sound(args, config, context, designed_c))
+    constants = read_constants(config, context, default=designed_c)
     count = _angle_count(config, context)
     _inert_integration_points(config, context)
     floor_db = _floor_db(config, "beampattern_floor_db", context, BEAMPATTERN_FLOOR_DB)
 
     eval_index = filt.grid.index(_eval_frequency(config, context, filt.grid))
     theta_deg = 360.0 * np.arange(count) / count
-    target, _, _ = fileio.pattern_from_config(
-        {**read(manifest, "pattern", dict, str(manifest_path)), "family": "custom"},
-        context=f"{manifest_path}: pattern",
-    )
     target_values = evaluate_target(target, np.radians(theta_deg))
 
     coefficients = filter_coefficients(filt, geometry, constants)
@@ -274,10 +251,9 @@ def _cmd_montecarlo(args) -> int:
     # a study's pattern reads as a design's, but is a hypercardioid unless it names a family
     pattern.setdefault("family", "hypercardioid")
     target, _, _ = fileio.pattern_from_config(pattern, where)
-    _inert_integration_points(config, context)
     grid = _grid(config, context)
     trial_config = TrialConfig(
-        trials=_checked(config, "trials", object, context, check_trials),
+        trials=read_checked(config, "trials", object, context, check_trials),
         element_count=read(config, "element_count", int, context),
         target=target,
         aperture_radius=read(config, "aperture_radius_mm", float, context) * 1e-3,
@@ -287,7 +263,7 @@ def _cmd_montecarlo(args) -> int:
         master_seed=_seed(args, config, "master_seed", context),
         element_model=read(config, "element_model", ELEMENT_MODELS, context,
                            default="first_order"),
-        speed_of_sound=_speed_of_sound(args, config, context),
+        speed_of_sound=read_constants(config, context).speed_of_sound,
         angle_count=_angle_count(config, context),
         db_floor=_floor_db(config, "db_floor", context, STATISTICS_FLOOR_DB),
     )
@@ -310,33 +286,22 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the run config (JSON)")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker count; results are byte-identical for any value",
-    )
-    common.add_argument(
-        "--c-mps", type=float, default=None, dest="c_mps",
-        help="speed of sound override in m/s",
-    )
 
     sub = parser.add_subparsers(dest="command", required=True)
-    geometry = sub.add_parser(
-        "geometry", parents=[common], help="generate or validate array geometries"
-    )
+    geometry = sub.add_parser("geometry", parents=[common],
+                              help="generate or validate array geometries")
     geometry.add_argument("mode", choices=("generate", "validate"))
+    geometry.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     geometry.set_defaults(handler=_cmd_geometry)
     design = sub.add_parser("design", parents=[common], help="solve for filter weights")
+    design.add_argument("--seed", type=int, default=None, help="recorded in the design manifest")
     design.set_defaults(handler=_cmd_design)
-    evaluate = sub.add_parser(
-        "evaluate", parents=[common], help="render beampattern/WNG/DF CSVs"
-    )
+    evaluate = sub.add_parser("evaluate", parents=[common], help="render beampattern/WNG/DF CSVs")
     evaluate.set_defaults(handler=_cmd_evaluate)
-    montecarlo = sub.add_parser(
-        "montecarlo", parents=[common], help="randomized robustness study"
-    )
+    montecarlo = sub.add_parser("montecarlo", parents=[common], help="randomized robustness study")
+    montecarlo.add_argument("--seed", type=int, default=None, help="overrides the config seed")
+    montecarlo.add_argument("--threads", type=int, default=1,
+                            help="worker count; results are byte-identical for any value")
     montecarlo.set_defaults(handler=_cmd_montecarlo)
     return parser
 
@@ -345,9 +310,10 @@ def main(argv=None) -> int:
     keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag, value, minimum in (("--seed", args.seed, 0), ("--threads", args.threads, 1)):
+    for flag, minimum in (("seed", 0), ("threads", 1)):
+        value = getattr(args, flag, None)  # None where the subcommand lacks the flag
         if value is not None and value < minimum:
-            parser.error(f"argument {flag}: must be >= {minimum}, got {value}")
+            parser.error(f"argument --{flag}: must be >= {minimum}, got {value}")
     try:
         return args.handler(args)
     except _USER_ERRORS as err:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import ArrayElement, ArrayGeometry
+from .geometry import ArrayElement, ArrayGeometry, PhysicalConstants
 from .patterns import PATTERN_FAMILIES, PatternCoefficients, SteeredTarget, a_to_b, resolve_pattern
 from .solver import BeamformerFilter, FrequencyGrid
 
@@ -81,6 +81,21 @@ def read(mapping: dict, key: str, kind, context: str, default=_REQUIRED):
             raise ValueError(f"{context}: missing required field {key!r}")
         return default
     return _typed(mapping[key], kind, f"{context}: {key!r}")
+
+
+def read_checked(mapping: dict, key: str, kind, context: str, check, default=_REQUIRED):
+    """``check`` of the value `read` gives; a value ``check`` refuses is
+    refused on one line ending with ``context`` and the key."""
+    value = read(mapping, key, kind, context, default)
+    try:
+        return check(value)
+    except ValueError as err:
+        raise ValueError(f"{err} ({context}: {key!r})") from None
+
+
+def read_constants(mapping: dict, context: str, default: float = 343.0) -> PhysicalConstants:
+    """The constants of ``mapping``'s ``speed_of_sound_mps``, as `read_checked` reads it."""
+    return read_checked(mapping, "speed_of_sound_mps", float, context, PhysicalConstants, default)
 
 
 def read_numbers(mapping: dict, key: str, context: str, default=_REQUIRED):
@@ -208,7 +223,10 @@ def grid_to_payload(grid: FrequencyGrid) -> dict:
 # ---------------------------------------------------------------------------
 # filter export and design manifest
 
-def write_filter_csv(filt: BeamformerFilter, path) -> None:
+FILTER_FILE = "filter.csv"
+
+
+def write_filter_csv(path, filt: BeamformerFilter) -> None:
     """One row per grid frequency: f_hz then interleaved re/im weights."""
     weights = np.ascontiguousarray(filt.weights, dtype=complex).view(float)
     table = np.column_stack([filt.grid.frequencies_hz, weights])
@@ -224,25 +242,24 @@ def write_design_manifest(
     path,
     filt: BeamformerFilter,
     pattern_coefficients: PatternCoefficients,
-    steer_deg: float,
     geometry_file: str,
     speed_of_sound: float,
-    filter_file: str,
     seed: int | None = None,
 ) -> None:
+    """The manifest of ``filt``, whose weights sit in `FILTER_FILE` beside it."""
     from . import __version__
 
     payload = {
         "format_version": FORMAT_VERSION,
         "package_version": __version__,
-        "filter_file": filter_file,
+        "filter_file": FILTER_FILE,
         "geometry_file": geometry_file,
         "geometry_digest": filt.geometry_digest,
         "element_model": filt.element_model,
         "pattern": {
             "id": filt.pattern_id,
             "order": filt.order,
-            "steer_deg": steer_deg,
+            "steer_deg": math.degrees(filt.theta_s),
             "a": list(pattern_coefficients.a),
         },
         "grid_hz": grid_to_payload(filt.grid),
@@ -317,18 +334,23 @@ def _read_filter_weights(filter_file, grid: FrequencyGrid) -> np.ndarray:
 
 
 def load_design(manifest_path):
-    """Load a design manifest plus its filter CSV.
+    """The design a manifest and its filter CSV hold.
 
     Returns
     -------
-    (BeamformerFilter, dict)
-        The reconstructed filter and the raw manifest payload.
+    (BeamformerFilter, SteeredTarget, float)
+        The filter; its target, the manifest's pattern read as a custom one,
+        whose order and steering the filter carries; and the speed of sound
+        it was designed at, 343 m/s when absent, refused naming the manifest
+        unless positive and finite.
     """
     manifest_path = Path(manifest_path)
     manifest = load_json(manifest_path)
     context = str(manifest_path)
     grid = grid_from_config(read(manifest, "grid_hz", dict, context), f"{context}: grid_hz")
     pattern, where = read(manifest, "pattern", dict, context), f"{context}: pattern"
+    target, _, _ = pattern_from_config({**pattern, "family": "custom"}, where)
+    constants = read_constants(manifest, context)
     filter_file = manifest_path.parent / read(manifest, "filter_file", str, context)
 
     weights = _read_filter_weights(filter_file, grid)
@@ -336,13 +358,13 @@ def load_design(manifest_path):
     filt = BeamformerFilter(
         grid=grid,
         weights=weights,
-        order=read(pattern, "order", int, where),
-        theta_s=math.radians(read(pattern, "steer_deg", float, where)),
+        order=target.order,
+        theta_s=target.theta_s,
         pattern_id=read(pattern, "id", str, where),
         geometry_digest=read(manifest, "geometry_digest", str, context),
         element_model=read(manifest, "element_model", str, context),
     )
-    return filt, manifest
+    return filt, target, constants.speed_of_sound
 
 
 # ---------------------------------------------------------------------------

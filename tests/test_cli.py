@@ -337,7 +337,7 @@ class TestEvaluateRendering:
         assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 0
 
         geometry = fileio.load_geometry_file(workspace / "geometry.json")
-        filt, _ = fileio.load_design(workspace / "design" / "design_manifest.json")
+        filt, _, _ = fileio.load_design(workspace / "design" / "design_manifest.json")
         count = round(360.0 / step_deg)
         theta = 2.0 * np.pi * np.arange(count) / count
         direct = magnitude_db(
@@ -365,7 +365,6 @@ class TestMontecarloCommand:
                 "eval_frequency_hz": 1000.0,
                 "master_seed": 4242,
                 "angle_step_deg": 2.0,
-                "integration_points": 1024,
             },
         )
 
@@ -389,20 +388,43 @@ class TestMontecarloCommand:
         for name in ("bp_stats.csv", "wng_stats.csv", "df_stats.csv", "failures.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_integration_points_below_minimum_refused(self, tmp_path, capsys):
+    def test_integration_points_refused_by_name(self, tmp_path, capsys):
+        # DF is exact and a study never took the key; only evaluate still accepts it
         config = json.loads(self.mc_config(tmp_path).read_text())
-        config["integration_points"] = 511
-        path = write_json(tmp_path / "few.json", config)
-        assert main(["montecarlo", "--config", str(path), "--out", str(tmp_path)]) == 1
-        assert "integration_points must be >= 512" in capsys.readouterr().err
+        config["integration_points"] = 1024
+        path = write_json(tmp_path / "points.json", config)
+        out = tmp_path / "mc"
+        assert main(["montecarlo", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: unknown key 'integration_points'; expected one of ")
+        assert not out.exists()
 
-    @pytest.mark.parametrize("c_mps", ["0", "-343", "inf", "nan"])
-    def test_speed_of_sound_refused(self, tmp_path, capsys, c_mps):
-        config = self.mc_config(tmp_path)
-        argv = ["montecarlo", "--config", str(config), "--out", str(tmp_path / "mc"),
-                "--c-mps", c_mps]
-        assert main(argv) == 1
-        assert "error: speed of sound must be positive and finite" in capsys.readouterr().err
+    # a design or evaluate config is refused the same way; Infinity and NaN
+    # are JSON literals Python's reader accepts
+    @pytest.mark.parametrize("command, c_mps, got", [
+        pytest.param("montecarlo", "0", "0.0", id="0"),
+        pytest.param("montecarlo", "-343", "-343.0", id="-343"),
+        pytest.param("montecarlo", "Infinity", "inf", id="inf"),
+        pytest.param("montecarlo", "NaN", "nan", id="nan"),
+        pytest.param("design", "-5", "-5.0", id="design--5"),
+        pytest.param("design", "Infinity", "inf", id="design-inf"),
+        pytest.param("evaluate", "0", "0.0", id="evaluate-0"),
+        pytest.param("evaluate", "NaN", "nan", id="evaluate-nan"),
+    ])
+    def test_speed_of_sound_refused(self, workspace, capsys, command, c_mps, got):
+        configs = TestConfigValueTypes.CONFIGS
+        if command == "evaluate":
+            design = write_json(workspace / "design.json", configs["design"])
+            assert main(["design", "--config", str(design), "--out", str(workspace / "design")]) == 0
+        config = {**configs[command], "speed_of_sound_mps": json.loads(c_mps)}
+        path = write_json(workspace / f"{command}_c.json", config)
+        out = workspace / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: speed of sound must be positive and finite, got {got} "
+            f"({path}: 'speed_of_sound_mps')\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, value, message",
@@ -570,11 +592,10 @@ class TestOutOfReachRefusals:
             "geometry_file": "far.json",
             "design_manifest": "design/design_manifest.json",
             "eval_frequency_hz": 4000.0,
+            "speed_of_sound_mps": 300.0,
         })
         out = tmp_path / "evaluate"
-        line = self.refusal(
-            capsys, ["evaluate", "--config", str(config), "--out", str(out), "--c-mps", "300"]
-        )
+        line = self.refusal(capsys, ["evaluate", "--config", str(config), "--out", str(out)])
         assert "largest element radius 1200 mm at 4000 Hz gives omega r / c = 100.5" in line
         assert "past 100" in line
         assert not out.exists()
@@ -639,7 +660,7 @@ class TestConfigValueTypes:
         "montecarlo": {
             "pattern": {"family": "custom", "order": 2, "steer_deg": 60.0, "a": [1.0, 2.0, 2.0]},
             "element_model": "omni", "speed_of_sound_mps": 340.0, "angle_step_deg": 5.0,
-            "db_floor": -100.0, "integration_points": 1024,
+            "db_floor": -100.0,
         },
     }
 
@@ -888,6 +909,60 @@ def test_flag_out_of_range_refused(tmp_path, capsys, argv):
     flag, value = argv[-2:]
     err = capsys.readouterr().err
     assert f"error: argument {flag}: must be >= " in err and f"got {value}" in err
+
+
+# each subcommand takes only the flags it reads; the speed of sound is a config key
+@pytest.mark.parametrize(
+    "argv",
+    [["design", "--threads", "2"], ["evaluate", "--seed", "1"], ["evaluate", "--c-mps", "300"],
+     ["geometry", "generate", "--threads", "2"]],
+    ids=["design-threads", "evaluate-seed", "evaluate-c-mps", "generate-threads"],
+)
+def test_flag_the_subcommand_does_not_read_refused(tmp_path, capsys, argv):
+    config = write_json(tmp_path / "config.json", {})
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--config", str(config), "--out", str(out)])
+    assert excinfo.value.code == 2
+    flag, value = argv[-2:]
+    assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class TestLoadDesign:
+    """`fileio.load_design` hands `evaluate` the target a design was made
+    for: the manifest's pattern read as a custom one. The manifest stores
+    the normalized ``a`` and the steering in degrees, so the target is the
+    design config's to the bit when the stored ``a`` sums to exactly 1
+    (normalizing again divides by that sum) and the degrees read back to
+    the same radians (60 does, 48 does not); otherwise it is within an ulp."""
+
+    @pytest.mark.parametrize("pattern, exact", [
+        ({"family": "hypercardioid", "order": 2, "steer_deg": 60.0}, True),
+        ({"family": "cardioid", "order": 2, "steer_deg": 60.0}, True),
+        ({"family": "custom", "order": 2, "steer_deg": 60.0, "a": [1.0, 2.0, 2.0]}, True),
+        ({"family": "hypercardioid", "order": 3, "steer_deg": 48.0}, False),
+        ({"family": "custom", "order": 2, "steer_deg": 60.0, "a": [1.0, 1.5, 0.5]}, False),
+    ], ids=["hypercardioid", "cardioid", "custom", "hypercardioid-n3-48deg", "custom-1.5"])
+    def test_returns_the_designed_target(self, workspace, pattern, exact):
+        design = write_json(workspace / "design.json", {
+            "geometry_file": "geometry.json", "pattern": pattern,
+            "grid_hz": {"f_min": 1000.0, "f_max": 4000.0, "count": 4},
+            "speed_of_sound_mps": 340.0,
+        })
+        out = workspace / "design"
+        assert main(["design", "--config", str(design), "--out", str(out)]) == 0
+        filt, target, speed_of_sound = fileio.load_design(out / "design_manifest.json")
+        designed, _, _ = fileio.pattern_from_config(pattern)
+        assert speed_of_sound == 340.0
+        assert (filt.order, filt.theta_s) == (target.order, target.theta_s)
+        assert target.order == designed.order
+        b, designed_b = target.coefficients.b, designed.coefficients.b
+        if exact:
+            assert (b, target.theta_s) == (designed_b, designed.theta_s)
+        else:
+            np.testing.assert_array_max_ulp(np.array(b), np.array(designed_b), maxulp=1)
+            np.testing.assert_array_max_ulp(target.theta_s, designed.theta_s, maxulp=1)
 
 
 class TestGoldenOutputs:

@@ -125,31 +125,56 @@ class TestFilterRoundtrip:
             fixed_geometry, constants, target, grid, pattern_id="hypercardioid-n2"
         )
         save_geometry_file(fixed_geometry, tmp_path / "geometry.json")
-        write_filter_csv(filt, tmp_path / "filter.csv")
+        write_filter_csv(tmp_path / "filter.csv", filt)
         from diffbeam import hypercardioid_coefficients
 
         write_design_manifest(
             tmp_path / "design_manifest.json",
             filt,
             pattern_coefficients=hypercardioid_coefficients(2),
-            steer_deg=60.0,
             geometry_file=str(tmp_path / "geometry.json"),
             speed_of_sound=constants.speed_of_sound,
-            filter_file="filter.csv",
         )
-        loaded, manifest = load_design(tmp_path / "design_manifest.json")
+        loaded, target, speed_of_sound = load_design(tmp_path / "design_manifest.json")
         # repr formatting preserves every bit of the weights
         assert np.array_equal(loaded.weights, filt.weights)
         assert loaded.geometry_digest == filt.geometry_digest
         assert loaded.pattern_id == "hypercardioid-n2"
-        assert manifest["speed_of_sound_mps"] == constants.speed_of_sound
+        assert (loaded.order, loaded.theta_s) == (target.order, target.theta_s) == (2, filt.theta_s)
+        assert speed_of_sound == constants.speed_of_sound
+
+    @pytest.mark.parametrize("literal, got", [
+        ("0", "0.0"), ("-5", "-5.0"), ("Infinity", "inf"), ("NaN", "nan"),
+    ])
+    def test_speed_of_sound_refused_naming_the_manifest(
+        self, tmp_path, constants, fixed_geometry, literal, got
+    ):
+        filt = design_filter(
+            fixed_geometry, constants, steered_hypercardioid(1), FrequencyGrid(1000.0, 1000.0, 1)
+        )
+        write_filter_csv(tmp_path / "filter.csv", filt)
+        manifest = tmp_path / "design_manifest.json"
+        from diffbeam import hypercardioid_coefficients
+
+        write_design_manifest(
+            manifest, filt, pattern_coefficients=hypercardioid_coefficients(1),
+            geometry_file="geometry.json", speed_of_sound=343.0,
+        )
+        payload = json.loads(manifest.read_text())
+        payload["speed_of_sound_mps"] = json.loads(literal)
+        manifest.write_text(json.dumps(payload))  # inf and nan as the literals read
+        message = (f"speed of sound must be positive and finite, got {got} "
+                   f"({manifest}: 'speed_of_sound_mps')")
+        with pytest.raises(ValueError) as excinfo:
+            load_design(manifest)
+        assert str(excinfo.value) == message
 
     def test_header_layout(self, tmp_path, constants, fixed_geometry):
         filt = design_filter(
             fixed_geometry, constants, steered_hypercardioid(1),
             FrequencyGrid(1000.0, 1000.0, 1),
         )
-        write_filter_csv(filt, tmp_path / "filter.csv")
+        write_filter_csv(tmp_path / "filter.csv", filt)
         header = (tmp_path / "filter.csv").read_text().splitlines()[0]
         columns = header.split(",")
         assert columns[0] == "f_hz"
@@ -169,15 +194,13 @@ class TestFilterRefusals:
             fixed_geometry, constants, steered_hypercardioid(1),
             FrequencyGrid(1000.0, 2500.0, 4),
         )
-        write_filter_csv(filt, tmp_path / "filter.csv")
+        write_filter_csv(tmp_path / "filter.csv", filt)
         write_design_manifest(
             tmp_path / "design_manifest.json",
             filt,
             pattern_coefficients=hypercardioid_coefficients(1),
-            steer_deg=60.0,
             geometry_file="geometry.json",
             speed_of_sound=constants.speed_of_sound,
-            filter_file="filter.csv",
         )
         return tmp_path / "design_manifest.json"
 
@@ -259,7 +282,7 @@ class TestFilterRefusals:
 
     def test_frequency_within_tolerance_accepted(self, manifest):
         self.edit(manifest, 3, self.replace_cell(0, "2000.000000001"))
-        filt, _ = load_design(manifest)
+        filt, _, _ = load_design(manifest)
         assert filt.weights.shape == (4, 9)
 
 
@@ -331,11 +354,11 @@ class TestResultCsvFormat:
             tmp_path / "m.json",
             filt,
             pattern_coefficients=hypercardioid_coefficients(1),
-            steer_deg=60.0,
             geometry_file="geometry.json",
             speed_of_sound=343.0,
-            filter_file="filter.csv",
         )
         manifest = json.loads((tmp_path / "m.json").read_text())
         assert manifest["pattern"]["order"] == 1
+        assert manifest["pattern"]["steer_deg"] == math.degrees(filt.theta_s)
+        assert manifest["filter_file"] == "filter.csv"
         assert manifest["geometry_digest"] == geometry_digest(fixed_geometry)
