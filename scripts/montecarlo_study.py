@@ -10,25 +10,29 @@ Each configuration writes bp_stats/wng_stats/df_stats CSVs plus a
 failure report into its own subdirectory. Orders >= 3 use a design grid
 starting at 300 Hz: below that, at this aperture, the outermost harmonic
 rows underflow the solver's rank gate and every trial would be refused.
+The experiments share two configurations (N=2 at M=5 and at M=9); each
+distinct configuration runs once and writes into every subdirectory that
+names it, so all three experiments run seven studies for nine
+subdirectories.
 
-Desk scale (500 trials) takes about 8 s for all nine configurations at
-one worker and 7 s at --threads 2 (0.3-1.6 s per configuration); the
-full-scale run, --trials 10000, takes about 2.2 minutes at --threads 2
-(7-29 s per configuration). Python 3.11, NumPy 2.4, glibc 2.36, 2-vCPU
-Xeon host shared with other tenants, so single runs vary by about 10%.
-The CSVs are byte-identical for any --threads.
+Desk scale (500 trials) takes about 4 s for the seven studies at one
+worker (0.3-0.8 s per study) and 3.8-3.9 s at --threads 2; the
+full-scale run, --trials 10000, takes about 84 s at --threads 2.
+Python 3.11, NumPy 2.4, glibc 2.36, 2-vCPU Xeon host shared with other
+tenants, so single runs vary by about 10%. The CSVs are byte-identical
+for any --threads.
 
 The whole script's peak RSS is about 46 MB at desk scale at one worker
-(53 MB at --threads 2) and 142 MB at full scale at --threads 2 (184 MB
+(53 MB at --threads 2) and 140 MB at full scale at --threads 2 (184 MB
 before the chunks and the reduction held each array once). Most of the
 full-scale figure is one configuration's results: a 10,000-trial N=2,
 M=9 study peaks about 82 MB above its start, its 10,000 x 360
 beampattern rows (29 MB) held once by the chunks and once joined.
 
-Each configuration's line also gives the minor page faults of its run.
-`keep_freed_memory` keeps freed memory in the process heap, so after the
-first configuration a desk-scale run faults in tens to a few hundred
-pages instead of one chunk's working set per chunk.
+Each study's line names its subdirectories and gives the minor page
+faults of its run. `keep_freed_memory` keeps freed memory in the process
+heap, so after the first study a desk-scale run faults in tens to a few
+hundred pages instead of one chunk's working set per chunk.
 """
 
 import argparse
@@ -82,7 +86,7 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def main() -> int:
+def main(argv=None) -> int:
     keep_freed_memory()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True)
@@ -94,26 +98,31 @@ def main() -> int:
         choices=("minimal-m", "elements", "fixed-m", "all"),
         default="all",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     names = (
         ("minimal-m", "elements", "fixed-m")
         if args.experiment == "all"
         else (args.experiment,)
     )
+    # the subdirectories of each distinct configuration, in the order they come
+    studies: dict[TrialConfig, list[str]] = {}
     for name in names:
         for tag, config in experiment_configs(name, args.trials, args.seed):
-            faults = minor_faults()
-            started = time.perf_counter()
-            stats = run_trials(config, workers=args.threads)
-            elapsed = time.perf_counter() - started
-            faults = minor_faults() - faults
-            write_study(args.out / name / tag, stats)
-            print(
-                f"{name}/{tag}: {stats.successes}/{stats.trials} trials ok, "
-                f"worst bp std {stats.bp_std_db.max():.2f} dB, {elapsed:.1f}s, "
-                f"{faults} minor page faults"
-            )
+            studies.setdefault(config, []).append(f"{name}/{tag}")
+    for config, places in studies.items():
+        faults = minor_faults()
+        started = time.perf_counter()
+        stats = run_trials(config, workers=args.threads)
+        elapsed = time.perf_counter() - started
+        faults = minor_faults() - faults
+        for place in places:
+            write_study(args.out / place, stats)
+        print(
+            f"{', '.join(places)}: {stats.successes}/{stats.trials} trials ok, "
+            f"worst bp std {stats.bp_std_db.max():.2f} dB, {elapsed:.1f}s, "
+            f"{faults} minor page faults"
+        )
     return 0
 
 

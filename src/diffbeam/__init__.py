@@ -22,22 +22,15 @@ from .geometry import (
 )
 from .metrics import beampattern
 from .montecarlo import TrialConfig, TrialStatistics, run_trials, trial_seed
-# scalar references and test-only builders, re-exported for the acceptance
-# criteria and the tests
+# scalar references, re-exported for the acceptance criteria and the tests
 from .oracles import (
-    ModalSystem,
-    b_to_a,
     bessel_j,
     bessel_j_prime,
-    build_modal_system,
     build_psi_matrix,
-    build_xi_matrix,
     directivity_factor,
-    gain_curves,
     hansen_bessel_quadrature,
     harmonic_coefficient,
     harmonic_coefficient_quadrature,
-    harmonic_tensor,
 )
 from .patterns import (
     PatternCoefficients,
@@ -67,7 +60,6 @@ __all__ = [
     "GeometryReport",
     "InfeasibleGeometryError",
     "InvalidFilterError",
-    "ModalSystem",
     "PatternCoefficients",
     "PhysicalConstants",
     "RankDeficientSystemError",
@@ -77,23 +69,18 @@ __all__ = [
     "TrialStatistics",
     "a_to_b",
     "apply_steering",
-    "b_to_a",
     "beampattern",
     "bessel_j",
     "bessel_j_prime",
-    "build_modal_system",
     "build_psi_matrix",
-    "build_xi_matrix",
     "cardioid_family_coefficients",
     "design_filter",
     "directivity_factor",
     "evaluate_target",
-    "gain_curves",
     "geometry_digest",
     "hansen_bessel_quadrature",
     "harmonic_coefficient",
     "harmonic_coefficient_quadrature",
-    "harmonic_tensor",
     "hypercardioid_coefficients",
     "normalize_distortionless",
     "resolve_pattern",

@@ -3,11 +3,12 @@
 Subcommands mirror the workflow: ``geometry generate|validate`` to
 produce or check array layouts, ``design`` to solve for filter weights,
 ``evaluate`` to render beampattern/WNG/DF CSVs for one design, and
-``montecarlo`` for randomized robustness studies. Each takes ``--config``
-and ``--out``; ``geometry``, ``design`` and ``montecarlo`` take ``--seed``
-and ``montecarlo`` ``--threads``, which changes wall time only, never
-bytes. Every output is a deterministic function of (config, seed). The
-speed of sound is set by the config key ``speed_of_sound_mps`` alone.
+``montecarlo`` for randomized robustness studies. Each takes ``--config``;
+all but ``geometry validate``, which writes nothing, take ``--out``;
+``geometry generate``, ``design`` and ``montecarlo`` take ``--seed`` and
+``montecarlo`` ``--threads``, which changes wall time only, never bytes.
+Every output is a deterministic function of (config, seed). The speed of
+sound is set by the config key ``speed_of_sound_mps`` alone.
 """
 
 from __future__ import annotations
@@ -150,15 +151,14 @@ def _inert_integration_points(config: dict, context: str) -> None:
         raise ValueError(f"{context}: integration_points must be >= 512, got {points}")
 
 
-def _cmd_geometry(args) -> int:
-    config_path = Path(args.config)
-    if args.mode == "validate":
-        geometry = fileio.load_geometry_file(config_path)
-        report = validate_geometry(geometry)
-        print(report.describe())
-        return 0 if report.ok else 1
+def _cmd_validate(args) -> int:
+    report = validate_geometry(fileio.load_geometry_file(Path(args.config)))
+    print(report.describe())
+    return 0 if report.ok else 1
 
-    config, context = _load_config(config_path, "generate")
+
+def _cmd_generate(args) -> int:
+    config, context = _load_config(Path(args.config), "generate")
     geometry = sample_random_geometry(
         read(config, "element_count", int, context),
         read(config, "aperture_radius_mm", float, context) * 1e-3,
@@ -283,16 +283,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Design and evaluate frequency-invariant differential "
         "beamformers on planar arrays of first-order elements.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="path to the run config (JSON)")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="path to the run config (JSON)")
+    common = argparse.ArgumentParser(add_help=False, parents=[config])
     common.add_argument("--out", default=".", help="output directory")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    geometry = sub.add_parser("geometry", parents=[common],
-                              help="generate or validate array geometries")
-    geometry.add_argument("mode", choices=("generate", "validate"))
-    geometry.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-    geometry.set_defaults(handler=_cmd_geometry)
+    geometry = sub.add_parser("geometry", help="generate or validate array geometries")
+    modes = geometry.add_subparsers(dest="mode", required=True)
+    generate = modes.add_parser("generate", parents=[common], help="sample a random geometry")
+    generate.add_argument("--seed", type=int, default=None, help="overrides the config seed")
+    generate.set_defaults(handler=_cmd_generate)
+    validate = modes.add_parser("validate", parents=[config], help="check a geometry file")
+    validate.set_defaults(handler=_cmd_validate)
     design = sub.add_parser("design", parents=[common], help="solve for filter weights")
     design.add_argument("--seed", type=int, default=None, help="recorded in the design manifest")
     design.set_defaults(handler=_cmd_design)

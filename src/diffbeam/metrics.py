@@ -13,9 +13,10 @@ arrays and the weights `solver.design_weights` gave them,
 `filter_coefficients` for a designed filter, `coefficient_gains` takes
 both gains from them by Parseval and `equispaced_pattern` samples the
 pattern from them by an inverse FFT. `beampattern` is the direct element
-sum, for arbitrary angles and as the independent check of that path; the
+sum, for arbitrary angles and as the independent check of that path, and
+`render_pattern` holds the element model ``T(theta)`` it sums; the
 per-frequency quadrature gains `white_noise_gain` and
-`directivity_factor`, and `gain_curves`, live in `diffbeam.oracles`.
+`directivity_factor` live in `diffbeam.oracles`.
 """
 
 from __future__ import annotations

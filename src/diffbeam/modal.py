@@ -13,9 +13,7 @@ n >= 0 only; the complex phase does not depend on frequency, and one
 exponential serves both n and -n. Its scalar oracles (the closed form
 `harmonic_coefficient`, the defining Fourier integral
 `harmonic_coefficient_quadrature` and the plane-wave matrix
-`build_psi_matrix`) and the one-geometry builders the tests use
-(`harmonic_tensor`, `build_xi_matrix`, `build_modal_system`) live in
-`diffbeam.oracles`.
+`build_psi_matrix`) live in `diffbeam.oracles`.
 
 Every harmonic tensor and coefficient vector in the package covers the
 orders n = -L .. L, harmonic n at index n + L, and is described by its

@@ -1,4 +1,4 @@
-"""Scalar reference implementations and test-only builders.
+"""Scalar reference implementations.
 
 Each oracle here computes, one value or one frequency at a time and by
 an independent route, a quantity the package computes vectorized:
@@ -13,28 +13,22 @@ an independent route, a quantity the package computes vectorized:
   quadrature versions of `metrics.coefficient_gains`;
 - `steering_vector` is the bare plane-wave response of the positions.
 
-The builders at the end (`harmonic_tensor`, `build_xi_matrix`,
-`build_modal_system`, `gain_curves`, `b_to_a`) only wrap the package's own
-kernels for one geometry, for the tests and the acceptance criteria.
-
-No module of the package's hot path imports this one; `diffbeam` re-exports
-the names its acceptance criteria reach.
+None of them calls a kernel it checks. No module of the package's hot
+path imports this one; `diffbeam` re-exports the names its acceptance
+criteria reach.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bessel import TABLE_ARGUMENT_CAP
 from .errors import InvalidFilterError
 from .geometry import ArrayGeometry, PhysicalConstants
-from .metrics import beampattern, coefficient_gains, filter_coefficients
-from .modal import element_harmonics, model_values
-from .patterns import PatternCoefficients, SteeredTarget, SymmetricB, apply_steering
+from .metrics import beampattern
 from .solver import BeamformerFilter
 
 ORDER_CAP = 64
@@ -366,68 +360,3 @@ def steering_vector(
     if th.ndim == 0:
         return np.exp(1j * x * np.cos(float(th) - phi))
     return np.exp(1j * x[:, None] * np.cos(th[None, :] - phi[:, None]))
-
-
-def harmonic_tensor(
-    geometry: ArrayGeometry, constants: PhysicalConstants, omegas, n_values,
-    element_model: str = "first_order",
-) -> np.ndarray:
-    """`modal.element_harmonics` of one geometry as ``element_model`` sees it:
-    entry ``[f, i, m]`` is ``P_{n,m} e^{-jn theta_m}`` for ``n = n_values[i]``
-    at ``omegas[f]`` (rad/s), shape (F, len(n_values), M)."""
-    n_values = np.asarray(n_values, dtype=int)
-    reach = int(np.abs(n_values).max())
-    values = model_values(geometry.element_values, element_model)
-    xi = element_harmonics(values, omegas, reach, constants.speed_of_sound)
-    return xi[..., n_values + reach, :]
-
-
-def build_xi_matrix(
-    geometry: ArrayGeometry, constants: PhysicalConstants, omega: float, order: int
-) -> np.ndarray:
-    """Matching matrix for first-order elements: one frequency of `harmonic_tensor`.
-
-    With every shape coefficient zero it reduces elementwise to the plane-wave
-    matrix (`build_psi_matrix`).
-    """
-    return harmonic_tensor(geometry, constants, [omega], np.arange(-order, order + 1))[0]
-
-
-@dataclass(frozen=True)
-class ModalSystem:
-    """Matching system at one frequency: ``matrix @ conj(h) = rhs``."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-    omega: float
-    order: int
-
-
-def build_modal_system(
-    geometry: ArrayGeometry, constants: PhysicalConstants, omega: float,
-    target: SteeredTarget, element_model: str = "first_order",
-) -> ModalSystem:
-    """The matching matrix of ``element_model`` ("first_order" or "omni")
-    and the steered right-hand side at one frequency."""
-    n_values = np.arange(-target.order, target.order + 1)
-    matrix = harmonic_tensor(geometry, constants, [omega], n_values, element_model)[0]
-    rhs = apply_steering(target.coefficients, target.theta_s)
-    return ModalSystem(matrix=matrix, rhs=rhs, omega=float(omega), order=target.order)
-
-
-def gain_curves(
-    filt: BeamformerFilter, geometry: ArrayGeometry, constants: PhysicalConstants,
-    theta_s: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """White noise gain and directivity factor (linear) over the grid, scored
-    by `metrics.coefficient_gains` from `metrics.filter_coefficients`."""
-    coefficients = filter_coefficients(filt, geometry, constants)
-    return coefficient_gains(coefficients, filt.weights, theta_s)
-
-
-def b_to_a(coefficients: SymmetricB) -> PatternCoefficients:
-    """Inverse of `patterns.a_to_b`: a_0 = b_0, a_i = 2 b_i."""
-    order = coefficients.order
-    a = [coefficients.b[order]]
-    a.extend(2.0 * coefficients.b[order + i] for i in range(1, order + 1))
-    return PatternCoefficients(a=tuple(a))

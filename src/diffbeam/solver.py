@@ -99,12 +99,9 @@ class BeamformerFilter:
     def size(self) -> int:
         return self.weights.shape[1]
 
-    def frequency_index(self, omega: float) -> int:
-        """Index of ``omega`` on the design grid; exact matches only."""
-        return self.grid.index(omega / (2.0 * np.pi))
-
     def weights_at(self, omega: float) -> np.ndarray:
-        return self.weights[self.frequency_index(omega)]
+        """The weights at ``omega`` (rad/s), which must lie on the design grid."""
+        return self.weights[self.grid.index(omega / (2.0 * np.pi))]
 
 
 def rank_deficiency(condition: float, frequency_hz: float) -> RankDeficientSystemError:

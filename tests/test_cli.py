@@ -70,6 +70,23 @@ class TestGeometryCommands:
         )
         assert main(["geometry", "generate", "--config", str(config)]) == 1
 
+    # validate reads its geometry file and prints a report; it takes no seed
+    # and writes nothing, so neither flag is accepted
+    @pytest.mark.parametrize(
+        "flags", [["--seed", "3", "--out", "x"], ["--out", "x"], ["--seed", "3"]],
+        ids=["seed-and-out", "out", "seed"],
+    )
+    def test_validate_takes_config_alone(self, workspace, capsys, monkeypatch, flags):
+        monkeypatch.chdir(workspace)
+        before = sorted(workspace.iterdir())
+        with pytest.raises(SystemExit) as excinfo:
+            main(["geometry", "validate", "--config", "geometry.json", *flags])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: unrecognized arguments: {' '.join(flags)}" in captured.err
+        assert captured.out == ""
+        assert sorted(workspace.iterdir()) == before
+
 
 class TestDesignCommand:
     def test_design_writes_filter_and_manifest(self, workspace):

@@ -16,10 +16,9 @@ from diffbeam import (
     beampattern,
     design_filter,
     evaluate_target,
-    gain_curves,
     sample_random_geometry,
 )
-from diffbeam.metrics import magnitude_db, power_db
+from diffbeam.metrics import coefficient_gains, filter_coefficients, magnitude_db, power_db
 from tests.conftest import angle_grid, steered_hypercardioid
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "fixed_geometry_study.py"
@@ -36,8 +35,8 @@ def study():
 
 def per_frequency(geometry, constants, target, frequencies, angle_count):
     """The sweep as it was made before: one `design_filter` per frequency,
-    rendered by `beampattern` and scored by `gain_curves`, with each
-    filter's weight norm ``sum |h_m|``."""
+    rendered by `beampattern` and scored by `coefficient_gains` from
+    `filter_coefficients`, with each filter's weight norm ``sum |h_m|``."""
     theta = angle_grid(angle_count)
     patterns, curves, norms, skipped = {}, {}, {}, []
     for f_hz in frequencies:
@@ -49,7 +48,9 @@ def per_frequency(geometry, constants, target, frequencies, angle_count):
         patterns[f_hz] = magnitude_db(
             beampattern(filt, geometry, constants, 2.0 * np.pi * f_hz, theta), floor_db=FLOOR_DB
         )
-        curves[f_hz] = power_db(gain_curves(filt, geometry, constants, filt.theta_s))[:, 0]
+        coefficients = filter_coefficients(filt, geometry, constants)
+        gains = coefficient_gains(coefficients, filt.weights, filt.theta_s)
+        curves[f_hz] = power_db(gains)[:, 0]
         norms[f_hz] = np.sum(np.abs(filt.weights))
     return patterns, curves, norms, skipped
 

@@ -15,6 +15,8 @@ from diffbeam import (
     sample_random_geometry,
     validate_geometry,
 )
+from diffbeam._seeding import trial_seeds, uniform_windows
+from diffbeam.metrics import render_pattern
 from diffbeam.oracles import steering_vector
 
 
@@ -124,18 +126,25 @@ class TestElementInvariants:
             PhysicalConstants(speed_of_sound=0.0)
 
 
+def element_response(q, theta_steer, theta):
+    """The first-order element model as `render_pattern` renders it: one
+    element at the origin with unit weight, so no propagation phase is left."""
+    element = ArrayElement(r=0.0, phi=0.0, q=q, theta_steer=theta_steer)
+    values = ArrayGeometry((element,), aperture_radius=0.02, min_spacing=0.008).element_values
+    pattern = render_pattern(np.ones(1, dtype=complex), values, 2 * math.pi * 1000.0,
+                             np.array([theta]), 343.0)
+    return complex(pattern[0])
+
+
 class TestElementResponse:
     def test_omni(self):
-        e = ArrayElement(r=0.0, phi=0.0, q=0.0, theta_steer=1.0)
-        assert e.response(2.2) == 1.0
+        assert element_response(0.0, 1.0, 2.2) == 1.0
 
     def test_dipole_mainlobe(self):
-        e = ArrayElement(r=0.0, phi=0.0, q=1.0, theta_steer=1.3)
-        assert e.response(1.3) == pytest.approx(1.0)
+        assert element_response(1.0, 1.3, 1.3) == pytest.approx(1.0)
 
     def test_cardioid_rear_null(self):
-        e = ArrayElement(r=0.0, phi=0.0, q=0.5, theta_steer=0.4)
-        assert e.response(0.4 + math.pi) == pytest.approx(0.0, abs=1e-15)
+        assert element_response(0.5, 0.4, 0.4 + math.pi) == pytest.approx(0.0, abs=1e-15)
 
     @given(
         q=st.floats(min_value=0.0, max_value=1.0),
@@ -144,11 +153,10 @@ class TestElementResponse:
     )
     @settings(max_examples=100, deadline=None)
     def test_symmetry_and_periodicity(self, q, steer, delta):
-        e = ArrayElement(r=0.01, phi=0.0, q=q, theta_steer=steer)
-        left = e.response(steer - delta)
-        right = e.response(steer + delta)
+        left = element_response(q, steer, steer - delta)
+        right = element_response(q, steer, steer + delta)
         assert left == pytest.approx(right, abs=1e-12)
-        wrapped = e.response(steer + delta + 2 * math.pi)
+        wrapped = element_response(q, steer, steer + delta + 2 * math.pi)
         assert right == pytest.approx(wrapped, abs=1e-12)
 
 
@@ -315,6 +323,38 @@ class TestBufferedSampler:
         assert reasons == expected
         assert all("budget of 20000 draws exhausted" in reason for reason in reasons)
         assert np.isnan(values).all()
+
+    @pytest.mark.parametrize("aperture, spacing", [(0.02, 0.008), (0.03, 0.008), (0.02, 0.006)])
+    def test_lead_walk_matches_whole_window_walk(self, aperture, spacing):
+        # a batch walks each trial's lead first and its whole window only when
+        # the lead runs out; either way each trial must take the candidates,
+        # and settle, as one walk over the whole window does
+        seeds = trial_seeds(4242, 0, 700)
+        walk = geometry_module._walk_slots
+        rewalked_and_settled = 0
+        for elements in range(3, 18):
+            window = uniform_windows(seeds, geometry_module.STACK_WINDOW * elements)
+            walks = []
+
+            def counted(*args):
+                walks.append(walk(*args))
+                return walks[-1]
+
+            values = np.full((4, seeds.size, elements), np.nan)
+            whole = np.full_like(values, np.nan)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(geometry_module, "_walk_slots", counted)
+                settled = geometry_module._place_by_slot(window, aperture, spacing, values)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(geometry_module, "_LEAD_MIN_TRIALS", math.inf)
+                whole_settled = geometry_module._place_by_slot(window, aperture, spacing, whole)
+            assert np.array_equal(settled, whole_settled), elements
+            assert values.tobytes() == whole.tobytes(), elements
+            if len(walks) == 2:
+                (_, lead_settled, _), (_, rewalked, _) = walks
+                assert lead_settled.any(), elements
+                rewalked_and_settled += np.count_nonzero(rewalked)
+        assert rewalked_and_settled > 0
 
     def test_element_values_rows(self):
         values = geometry_module.sample_element_values(9, 0.02, 0.008, seed=4)

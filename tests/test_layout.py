@@ -1,11 +1,13 @@
-"""Package layering: the scalar oracles stay off the hot path, the
-process-wide allocator policy stays at the entry points, and there is one
-design path and one scoring path.
+"""Package layering: the scalar oracles stay off the hot path and off the
+kernels they check, the process-wide allocator policy stays at the entry
+points, and there is one design path and one scoring path.
 
 `diffbeam.oracles` holds the scalar reference implementations the tests
 check the vectorized code against. Only the package's ``__init__`` may
 import it (to re-export the names the acceptance criteria reach); a hot
-module that imported it would put an oracle back on a code path.
+module that imported it would put an oracle back on a code path, and an
+oracle that called a kernel it checks would check that kernel against
+itself.
 
 `keep_freed_memory` changes the allocator of the whole process, so only
 the programs' ``main`` functions call it: a library caller's allocator is
@@ -84,6 +86,22 @@ def calling_functions(tree: ast.AST, name: str) -> list[str]:
     return callers
 
 
+# the vectorized kernels the oracles check: the Bessel table and the harmonic
+# tensor, the design solve, and the scoring path from coefficients to gains
+# and patterns
+CHECKED_KERNELS = (
+    "bessel_order_table", "element_harmonics",
+    "design_weights", "solve_wide",
+    "pattern_coefficients", "filter_coefficients", "coefficient_gains", "equispaced_pattern",
+)
+
+
+def test_no_oracle_calls_a_kernel_it_checks():
+    tree = ast.parse((PACKAGE / "oracles.py").read_text())
+    calls = {name: calling_functions(tree, name) for name in CHECKED_KERNELS}
+    assert {name: scopes for name, scopes in calls.items() if scopes} == {}
+
+
 def test_allocator_policy_is_set_by_the_entry_points_only():
     callers = {}
     for path in sorted([*PACKAGE.glob("*.py"), *SCRIPTS.glob("*.py")]):
@@ -110,13 +128,11 @@ def test_the_call_scan_sees_module_level_and_nested_calls():
 def test_one_design_path_and_one_scoring_path():
     # every command and script designs through `design_weights` and scores
     # through `pattern_coefficients`; the harmonic tensors come from
-    # `element_harmonics` alone, built by the callers that design or score,
-    # the test-only oracles aside
+    # `element_harmonics` alone, built by the callers that design or score
     callers = {}
     for path in sorted([*PACKAGE.glob("*.py"), *SCRIPTS.glob("*.py")]):
         tree = ast.parse(path.read_text())
-        for name in ("design_weights", "pattern_coefficients", "element_harmonics",
-                     "harmonic_tensor"):
+        for name in ("design_weights", "pattern_coefficients", "element_harmonics"):
             for scope in calling_functions(tree, name):
                 callers.setdefault(name, {}).setdefault(path.name, []).append(scope)
     assert callers == {
@@ -135,8 +151,6 @@ def test_one_design_path_and_one_scoring_path():
             "metrics.py": ["filter_coefficients"],
             # the scoring tensor, and the omni model's own q = 0 rows
             "montecarlo.py": ["_run_chunk", "_run_chunk"],
-            "oracles.py": ["harmonic_tensor"],
             "solver.py": ["design_filter"],
         },
-        "harmonic_tensor": {"oracles.py": ["build_xi_matrix", "build_modal_system"]},
     }

@@ -14,14 +14,15 @@ from diffbeam import (
     beampattern,
     design_filter,
     evaluate_target,
-    gain_curves,
     geometry_digest,
 )
 from diffbeam.geometry import ArrayElement, ArrayGeometry
 from diffbeam.metrics import (
     angle_count,
     check_floor_db,
+    coefficient_gains,
     equispaced_pattern,
+    filter_coefficients,
     magnitude_db,
     parseval_reach,
     pattern_coefficients,
@@ -125,7 +126,9 @@ class TestBeampattern:
             rendered = beampattern(filt, fixed_geometry, constants, omega, theta)
             assert rendered.shape == (180,)
             assert np.max(np.abs(rendered - target_values)) < 0.1
-        wng, df = gain_curves(filt, fixed_geometry, constants, target.theta_s)
+        wng, df = coefficient_gains(
+            filter_coefficients(filt, fixed_geometry, constants), filt.weights, filt.theta_s
+        )
         assert wng.shape == df.shape == (4,)
 
     def test_off_grid_frequency_rejected(self, constants, fixed_geometry):
@@ -263,7 +266,9 @@ class TestGainCurves:
         target = steered_hypercardioid(2)
         grid = FrequencyGrid(200.0, 3800.0, 7)
         filt = design_filter(fixed_geometry, constants, target, grid)
-        wng, df = gain_curves(filt, fixed_geometry, constants, target.theta_s)
+        wng, df = coefficient_gains(
+            filter_coefficients(filt, fixed_geometry, constants), filt.weights, filt.theta_s
+        )
         for i, omega in enumerate(grid.omegas):
             assert wng[i] == pytest.approx(
                 white_noise_gain(filt, fixed_geometry, constants, omega, target.theta_s),
@@ -279,14 +284,16 @@ class TestGainCurves:
 
     def test_zero_filter_rejected(self, constants):
         geom = single_omni()
+        filt = manual_filter(geom, [0.0])
+        coefficients = filter_coefficients(filt, geom, constants)
         with pytest.raises(InvalidFilterError):
-            gain_curves(manual_filter(geom, [0.0]), geom, constants, 0.0)
+            coefficient_gains(coefficients, filt.weights, 0.0)
 
 
 @pytest.mark.parametrize("score", [
     lambda filt, geometry, constants: beampattern(filt, geometry, constants, OMEGA_1K, [0.0]),
-    lambda filt, geometry, constants: gain_curves(filt, geometry, constants, 0.0),
-], ids=["beampattern", "gain_curves"])
+    lambda filt, geometry, constants: filter_coefficients(filt, geometry, constants),
+], ids=["beampattern", "filter_coefficients"])
 def test_filter_of_another_element_count_refused(score, constants, fixed_geometry):
     filt = manual_filter(fixed_geometry, np.ones(8))
     with pytest.raises(
@@ -429,7 +436,9 @@ class TestLargeAperture:
 
     def test_parseval_gains_match_quadrature(self, design):
         geometry, constants, filt = design
-        wng, df = gain_curves(filt, geometry, constants, filt.theta_s)
+        wng, df = coefficient_gains(
+            filter_coefficients(filt, geometry, constants), filt.weights, filt.theta_s
+        )
         for i, omega in enumerate(filt.grid.omegas):
             assert df[i] == pytest.approx(
                 directivity_factor(filt, geometry, constants, omega, filt.theta_s, 8192),

@@ -6,16 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffbeam import (
-    PhysicalConstants,
-    build_modal_system,
-    build_xi_matrix,
-    harmonic_tensor,
-    sample_random_geometry,
-)
+from diffbeam import PhysicalConstants, sample_random_geometry
 from diffbeam.bessel import bessel_order_table
 from diffbeam.geometry import ArrayElement, ArrayGeometry
-from diffbeam.modal import element_harmonics
+from diffbeam.modal import element_harmonics, model_values
 from diffbeam.oracles import (
     bessel_j,
     build_psi_matrix,
@@ -23,6 +17,7 @@ from diffbeam.oracles import (
     harmonic_coefficient_quadrature,
     unit_imaginary_power,
 )
+from diffbeam.solver import design_rhs, design_weights
 from tests.conftest import steered_hypercardioid
 
 
@@ -138,7 +133,7 @@ class TestMatrices:
         geom = sample_random_geometry(4, 0.02, 0.008, seed=33)
         omega = 2 * np.pi * 1700.0
         order = 2
-        xi = build_xi_matrix(geom, constants, omega, order)
+        xi = element_harmonics(geom.element_values, [omega], order, constants.speed_of_sound)[0]
         for i, n in enumerate(range(-order, order + 1)):
             for m, e in enumerate(geom.elements):
                 x = omega * e.r / constants.speed_of_sound
@@ -152,24 +147,31 @@ class TestMatrices:
             geom = with_zero_shape(sample_random_geometry(7, 0.02, 0.008, seed=seed))
             for f_hz in (200.0, 1000.0, 3800.0):
                 omega = 2 * np.pi * f_hz
-                xi = build_xi_matrix(geom, constants, omega, 3)
+                xi = element_harmonics(
+                    geom.element_values, [omega], 3, constants.speed_of_sound
+                )[0]
                 psi = build_psi_matrix(geom, constants, omega, 3)
                 assert np.max(np.abs(xi - psi)) < 1e-12
 
 
-class TestModalSystem:
+class TestMatchingSystem:
     def test_rhs_is_frequency_invariant(self, constants):
+        # one conjugated right-hand side serves the systems at 100 Hz and 4 kHz
         geom = sample_random_geometry(9, 0.02, 0.008, seed=5)
         target = steered_hypercardioid(2)
-        low = build_modal_system(geom, constants, 2 * np.pi * 100.0, target)
-        high = build_modal_system(geom, constants, 2 * np.pi * 4000.0, target)
-        assert np.array_equal(low.rhs, high.rhs)
-        assert low.matrix.shape == (5, 9)
+        omegas = 2 * np.pi * np.array([100.0, 4000.0])
+        xi = element_harmonics(geom.element_values, omegas, 2, constants.speed_of_sound)
+        assert xi.shape == (2, 5, 9)
+        rhs = design_rhs(target)
+        weights, refused, _ = design_weights(xi, target)
+        assert not refused.any()
+        for f in range(2):
+            assert np.max(np.abs(xi[f].conj() @ weights[f] - rhs)) < 1e-9
 
     def test_unknown_element_model(self, constants):
         geom = sample_random_geometry(5, 0.02, 0.008, seed=5)
         with pytest.raises(ValueError):
-            build_modal_system(geom, constants, 1000.0, steered_hypercardioid(1), "cardioid")
+            model_values(geom.element_values, "cardioid")
 
 
 MIN_SPACING = 0.008
@@ -212,17 +214,19 @@ class TestHarmonicTensor:
     def test_matches_scalar_coefficients(self, case, model):
         geometry, omegas, orders = case
         constants = PhysicalConstants()
-        tensor = harmonic_tensor(geometry, constants, omegas, orders, model)
-        assert tensor.shape == (len(omegas), len(orders), geometry.size)
+        reach = max(abs(n) for n in orders)
+        values = model_values(geometry.element_values, model)
+        tensor = element_harmonics(values, omegas, reach, constants.speed_of_sound)
+        assert tensor.shape == (len(omegas), 2 * reach + 1, geometry.size)
         for f, omega in enumerate(omegas):
-            for i, n in enumerate(orders):
+            for n in orders:
                 for m, e in enumerate(geometry.elements):
                     x = omega * e.r / constants.speed_of_sound
                     q = e.q if model == "first_order" else 0.0
                     expected = harmonic_coefficient(
                         n, x, q, e.theta_steer, e.phi
                     ) * cmath.exp(-1j * n * e.theta_steer)
-                    assert abs(tensor[f, i, m] - expected) < 1e-12
+                    assert abs(tensor[f, n + reach, m] - expected) < 1e-12
 
     def test_top_of_the_table_domain(self):
         # x up to 99.5 at reach 255, so the table runs at its 256-order cap;
@@ -250,18 +254,21 @@ class TestHarmonicTensor:
     def test_xi_matrix_is_the_one_frequency_slice(self, constants):
         geom = sample_random_geometry(9, 0.02, 0.008, seed=12)
         omegas = 2 * np.pi * np.array([100.0, 1700.0, 4000.0])
-        tensor = harmonic_tensor(geom, constants, omegas, np.arange(-3, 4))
+        c = constants.speed_of_sound
+        tensor = element_harmonics(geom.element_values, omegas, 3, c)
         for f, omega in enumerate(omegas):
-            assert np.array_equal(tensor[f], build_xi_matrix(geom, constants, omega, 3))
+            one = element_harmonics(geom.element_values, [omega], 3, c)
+            assert np.array_equal(tensor[f], one[0])
 
     def test_rejects_bad_input(self, constants):
-        geom = sample_random_geometry(3, 0.02, 0.008, seed=1)
+        values = sample_random_geometry(3, 0.02, 0.008, seed=1).element_values
+        c = constants.speed_of_sound
         with pytest.raises(ValueError, match="element model"):
-            harmonic_tensor(geom, constants, [1000.0], [0], "cardioid")
+            model_values(values, "cardioid")
         with pytest.raises(ValueError, match="argument"):
-            harmonic_tensor(geom, constants, [-1.0], [0])
+            element_harmonics(values, [-1.0], 0, c)
         with pytest.raises(ValueError, match="argument"):
-            harmonic_tensor(geom, constants, [2 * np.pi * 1e6], [0])
+            element_harmonics(values, [2 * np.pi * 1e6], 0, c)
 
 
 def exp_per_order_harmonics(values, omegas, reach, speed_of_sound):

@@ -14,7 +14,6 @@ from diffbeam import (
     TrialConfig,
     beampattern,
     design_filter,
-    gain_curves,
     run_trials,
     sample_random_geometry,
     trial_seed,
@@ -22,7 +21,13 @@ from diffbeam import (
 from diffbeam._seeding import trial_seeds, uniform_windows
 from diffbeam.fileio import pattern_from_config
 from diffbeam.geometry import STACK_WINDOW
-from diffbeam.metrics import magnitude_db, parseval_reach, power_db
+from diffbeam.metrics import (
+    coefficient_gains,
+    filter_coefficients,
+    magnitude_db,
+    parseval_reach,
+    power_db,
+)
 from diffbeam.montecarlo import TrialFailure
 from tests.test_rank_gate import HIGH_ORDER_GRID, STUDY_SEED
 
@@ -224,7 +229,8 @@ def oracle_statistics(config):
         pattern = beampattern(filt, geometry, constants, omega, theta)
         bp.append(magnitude_db(pattern, floor_db=config.db_floor))
         floor_hits += np.count_nonzero(magnitude_db(pattern) < config.db_floor)
-        gains = gain_curves(filt, geometry, constants, filt.theta_s)
+        coefficients = filter_coefficients(filt, geometry, constants)
+        gains = coefficient_gains(coefficients, filt.weights, filt.theta_s)
         wng.append(power_db(gains[0]))
         df.append(power_db(gains[1]))
     stats = {}

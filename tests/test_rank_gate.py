@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import diffbeam as db
-from diffbeam import FrequencyGrid, RankDeficientSystemError, harmonic_tensor
+from diffbeam import FrequencyGrid, RankDeficientSystemError
+from diffbeam.modal import element_harmonics, model_values
 from diffbeam.solver import RANK_RTOL, solve_wide
 from tests.conftest import FIXED_GEOMETRY_SEED, steered_hypercardioid
 from tests.test_modal import with_zero_shape
@@ -81,9 +82,9 @@ def acceptance_cases(name):
 def refused_pairs(cases):
     pairs = []
     for key, geometry, order, grid, model in cases:
-        n_values = np.arange(-order, order + 1)
-        xi = harmonic_tensor(geometry, CONSTANTS, grid.omegas, n_values, model)
-        _, refused, _ = solve_wide(xi.conj(), np.ones(n_values.size))
+        values = model_values(geometry.element_values, model)
+        xi = element_harmonics(values, grid.omegas, order, CONSTANTS.speed_of_sound)
+        _, refused, _ = solve_wide(xi.conj(), np.ones(2 * order + 1))
         pairs.extend((key, int(i)) for i in np.flatnonzero(refused))
     return pairs
 
@@ -111,7 +112,9 @@ def test_matches_a_scalar_per_frequency_gate():
     for t, geometry, order, grid, _ in study_cases(3, 7, (85, 87, 88, 96)):
         n_values = range(-order, order + 1)
         _, batched, _ = solve_wide(
-            harmonic_tensor(geometry, CONSTANTS, grid.omegas, list(n_values)).conj(),
+            element_harmonics(
+                geometry.element_values, grid.omegas, order, CONSTANTS.speed_of_sound
+            ).conj(),
             np.ones(len(n_values)),
         )
         for f, omega in enumerate(grid.omegas):
