@@ -30,9 +30,10 @@ STACK_WINDOW = 16
 # trials per stacked batch hold their stream windows to about this many
 # doubles, 1 MiB
 SAMPLE_BATCH_DOUBLES = 1 << 17
-# batches of fewer trials walk each window whole: below about 128 trials at
-# M = 5-9 the fixed cost of a second walk's M - 1 slot passes outweighs what
-# a lead saves
+# batches of fewer trials walk each window whole. Timed in-process on a
+# 2-vCPU Xeon at M = 3, 5, 7 and 9, the lead walk took 1.4-1.7x the whole
+# walk's time at 16-32 trials and 1.1-1.2x at 64, broke even at 96-112,
+# and took 2-15% less at 128 and 37-53% less at 500
 _LEAD_MIN_TRIALS = 128
 # squared distances this close to min_spacing**2, relatively, are not decided
 # in the stack: np.cos and math.cos may differ in the last ulp
@@ -333,12 +334,13 @@ def _place_by_slot(
     (angle). Only candidates that leave room for the 2M trailing doubles
     are walked, and no more than one element's cap or the budget allows,
     so no trial settled here restarts or runs out of draws. A batch of
-    ``_LEAD_MIN_TRIALS`` or more first walks each trial's leading M^2/3 + 3
-    candidates, within which about nine trials in ten settle at M <= 9 on
-    the desk aperture and spacing, unless that is more than half the
-    window (too many trials would walk twice), and walks the whole window
-    only for a trial whose lead runs out. The lead holds the window's first candidates, so a trial it
-    settles takes the candidates the whole window gives it.
+    ``_LEAD_MIN_TRIALS`` or more first walks each trial's leading
+    M^2/3 + 3 candidates, within which about nine trials in ten settle at
+    M <= 9 on the desk aperture and spacing, unless that is more than half
+    the window (too many trials would walk twice), and walks the whole
+    window only for a trial whose lead runs out. The lead holds the
+    window's first candidates, so a trial it settles takes the candidates
+    the whole window gives it.
     """
     trials, width = window.shape
     count = values.shape[2]

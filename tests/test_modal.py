@@ -155,7 +155,7 @@ class TestMatrices:
 
 
 class TestMatchingSystem:
-    def test_rhs_is_frequency_invariant(self, constants):
+    def test_one_rhs_solves_every_frequency(self, constants):
         # one conjugated right-hand side serves the systems at 100 Hz and 4 kHz
         geom = sample_random_geometry(9, 0.02, 0.008, seed=5)
         target = steered_hypercardioid(2)
