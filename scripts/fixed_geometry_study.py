@@ -6,7 +6,8 @@ hypercardioids of the requested orders over the whole band as one stack,
 and dumps per-frequency beampatterns plus WNG/DF curves as CSV, all
 scored from the patterns' harmonic coefficients. Frequencies the rank
 gate refuses (high orders at very low frequencies render the matching
-system numerically rank deficient) are skipped and reported.
+system numerically rank deficient) are skipped and reported. Arguments
+the study cannot run with are refused (exit 2) before a file is written.
 
 Example:
     python scripts/fixed_geometry_study.py --out runs/fixed --orders 1,4
@@ -18,7 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from diffbeam import PhysicalConstants, evaluate_target, sample_random_geometry
+from diffbeam import (
+    FrequencyGrid,
+    InfeasibleGeometryError,
+    PhysicalConstants,
+    evaluate_target,
+    sample_random_geometry,
+)
 from diffbeam.fileio import pattern_from_config, save_geometry_file, write_table
 from diffbeam.metrics import (
     angle_count,
@@ -95,20 +102,39 @@ def main(argv=None) -> int:
         parser.error(f"arguments --f-count and --angle-step-deg: {args.f_count} "
                      f"frequencies of {angles} angles: {err}")
 
-    constants = PhysicalConstants(speed_of_sound=args.c_mps)
-    geometry = sample_random_geometry(args.elements, 0.02, 0.008, seed=args.seed)
-    frequencies = np.linspace(args.f_min, args.f_max, args.f_count)
+    try:
+        orders = [int(order) for order in args.orders.split(",")]
+    except ValueError:
+        parser.error(f"argument --orders: expected comma-separated integers, got {args.orders!r}")
+    try:
+        grid = FrequencyGrid(args.f_min, args.f_max, args.f_count)
+    except ValueError as err:
+        parser.error(f"arguments --f-min, --f-max and --f-count: {err}")
+    try:
+        constants = PhysicalConstants(speed_of_sound=args.c_mps)
+    except ValueError as err:
+        parser.error(f"argument --c-mps: {err}")
+    try:
+        geometry = sample_random_geometry(args.elements, 0.02, 0.008, seed=args.seed)
+    except (ValueError, InfeasibleGeometryError) as err:
+        parser.error(f"arguments --elements and --seed: {err}")
+    # every order is designed before a file is written, so a refused one writes nothing
+    sweeps = []
+    for order in orders:
+        try:
+            target, _, _ = pattern_from_config(
+                {"family": "hypercardioid", "order": order, "steer_deg": args.steer_deg}
+            )
+            sweeps.append((order, sweep(
+                geometry, constants, target, grid.frequencies_hz, angles, args.floor_db
+            )))
+        except ValueError as err:
+            parser.error(str(err))
 
     args.out.mkdir(parents=True, exist_ok=True)
     save_geometry_file(geometry, args.out / "geometry.json")
 
-    for order in (int(o) for o in args.orders.split(",")):
-        target, _, _ = pattern_from_config(
-            {"family": "hypercardioid", "order": order, "steer_deg": args.steer_deg}
-        )
-        patterns, curves, skipped = sweep(
-            geometry, constants, target, frequencies, angles, args.floor_db
-        )
+    for order, (patterns, curves, skipped) in sweeps:
         tag = f"n{order}"
         write_table(
             args.out / f"beampattern_vs_frequency_{tag}.csv",

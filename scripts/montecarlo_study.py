@@ -15,15 +15,17 @@ distinct configuration runs once and writes into every subdirectory that
 names it, so all three experiments run seven studies for nine
 subdirectories.
 
-Desk scale (500 trials) takes about 4 s for the seven studies at one
-worker (0.3-0.8 s per study) and 3.8-3.9 s at --threads 2; the
-full-scale run, --trials 10000, takes about 84 s at --threads 2.
-Python 3.11, NumPy 2.4, glibc 2.36, 2-vCPU Xeon host shared with other
-tenants, so single runs vary by about 10%. The CSVs are byte-identical
-for any --threads.
+Desk scale (500 trials) takes 4.0-4.7 s for the seven studies at one
+worker (0.2-0.9 s per study) and 3.9-4.6 s at --threads 2, in three
+runs of each; the full-scale run, --trials 10000, takes about 84 s at
+--threads 2. Python 3.11, NumPy 2.4, glibc 2.36, 2-vCPU Xeon host
+shared with other tenants, so single runs vary by about 10%. The CSVs
+are byte-identical for any --threads. Arguments no study can run with
+(--threads below 1, --seed below 0, --trials outside 1 to 2**32 - 1)
+are refused with a usage error before anything is written.
 
-The whole script's peak RSS is about 46 MB at desk scale at one worker
-(53 MB at --threads 2) and 140 MB at full scale at --threads 2 (184 MB
+The whole script's peak RSS is about 45 MB at desk scale at one worker
+(52 MB at --threads 2) and 140 MB at full scale at --threads 2 (184 MB
 before the chunks and the reduction held each array once). Most of the
 full-scale figure is one configuration's results: a 10,000-trial N=2,
 M=9 study peaks about 82 MB above its start, its 10,000 x 360
@@ -43,7 +45,7 @@ from pathlib import Path
 
 from diffbeam import FrequencyGrid, TrialConfig, run_trials
 from diffbeam.fileio import pattern_from_config, write_study
-from diffbeam.montecarlo import keep_freed_memory
+from diffbeam.montecarlo import check_trials, keep_freed_memory
 
 APERTURE_M = 0.02
 SPACING_M = 0.008
@@ -99,6 +101,14 @@ def main(argv=None) -> int:
         default="all",
     )
     args = parser.parse_args(argv)
+    for flag, minimum in (("seed", 0), ("threads", 1)):
+        value = getattr(args, flag)
+        if value < minimum:
+            parser.error(f"argument --{flag}: must be >= {minimum}, got {value}")
+    try:
+        check_trials(args.trials)
+    except ValueError as err:
+        parser.error(f"argument --trials: {err}")
 
     names = (
         ("minimal-m", "elements", "fixed-m")

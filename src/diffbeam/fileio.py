@@ -339,17 +339,33 @@ def load_design(manifest_path):
     Returns
     -------
     (BeamformerFilter, SteeredTarget, float)
-        The filter; its target, the manifest's pattern read as a custom one,
-        whose order and steering the filter carries; and the speed of sound
-        it was designed at, 343 m/s when absent, refused naming the manifest
-        unless positive and finite.
+        The filter; its target, from the manifest's pattern, whose order and
+        steering the filter carries; and the speed of sound it was designed
+        at, 343 m/s when absent, refused naming the manifest unless positive
+        and finite. The pattern's ``a`` is the normalized one the design
+        solved for and is read as written: it is refused naming the
+        manifest unless it holds ``order + 1`` finite entries summing to
+        within 1e-9 of 1, the tolerance `solver.design_rhs` allows.
     """
     manifest_path = Path(manifest_path)
     manifest = load_json(manifest_path)
     context = str(manifest_path)
     grid = grid_from_config(read(manifest, "grid_hz", dict, context), f"{context}: grid_hz")
     pattern, where = read(manifest, "pattern", dict, context), f"{context}: pattern"
-    target, _, _ = pattern_from_config({**pattern, "family": "custom"}, where)
+    order = read(pattern, "order", int, where)
+    a = read_numbers(pattern, "a", where)
+    if len(a) != order + 1:
+        raise ValueError(
+            f"{where}: 'a' holds {len(a)} coefficients, order {order} needs {order + 1}"
+        )
+    if not all(math.isfinite(v) for v in a):
+        raise ValueError(f"{where}: 'a' entries must be finite, got {a!r}")
+    if abs(sum(a) - 1.0) > 1e-9:
+        raise ValueError(f"{where}: 'a' sums to {sum(a)!r}, not 1 as a design's coefficients do")
+    target = SteeredTarget(
+        coefficients=a_to_b(PatternCoefficients(a)),
+        theta_s=math.radians(read(pattern, "steer_deg", float, where)),
+    )
     constants = read_constants(manifest, context)
     filter_file = manifest_path.parent / read(manifest, "filter_file", str, context)
 

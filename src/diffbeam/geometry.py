@@ -24,17 +24,13 @@ TWO_PI = 2.0 * math.pi
 SAMPLING_BUDGET = 10**6
 _PLACEMENT_CAP = 2000  # candidate draws per element before a full restart
 
-# doubles of each trial's stream a stacked sample draws per element: the
-# scalar sampler's first two blocks
+# doubles of each trial's stream a stacked sample first draws per element:
+# the scalar sampler's first two blocks, 7M candidates and the 2M doubles
+# after them
 STACK_WINDOW = 16
-# trials per stacked batch hold their stream windows to about this many
-# doubles, 1 MiB
+# each pass of a stacked sample draws the windows of its trials in batches
+# of about this many doubles, 1 MiB
 SAMPLE_BATCH_DOUBLES = 1 << 17
-# batches of fewer trials walk each window whole. Timed in-process on a
-# 2-vCPU Xeon at M = 3, 5, 7 and 9, the lead walk took 1.4-1.7x the whole
-# walk's time at 16-32 trials and 1.1-1.2x at 64, broke even at 96-112,
-# and took 2-15% less at 128 and 37-53% less at 500
-_LEAD_MIN_TRIALS = 128
 # squared distances this close to min_spacing**2, relatively, are not decided
 # in the stack: np.cos and math.cos may differ in the last ulp
 _NEAR_SPACING = 1e-12
@@ -293,79 +289,76 @@ def sample_element_stack(
 
     Each trial's first ``STACK_WINDOW * M`` doubles are drawn at once, in
     batches of trials whose windows hold about ``SAMPLE_BATCH_DOUBLES``,
-    and each batch is placed slot by slot. A trial the window cannot
-    settle is sampled again, from scratch, by `sample_element_values`: one
-    not placed within the window, one whose shapes and steering angles run
-    past its end, and one whose placement turns on a squared distance
-    within ``_NEAR_SPACING`` (relative) of ``min_spacing**2``. So every
-    trial's values are that function's bits.
+    and placed slot by slot from its leading M^2/3 + 3 candidates, or the
+    whole window when that is shorter. A trial whose candidates run out
+    walks again over S = max(2S, the candidates its window holds); when S
+    outgrows the window, its window is drawn again from its seed, at
+    2(S + M) doubles in batches of the same size, so the M shapes and M
+    steering angles after its last candidate stay inside. The walk stops
+    at ``min(_PLACEMENT_CAP, SAMPLING_BUDGET)`` candidates, so no trial it
+    settles restarts or runs out of draws. A walk takes each trial's first
+    candidate past its last element that is not rejected, the scalar
+    sampler's choice however long the window is.
+
+    `sample_element_values` samples the rest from scratch, so every
+    trial's values are its bits: a trial past that cap, one whose
+    placement turns on a squared distance within ``_NEAR_SPACING``
+    (relative) of ``min_spacing**2``, and every trial of a request the
+    area heuristic refuses.
     """
-    element_count = int(element_count)
-    if element_count < 1:
+    count = int(element_count)
+    if count < 1:
         raise ValueError("element_count must be >= 1")
     seeds = np.asarray(seeds, dtype=np.uint64)
-    values = np.full((4, seeds.size, element_count), np.nan)
+    values = np.full((4, seeds.size, count), np.nan)
     settled = np.zeros(seeds.size, dtype=bool)
     # a request the area heuristic rules out is left to `sample_element_values` to refuse
-    if element_count * (min_spacing / 2.0) ** 2 <= aperture_radius**2:
-        width = STACK_WINDOW * element_count
-        batch = max(1, SAMPLE_BATCH_DOUBLES // width)
-        for start in range(0, seeds.size, batch):
-            part = slice(start, start + batch)
-            window = uniform_windows(seeds[part], width)
-            settled[part] = _place_by_slot(window, aperture_radius, min_spacing, values[:, part])
+    if count * (min_spacing / 2.0) ** 2 <= aperture_radius**2:
+        limit = min(_PLACEMENT_CAP, SAMPLING_BUDGET)
+        width = STACK_WINDOW * count
+        # the candidates a window holds before the 2M doubles that follow them
+        held = min(width // 2 - count, limit)
+        steps = max(1, min(count * count // 3 + 3, held))
+        pending = np.arange(seeds.size)
+        while pending.size and steps <= limit:
+            if steps > held:
+                width, held = 2 * (steps + count), steps
+            walks = [steps, held] if 2 * steps <= held else [steps]
+            batch = max(1, SAMPLE_BATCH_DOUBLES // width)
+            spent = []
+            for start in range(0, pending.size, batch):
+                trials = pending[start : start + batch]
+                window = uniform_windows(seeds[trials], width)
+                for walk in walks:
+                    if not trials.size:
+                        break
+                    chosen, done, out = _walk_slots(
+                        window, walk, count, aperture_radius, min_spacing
+                    )
+                    rows = np.flatnonzero(done)
+                    picks, column, placed = chosen[rows], rows[:, None], trials[rows]
+                    values[0, placed] = aperture_radius * np.sqrt(window[column, 2 * picks])
+                    values[1, placed] = np.mod(TWO_PI * window[column, 2 * picks + 1], TWO_PI)
+                    # the M shapes and the M steering angles follow the last placed candidate
+                    tail = window[column, 2 * (picks[:, -1:] + 1) + np.arange(2 * count)]
+                    values[2, placed] = tail[:, :count]
+                    values[3, placed] = np.mod(TWO_PI * tail[:, count:], TWO_PI)
+                    settled[placed] = True
+                    trials, window = trials[out], window[out]
+                spent.append(trials)
+            pending = np.concatenate(spent)
+            if walks[-1] == limit:
+                break
+            steps = min(2 * walks[-1], limit)
     reasons: list[str | None] = [None] * seeds.size
     for t in np.flatnonzero(~settled):
         try:
             values[:, t] = sample_element_values(
-                element_count, aperture_radius, min_spacing, int(seeds[t])
+                count, aperture_radius, min_spacing, int(seeds[t])
             )
         except InfeasibleGeometryError as err:
             reasons[t] = str(err)
     return values, reasons
-
-
-def _place_by_slot(
-    window: np.ndarray, aperture_radius: float, min_spacing: float, values: np.ndarray
-) -> np.ndarray:
-    """Fill ``values[:, t]`` for each trial its ``window[t]`` settles; the mask of those trials.
-
-    Candidate c is ``window[:, 2c]`` (radius) and ``window[:, 2c + 1]``
-    (angle). Only candidates that leave room for the 2M trailing doubles
-    are walked, and no more than one element's cap or the budget allows,
-    so no trial settled here restarts or runs out of draws. A batch of
-    ``_LEAD_MIN_TRIALS`` or more first walks each trial's leading
-    M^2/3 + 3 candidates, within which about nine trials in ten settle at
-    M <= 9 on the desk aperture and spacing, unless that is more than half
-    the window (too many trials would walk twice), and walks the whole
-    window only for a trial whose lead runs out. The lead holds the
-    window's first candidates, so a trial it settles takes the candidates
-    the whole window gives it.
-    """
-    trials, width = window.shape
-    count = values.shape[2]
-    steps = min((width - 2 * count) // 2, _PLACEMENT_CAP, SAMPLING_BUDGET)
-    if steps < 1:
-        return np.zeros(trials, dtype=bool)
-    lead = count * count // 3 + 3
-    if trials < _LEAD_MIN_TRIALS or 2 * lead > steps:
-        lead = steps
-    chosen, settled, spent = _walk_slots(window, lead, count, aperture_radius, min_spacing)
-    if lead < steps and spent.any():
-        again = np.flatnonzero(spent)
-        chosen[again], settled[again], _ = _walk_slots(
-            window[again], steps, count, aperture_radius, min_spacing
-        )
-
-    rows = np.flatnonzero(settled)
-    picks, column = chosen[rows], rows[:, None]
-    values[0, rows] = aperture_radius * np.sqrt(window[column, 2 * picks])
-    values[1, rows] = np.mod(TWO_PI * window[column, 2 * picks + 1], TWO_PI)
-    # the M shapes and the M steering angles follow the last placed candidate
-    tail = window[column, 2 * (picks[:, -1:] + 1) + np.arange(2 * count)]
-    values[2, rows] = tail[:, :count]
-    values[3, rows] = np.mod(TWO_PI * tail[:, count:], TWO_PI)
-    return settled
 
 
 def _walk_slots(
@@ -377,11 +370,12 @@ def _walk_slots(
 
     Element 0 is candidate 0. Each further slot measures every candidate
     against the element placed last, and a candidate stays rejected once a
-    squared distance falls below the band around ``min_spacing**2`` and
-    near once one falls at or below its top. A trial takes its first
-    candidate past its last element that is not rejected, which is the
-    candidate the scalar sampler accepts; one that is near leaves the
-    trial unsettled, as does one that is missing.
+    squared distance falls below the band around ``min_spacing**2``, or
+    once it is placed, and near once one falls at or below the band's
+    top. A trial takes its first candidate that is not rejected, which is
+    the candidate the scalar sampler accepts, since every earlier one is
+    placed or rejected; one that is near leaves the trial unsettled, as
+    does one that is missing.
     """
     trials = window.shape[0]
     radius = aperture_radius * np.sqrt(window[:, 0 : 2 * steps : 2])
@@ -391,25 +385,27 @@ def _walk_slots(
     below = min_sq - _NEAR_SPACING * min_sq
     above = min_sq + _NEAR_SPACING * min_sq
     rows = np.arange(trials)
-    later = np.arange(steps)
     chosen = np.zeros((trials, count), dtype=np.intp)
     settled = np.ones(trials, dtype=bool)
     spent = np.zeros(trials, dtype=bool)
-    rejected = np.zeros((trials, steps), dtype=bool)
+    free = np.ones((trials, steps), dtype=bool)
+    free[:, 0] = False
     near = np.zeros((trials, steps), dtype=bool)
+    pick = chosen[:, 0]
     for slot in range(1, count):
-        last = chosen[:, slot - 1, None]
-        # x_c - x_last, the operands and order of the scalar sampler's test
-        dx = x - np.take_along_axis(x, last, axis=1)
-        dy = y - np.take_along_axis(y, last, axis=1)
-        dist_sq = dx * dx + dy * dy
-        rejected |= dist_sq < below
+        # (x_c - x_last)**2 + (y_c - y_last)**2, the scalar sampler's test, in place
+        dist_sq = x - x[rows, pick][:, None]
+        dy = y - y[rows, pick][:, None]
+        dist_sq *= dist_sq
+        dy *= dy
+        dist_sq += dy
+        free &= dist_sq >= below
         near |= dist_sq <= above
-        free = ~rejected & (later > last)
-        pick = np.argmax(free, axis=1)
+        pick = free.argmax(axis=1)
         found = free[rows, pick]
         spent |= ~found
         settled &= found & ~near[rows, pick]
+        free[rows, pick] = False
         chosen[:, slot] = pick
     return chosen, settled, spent
 

@@ -948,20 +948,34 @@ def test_flag_the_subcommand_does_not_read_refused(tmp_path, capsys, argv):
 
 class TestLoadDesign:
     """`fileio.load_design` hands `evaluate` the target a design was made
-    for: the manifest's pattern read as a custom one. The manifest stores
-    the normalized ``a`` and the steering in degrees, so the target is the
-    design config's to the bit when the stored ``a`` sums to exactly 1
-    (normalizing again divides by that sum) and the degrees read back to
-    the same radians (60 does, 48 does not); otherwise it is within an ulp."""
+    for. The manifest stores the normalized ``a``, read back as written, so
+    the target's coefficients are the design config's to the bit; it stores
+    the steering in degrees, so the steering is the config's to the bit when
+    the degrees read back to the same radians (60 does, 48 does not) and
+    within an ulp otherwise."""
 
     @pytest.mark.parametrize("pattern, exact", [
         ({"family": "hypercardioid", "order": 2, "steer_deg": 60.0}, True),
         ({"family": "cardioid", "order": 2, "steer_deg": 60.0}, True),
         ({"family": "custom", "order": 2, "steer_deg": 60.0, "a": [1.0, 2.0, 2.0]}, True),
         ({"family": "hypercardioid", "order": 3, "steer_deg": 48.0}, False),
-        ({"family": "custom", "order": 2, "steer_deg": 60.0, "a": [1.0, 1.5, 0.5]}, False),
+        ({"family": "custom", "order": 2, "steer_deg": 60.0, "a": [1.0, 1.5, 0.5]}, True),
     ], ids=["hypercardioid", "cardioid", "custom", "hypercardioid-n3-48deg", "custom-1.5"])
     def test_returns_the_designed_target(self, workspace, pattern, exact):
+        manifest = self.design(workspace, pattern)
+        filt, target, speed_of_sound = fileio.load_design(manifest)
+        designed, _, _ = fileio.pattern_from_config(pattern)
+        assert speed_of_sound == 340.0
+        assert (filt.order, filt.theta_s) == (target.order, target.theta_s)
+        assert target.coefficients.b == designed.coefficients.b
+        if exact:
+            assert target.theta_s == designed.theta_s
+        else:
+            np.testing.assert_array_max_ulp(target.theta_s, designed.theta_s, maxulp=1)
+
+    @staticmethod
+    def design(workspace, pattern):
+        """The manifest of a design of ``pattern`` on the workspace's geometry."""
         design = write_json(workspace / "design.json", {
             "geometry_file": "geometry.json", "pattern": pattern,
             "grid_hz": {"f_min": 1000.0, "f_max": 4000.0, "count": 4},
@@ -969,17 +983,23 @@ class TestLoadDesign:
         })
         out = workspace / "design"
         assert main(["design", "--config", str(design), "--out", str(out)]) == 0
-        filt, target, speed_of_sound = fileio.load_design(out / "design_manifest.json")
-        designed, _, _ = fileio.pattern_from_config(pattern)
-        assert speed_of_sound == 340.0
-        assert (filt.order, filt.theta_s) == (target.order, target.theta_s)
-        assert target.order == designed.order
-        b, designed_b = target.coefficients.b, designed.coefficients.b
-        if exact:
-            assert (b, target.theta_s) == (designed_b, designed.theta_s)
-        else:
-            np.testing.assert_array_max_ulp(np.array(b), np.array(designed_b), maxulp=1)
-            np.testing.assert_array_max_ulp(target.theta_s, designed.theta_s, maxulp=1)
+        return out / "design_manifest.json"
+
+    @pytest.mark.parametrize("a, message", [
+        ([0.1, 0.5, 0.5], "'a' sums to 1.1, not 1 as a design's coefficients do"),
+        ([0.5, 0.5], "'a' holds 2 coefficients, order 2 needs 3"),
+        ([0.5, float("nan"), 0.5], "'a' entries must be finite, got [0.5, nan, 0.5]"),
+    ], ids=["sum-1.1", "short", "nan"])
+    def test_refuses_coefficients_no_design_solved_for(self, workspace, a, message):
+        manifest = self.design(
+            workspace, {"family": "hypercardioid", "order": 2, "steer_deg": 60.0}
+        )
+        payload = json.loads(manifest.read_text())
+        payload["pattern"]["a"] = a
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as excinfo:
+            fileio.load_design(manifest)
+        assert str(excinfo.value) == f"{manifest}: pattern: {message}"
 
 
 class TestGoldenOutputs:

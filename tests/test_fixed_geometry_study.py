@@ -182,3 +182,29 @@ def test_floor_past_a_double_refused(study, tmp_path, capsys, floor_db):
     assert "error: argument --floor-db: floor must be finite and at most about 6165.09 dB" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--orders", "1,x"], "argument --orders: expected comma-separated integers, got '1,x'"),
+        (["--f-count", "0"], "arguments --f-min, --f-max and --f-count: count must be >= 1"),
+        (["--f-min", "0"], "arguments --f-min, --f-max and --f-count: need 0 < f_min <= f_max"),
+        (["--c-mps", "0"], "argument --c-mps: speed of sound must be positive and finite, got 0.0"),
+        (["--elements", "0"], "arguments --elements and --seed: element_count must be >= 1"),
+        (["--elements", "5", "--orders", "1,4"], "order 4 needs at least 9 elements, got 5"),
+    ],
+    ids=["orders", "f-count", "f-min", "c-mps", "elements", "order-past-the-elements"],
+)
+def test_bad_arguments_refused_before_any_file(study, tmp_path, capsys, args, message):
+    # each is refused on one error line, with no traceback and no output
+    # directory, even where an earlier order could have been written
+    out = tmp_path / "fixed"
+    with pytest.raises(SystemExit) as excinfo:
+        study.main(["--out", str(out), *args])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(f"error: {message}")
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -69,6 +69,16 @@ def loop_sample(element_count, aperture_radius, min_spacing, seed):
     )
 
 
+_WALK_SLOTS = geometry_module._walk_slots
+
+
+def settle_none(*args):
+    """`_walk_slots` leaving every trial unsettled, and none spent, so that
+    the stacked sampler hands every trial to the single-geometry sampler."""
+    chosen, settled, spent = _WALK_SLOTS(*args)
+    return chosen, np.zeros_like(settled), np.zeros_like(spent)
+
+
 def two_element_geometry(separation: float, min_spacing: float = 0.008):
     half = separation / 2.0
     return ArrayGeometry(
@@ -218,13 +228,15 @@ class TestBufferedSampler:
             assert str(got.value) == str(expected.value)
             assert "budget of 20000 draws exhausted" in str(got.value)
 
-    # the stacked sampler on its own, with every trial handed over to the
-    # single-geometry sampler by a window too short to place a candidate,
-    # and with every trial of two or more elements handed over by a
-    # near-threshold band that takes in every distance
+    # the stacked sampler on its own; with first windows too short to hold a
+    # candidate, so that every trial is placed on redrawn windows; with
+    # every trial handed over to the single-geometry sampler by a walk that
+    # settles none; and with every trial of two or more elements handed
+    # over by a near-threshold band that takes in every distance
     HAND_OVERS = {
         "window": {},
         "short-window": {"STACK_WINDOW": 2},
+        "unwalked": {"_walk_slots": settle_none},
         "wide-band": {"_NEAR_SPACING": math.inf},
     }
 
@@ -232,8 +244,8 @@ class TestBufferedSampler:
     def stack_sample(hand_over, element_count, seeds):
         """`sample_element_stack` over ``seeds`` at the desk aperture; asserts
         that the hand-over mode sent every trial it must to the single sampler,
-        and that from 8 seeds and up to 9 elements the unpatched window
-        settles some trials."""
+        and that from 8 seeds and up to 9 elements the stack settles some
+        trials in the other modes."""
         single = geometry_module.sample_element_values
         handed_over = []
 
@@ -248,7 +260,7 @@ class TestBufferedSampler:
             values, reasons = geometry_module.sample_element_stack(
                 element_count, 0.02, 0.008, np.asarray(seeds, dtype=np.uint64)
             )
-        if hand_over == "short-window" or (hand_over == "wide-band" and element_count > 1):
+        if hand_over == "unwalked" or (hand_over == "wide-band" and element_count > 1):
             assert handed_over == list(seeds)
         elif len(seeds) >= 8 and element_count <= 9:
             assert len(handed_over) < len(seeds)
@@ -276,30 +288,60 @@ class TestBufferedSampler:
                 expected = loop_sample(elements, 0.02, 0.008, seed).element_values
                 assert np.array_equal(values[:, t], expected), (elements, seed)
 
-    def test_batches_of_the_budget_match_one_batch(self, monkeypatch):
-        seeds = np.arange(30, dtype=np.uint64)
+    @staticmethod
+    def drawn_windows(monkeypatch):
+        """Patch `uniform_windows` to log each call's (trials, width)."""
         windows = geometry_module.uniform_windows
-        batches = []
+        drawn = []
 
         def counted(batch_seeds, width):
-            batches.append(len(batch_seeds))
+            drawn.append((len(batch_seeds), width))
             return windows(batch_seeds, width)
 
         monkeypatch.setattr(geometry_module, "uniform_windows", counted)
+        return drawn
+
+    def test_batches_of_the_budget_match_one_batch(self, monkeypatch):
+        seeds = np.arange(30, dtype=np.uint64)
+        drawn = self.drawn_windows(monkeypatch)
         for elements in (1, 5, 9, 13, 17):
+            width = geometry_module.STACK_WINDOW * elements
             whole = geometry_module.sample_element_stack(elements, 0.02, 0.008, seeds)
-            assert batches == [30]
-            # ten trials' windows to a batch
-            budget = 10 * geometry_module.STACK_WINDOW * elements
+            assert [trials for trials, drawn_width in drawn if drawn_width == width] == [30]
+            drawn.clear()
+            # ten trials' first windows to a batch
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(geometry_module, "SAMPLE_BATCH_DOUBLES", budget)
+                patch.setattr(geometry_module, "SAMPLE_BATCH_DOUBLES", 10 * width)
                 values, reasons = geometry_module.sample_element_stack(
                     elements, 0.02, 0.008, seeds
                 )
-            assert batches == [30, 10, 10, 10]
+            assert [trials for trials, drawn_width in drawn if drawn_width == width] == [10] * 3
             assert values.tobytes() == whole[0].tobytes()
             assert reasons == whole[1]
-            batches.clear()
+            drawn.clear()
+
+    def test_every_pass_keeps_its_windows_to_the_budget(self, monkeypatch):
+        # 15 elements send trials through redrawn windows up to the cap; a
+        # budget of a few windows splits every pass into batches
+        seeds = trial_seeds(4242, 0, 200)
+        whole = geometry_module.sample_element_stack(15, 0.02, 0.008, seeds)
+        budget = 4096
+        monkeypatch.setattr(geometry_module, "SAMPLE_BATCH_DOUBLES", budget)
+        drawn = self.drawn_windows(monkeypatch)
+        values, reasons = geometry_module.sample_element_stack(15, 0.02, 0.008, seeds)
+        assert values.tobytes() == whole[0].tobytes()
+        assert reasons == whole[1]
+        passes = {}
+        for trials, width in drawn:
+            passes.setdefault(width, []).append(trials)
+        widths = sorted(passes)
+        assert widths[0] == geometry_module.STACK_WINDOW * 15 and len(widths) >= 3
+        for width, batches in passes.items():
+            # every batch of a pass but its last is as full as the budget allows
+            assert batches[:-1] == [budget // width] * (len(batches) - 1), width
+            assert batches[-1] * width <= budget, width
+        # a pass on redrawn windows is split as well
+        assert any(len(passes[width]) > 1 for width in widths[1:])
 
     @pytest.mark.parametrize("hand_over", HAND_OVERS)
     def test_stack_restarts_match_loop_oracle(self, hand_over):
@@ -325,36 +367,66 @@ class TestBufferedSampler:
         assert np.isnan(values).all()
 
     @pytest.mark.parametrize("aperture, spacing", [(0.02, 0.008), (0.03, 0.008), (0.02, 0.006)])
-    def test_lead_walk_matches_whole_window_walk(self, aperture, spacing):
-        # a batch walks each trial's lead first and its whole window only when
-        # the lead runs out; either way each trial must take the candidates,
-        # and settle, as one walk over the whole window does
+    def test_lead_walk_matches_whole_window_walk(self, monkeypatch, aperture, spacing):
+        # a trial walks its lead first and more candidates only when the
+        # lead runs out; either way it must take the candidates, and settle,
+        # as a first walk over its whole window does. A trial handed over
+        # gets its seed in every value, so the stacks show which were
+        monkeypatch.setattr(
+            geometry_module, "sample_element_values",
+            lambda count, aperture, spacing, seed: np.full((4, count), float(seed)),
+        )
         seeds = trial_seeds(4242, 0, 700)
         walk = geometry_module._walk_slots
-        rewalked_and_settled = 0
+        settled_by_lead = rewalked_and_settled = 0
         for elements in range(3, 18):
-            window = uniform_windows(seeds, geometry_module.STACK_WINDOW * elements)
             walks = []
 
             def counted(*args):
                 walks.append(walk(*args))
                 return walks[-1]
 
-            values = np.full((4, seeds.size, elements), np.nan)
-            whole = np.full_like(values, np.nan)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(geometry_module, "_walk_slots", counted)
-                settled = geometry_module._place_by_slot(window, aperture, spacing, values)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(geometry_module, "_LEAD_MIN_TRIALS", math.inf)
-                whole_settled = geometry_module._place_by_slot(window, aperture, spacing, whole)
-            assert np.array_equal(settled, whole_settled), elements
-            assert values.tobytes() == whole.tobytes(), elements
-            if len(walks) == 2:
-                (_, lead_settled, _), (_, rewalked, _) = walks
-                assert lead_settled.any(), elements
-                rewalked_and_settled += np.count_nonzero(rewalked)
-        assert rewalked_and_settled > 0
+            def whole_window(window, steps, count, *rest):
+                held = window.shape[1] // 2 - count
+                return walk(window, max(steps, held), count, *rest)
+
+            stacks = []
+            for walker in (counted, whole_window):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(geometry_module, "_walk_slots", walker)
+                    stacks.append(geometry_module.sample_element_stack(
+                        elements, aperture, spacing, seeds
+                    )[0])
+            assert stacks[0].tobytes() == stacks[1].tobytes(), elements
+            (_, lead_settled, _), *rewalks = walks
+            settled_by_lead += np.count_nonzero(lead_settled)
+            rewalked_and_settled += sum(np.count_nonzero(settled) for _, settled, _ in rewalks)
+        assert settled_by_lead > 0 and rewalked_and_settled > 0
+
+    @pytest.mark.parametrize("master", [1, 4242, 2**40 + 7])
+    @pytest.mark.parametrize("elements", [9, 11, 13, 15])
+    def test_stack_of_500_matches_single_sampler(self, master, elements):
+        seeds = trial_seeds(master, 0, 500)
+        values, reasons = geometry_module.sample_element_stack(elements, 0.02, 0.008, seeds)
+        assert reasons == [None] * seeds.size
+        for t, seed in enumerate(seeds.tolist()):
+            expected = geometry_module.sample_element_values(elements, 0.02, 0.008, seed)
+            assert values[:, t].tobytes() == expected.tobytes(), (elements, seed)
+
+    def test_thirteen_elements_rarely_reach_the_single_sampler(self, monkeypatch):
+        # a trial that runs out of candidates walks a longer window; only a
+        # near-threshold tie or a restart is sampled again from scratch
+        single = geometry_module.sample_element_values
+        handed_over = []
+
+        def counted(*args):
+            handed_over.append(args[3])
+            return single(*args)
+
+        monkeypatch.setattr(geometry_module, "sample_element_values", counted)
+        seeds = trial_seeds(4242, 0, 500)
+        geometry_module.sample_element_stack(13, 0.02, 0.008, seeds)
+        assert len(handed_over) <= 5
 
     def test_element_values_rows(self):
         values = geometry_module.sample_element_values(9, 0.02, 0.008, seed=4)

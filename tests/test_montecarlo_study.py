@@ -71,3 +71,26 @@ def test_all_experiments_run_seven_studies_into_nine_directories(
     assert len(lines) == 7
     assert lines[1].startswith("minimal-m/n2_m5, elements/n2_m5: 6/6 trials ok")
     assert lines[3].startswith("elements/n2_m9, fixed-m/n2_m9: 6/6 trials ok")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--threads", "0"], "argument --threads: must be >= 1, got 0"),
+        (["--trials", "0"], "argument --trials: trials must be an integer >= 1, got 0"),
+        (["--trials", str(2**32)], "argument --trials: trials must be below 2**32, got 4294967296"),
+        (["--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    ],
+    ids=["threads", "trials", "trials-past-a-word", "seed"],
+)
+def test_bad_arguments_refused_before_any_study(study, tmp_path, capsys, args, message):
+    # each is refused on one error line, with no traceback and no output directory
+    out = tmp_path / "mc"
+    with pytest.raises(SystemExit) as excinfo:
+        study.main(["--out", str(out), "--trials", "2", "--experiment", "minimal-m", *args])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(f"error: {message}")
+    assert "Traceback" not in err
+    assert not out.exists()
