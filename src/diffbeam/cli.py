@@ -48,6 +48,7 @@ from .modal import ELEMENT_MODELS
 from .montecarlo import (
     STATISTICS_FLOOR_DB,
     TrialConfig,
+    check_count,
     check_trials,
     keep_freed_memory,
     run_trials,
@@ -160,9 +161,10 @@ def _cmd_validate(args) -> int:
 def _cmd_generate(args) -> int:
     config, context = _load_config(Path(args.config), "generate")
     geometry = sample_random_geometry(
-        read(config, "element_count", int, context),
-        read(config, "aperture_radius_mm", float, context) * 1e-3,
-        read(config, "min_spacing_mm", float, context) * 1e-3,
+        read_checked(config, "element_count", int, context,
+                     functools.partial(check_count, name="element_count")),
+        fileio.read_length(config, "aperture_radius_mm", context),
+        fileio.read_length(config, "min_spacing_mm", context),
         seed=_seed(args, config, "seed", context),
     )
     out_dir = Path(args.out)

@@ -10,13 +10,20 @@ precision (``%r``) so a design round-trips exactly.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import ArrayElement, ArrayGeometry, PhysicalConstants
+from .geometry import (
+    ArrayElement,
+    ArrayGeometry,
+    PhysicalConstants,
+    check_element_field,
+    check_positive,
+)
 from .patterns import PATTERN_FAMILIES, PatternCoefficients, SteeredTarget, a_to_b, resolve_pattern
 from .solver import BeamformerFilter, FrequencyGrid
 
@@ -148,24 +155,41 @@ def geometry_to_payload(geometry: ArrayGeometry) -> dict:
     }
 
 
+def read_length(mapping: dict, key: str, context: str) -> float:
+    """``mapping``'s length ``key``, written in millimeters, in meters, as
+    `read_checked` reads it with `ArrayGeometry`'s rule: positive and finite."""
+    return read_checked(mapping, key, float, context,
+                        functools.partial(check_positive, name=key)) * 1e-3
+
+
+# each element key of a geometry file, with the ArrayElement field it sets
+_ELEMENT_KEYS = (("r_mm", "r"), ("phi_deg", "phi"), ("q", "q"), ("theta_steer_deg", "theta_steer"))
+
+
 def geometry_from_payload(payload: dict, context: str = "geometry") -> ArrayGeometry:
-    aperture = read(payload, "aperture_radius_mm", float, context) * 1e-3
-    spacing = read(payload, "min_spacing_mm", float, context) * 1e-3
+    """The geometry a geometry file's ``payload`` holds. A value that its
+    element or the geometry refuses is refused naming ``context``, the
+    element index and the key, with the value as written."""
+    aperture = read_length(payload, "aperture_radius_mm", context)
+    spacing = read_length(payload, "min_spacing_mm", context)
     raw_elements = read(payload, "elements", list, context)
     elements = []
     for i, entry in enumerate(raw_elements):
         where = f"{context}: element {i}"
-        elements.append(
-            ArrayElement(
-                r=read(entry, "r_mm", float, where) * 1e-3,
-                phi=math.radians(read(entry, "phi_deg", float, where)),
-                q=read(entry, "q", float, where),
-                theta_steer=math.radians(read(entry, "theta_steer_deg", float, where)),
-            )
+        r, phi, q, steer = (
+            read_checked(entry, key, float, where, functools.partial(check_element_field, name))
+            for key, name in _ELEMENT_KEYS
         )
-    return ArrayGeometry(
-        elements=tuple(elements), aperture_radius=aperture, min_spacing=spacing
-    )
+        elements.append(
+            ArrayElement(r=r * 1e-3, phi=math.radians(phi), q=q, theta_steer=math.radians(steer))
+        )
+    try:
+        return ArrayGeometry(
+            elements=tuple(elements), aperture_radius=aperture, min_spacing=spacing
+        )
+    except ValueError as err:
+        # the lengths are checked above, so the geometry refuses its elements
+        raise ValueError(f"{err} ({context}: 'elements')") from None
 
 
 def save_geometry_file(geometry: ArrayGeometry, path) -> None:

@@ -24,10 +24,6 @@ TWO_PI = 2.0 * math.pi
 SAMPLING_BUDGET = 10**6
 _PLACEMENT_CAP = 2000  # candidate draws per element before a full restart
 
-# doubles of each trial's stream a stacked sample first draws per element:
-# the scalar sampler's first two blocks, 7M candidates and the 2M doubles
-# after them
-STACK_WINDOW = 16
 # each pass of a stacked sample draws the windows of its trials in batches
 # of about this many doubles, 1 MiB
 SAMPLE_BATCH_DOUBLES = 1 << 17
@@ -59,6 +55,25 @@ class PhysicalConstants:
             raise ValueError(f"speed of sound must be positive and finite, got {c!r}")
 
 
+def check_element_field(name: str, value: float) -> float:
+    """``value`` if `ArrayElement`'s field ``name`` may hold it, in any unit:
+    finite, and ``r`` >= 0 and ``q`` in [0, 1]."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    if name == "r" and value < 0.0:
+        raise ValueError(f"radial distance must be >= 0, got {value!r}")
+    if name == "q" and not 0.0 <= value <= 1.0:
+        raise ValueError(f"shape coefficient must lie in [0, 1], got {value!r}")
+    return value
+
+
+def check_positive(value: float, name: str) -> float:
+    """``value`` if it is positive and finite, as `ArrayGeometry`'s lengths must be."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ArrayElement:
     """One transducer: polar position plus first-order directivity.
@@ -82,12 +97,7 @@ class ArrayElement:
 
     def __post_init__(self):
         for name in ("r", "phi", "q", "theta_steer"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.r < 0.0:
-            raise ValueError(f"radial distance must be >= 0, got {self.r!r}")
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"shape coefficient must lie in [0, 1], got {self.q!r}")
+            check_element_field(name, getattr(self, name))
         object.__setattr__(self, "phi", wrap_angle(self.phi))
         object.__setattr__(self, "theta_steer", wrap_angle(self.theta_steer))
 
@@ -110,9 +120,7 @@ class ArrayGeometry:
         if len(self.elements) < 1:
             raise ValueError("geometry needs at least one element")
         for name in ("aperture_radius", "min_spacing"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            check_positive(getattr(self, name), name)
 
     @property
     def size(self) -> int:
@@ -287,18 +295,16 @@ def sample_element_stack(
     for a sampled trial, else the message of the `InfeasibleGeometryError`
     `sample_element_values` raises for its seed (its values are then NaN).
 
-    Each trial's first ``STACK_WINDOW * M`` doubles are drawn at once, in
-    batches of trials whose windows hold about ``SAMPLE_BATCH_DOUBLES``,
-    and placed slot by slot from its leading M^2/3 + 3 candidates, or the
-    whole window when that is shorter. A trial whose candidates run out
-    walks again over S = max(2S, the candidates its window holds); when S
-    outgrows the window, its window is drawn again from its seed, at
-    2(S + M) doubles in batches of the same size, so the M shapes and M
-    steering angles after its last candidate stay inside. The walk stops
-    at ``min(_PLACEMENT_CAP, SAMPLING_BUDGET)`` candidates, so no trial it
-    settles restarts or runs out of draws. A walk takes each trial's first
-    candidate past its last element that is not rejected, the scalar
-    sampler's choice however long the window is.
+    The trials are placed in passes. A pass walks S candidates per trial
+    slot by slot, over windows of the 2(S + M) doubles that hold them and
+    the M shapes and M steering angles after the last, drawn from each
+    trial's seed in batches of about ``SAMPLE_BATCH_DOUBLES``. The first
+    pass walks the leading M^2/2 + 3 candidates, and each later pass the
+    trials whose candidates ran out, at S = min(2S, ``_PLACEMENT_CAP``,
+    ``SAMPLING_BUDGET``), a cap within which no trial restarts or runs
+    out of draws. A walk takes each trial's first candidate past its
+    last element that is not rejected, the scalar sampler's choice however
+    long the window is.
 
     `sample_element_values` samples the rest from scratch, so every
     trial's values are its bits: a trial past that cap, one whose
@@ -315,41 +321,31 @@ def sample_element_stack(
     # a request the area heuristic rules out is left to `sample_element_values` to refuse
     if count * (min_spacing / 2.0) ** 2 <= aperture_radius**2:
         limit = min(_PLACEMENT_CAP, SAMPLING_BUDGET)
-        width = STACK_WINDOW * count
-        # the candidates a window holds before the 2M doubles that follow them
-        held = min(width // 2 - count, limit)
-        steps = max(1, min(count * count // 3 + 3, held))
+        steps = min(count * count // 2 + 3, limit)
         pending = np.arange(seeds.size)
-        while pending.size and steps <= limit:
-            if steps > held:
-                width, held = 2 * (steps + count), steps
-            walks = [steps, held] if 2 * steps <= held else [steps]
+        while pending.size:
+            # the candidates, then the M shapes and the M steering angles
+            width = 2 * (steps + count)
             batch = max(1, SAMPLE_BATCH_DOUBLES // width)
             spent = []
             for start in range(0, pending.size, batch):
                 trials = pending[start : start + batch]
                 window = uniform_windows(seeds[trials], width)
-                for walk in walks:
-                    if not trials.size:
-                        break
-                    chosen, done, out = _walk_slots(
-                        window, walk, count, aperture_radius, min_spacing
-                    )
-                    rows = np.flatnonzero(done)
-                    picks, column, placed = chosen[rows], rows[:, None], trials[rows]
-                    values[0, placed] = aperture_radius * np.sqrt(window[column, 2 * picks])
-                    values[1, placed] = np.mod(TWO_PI * window[column, 2 * picks + 1], TWO_PI)
-                    # the M shapes and the M steering angles follow the last placed candidate
-                    tail = window[column, 2 * (picks[:, -1:] + 1) + np.arange(2 * count)]
-                    values[2, placed] = tail[:, :count]
-                    values[3, placed] = np.mod(TWO_PI * tail[:, count:], TWO_PI)
-                    settled[placed] = True
-                    trials, window = trials[out], window[out]
-                spent.append(trials)
+                chosen, done, out = _walk_slots(window, steps, count, aperture_radius, min_spacing)
+                rows = np.flatnonzero(done)
+                picks, column, placed = chosen[rows], rows[:, None], trials[rows]
+                values[0, placed] = aperture_radius * np.sqrt(window[column, 2 * picks])
+                values[1, placed] = np.mod(TWO_PI * window[column, 2 * picks + 1], TWO_PI)
+                # the M shapes and the M steering angles follow the last placed candidate
+                tail = window[column, 2 * (picks[:, -1:] + 1) + np.arange(2 * count)]
+                values[2, placed] = tail[:, :count]
+                values[3, placed] = np.mod(TWO_PI * tail[:, count:], TWO_PI)
+                settled[placed] = True
+                spent.append(trials[out])
             pending = np.concatenate(spent)
-            if walks[-1] == limit:
+            if steps == limit:
                 break
-            steps = min(2 * walks[-1], limit)
+            steps = min(2 * steps, limit)
     reasons: list[str | None] = [None] * seeds.size
     for t in np.flatnonzero(~settled):
         try:

@@ -73,6 +73,8 @@ class TrialConfig:
 
     def __post_init__(self):
         check_trials(self.trials)
+        check_count(self.element_count, "element_count")
+        check_count(self.angle_count, "angle_count")
         if not (math.isfinite(self.aperture_radius) and self.aperture_radius > 0.0):
             raise ValueError(
                 f"aperture_radius must be positive and finite, got {self.aperture_radius!r} m"
@@ -94,11 +96,17 @@ class TrialConfig:
                     "aperture radius")
 
 
+def check_count(value, name: str) -> int:
+    """``value`` if it is an integer >= 1; a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def check_trials(trials) -> int:
     """``trials`` if it is an integer from 1 to 2**32 - 1, so that every trial
     index is one seed word: the seeds of 2**32 trials alone take 32 GiB."""
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    check_count(trials, "trials")
     if trials >= 1 << 32:
         raise ValueError(f"trials must be below 2**32, got {trials}")
     return trials

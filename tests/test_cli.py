@@ -70,6 +70,51 @@ class TestGeometryCommands:
         )
         assert main(["geometry", "generate", "--config", str(config)]) == 1
 
+    # a value its element or the geometry refuses is refused naming the
+    # file, the element and the key, as written in the file
+    @pytest.mark.parametrize("command", ["validate", "design", "evaluate"])
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("elements", 1, "q"), 1.5,
+             "shape coefficient must lie in [0, 1], got 1.5 ({}: element 1: 'q')"),
+            (("elements", 0, "r_mm"), -2.5,
+             "radial distance must be >= 0, got -2.5 ({}: element 0: 'r_mm')"),
+            (("elements", 2, "theta_steer_deg"), float("nan"),
+             "theta_steer must be finite ({}: element 2: 'theta_steer_deg')"),
+            (("aperture_radius_mm",), -20.0,
+             "aperture_radius_mm must be positive and finite, got -20.0 "
+             "({}: 'aperture_radius_mm')"),
+            (("min_spacing_mm",), float("inf"),
+             "min_spacing_mm must be positive and finite, got inf ({}: 'min_spacing_mm')"),
+            (("elements",), [], "geometry needs at least one element ({}: 'elements')"),
+        ],
+        ids=["q", "r", "steer-nan", "aperture", "spacing-inf", "no-elements"],
+    )
+    def test_geometry_value_refused_naming_file_element_and_key(
+        self, workspace, capsys, command, path, value, message
+    ):
+        configs = TestConfigValueTypes.CONFIGS
+        design = write_json(workspace / "design.json", configs["design"])
+        assert main(["design", "--config", str(design), "--out", str(workspace / "design")]) == 0
+        geometry = json.loads((workspace / "geometry.json").read_text())
+        *sections, key = path
+        functools.reduce(lambda section, step: section[step], sections, geometry)[key] = value
+        bad = write_json(workspace / "bad_geometry.json", geometry)
+        out = workspace / "out"
+        if command == "validate":
+            argv = ["geometry", "validate", "--config", str(bad)]
+        else:
+            config = {**configs[command], "geometry_file": bad.name}
+            config_path = write_json(workspace / f"{command}_bad.json", config)
+            argv = [command, "--config", str(config_path), "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message.format(bad)}"]
+        assert captured.out == ""
+        assert not out.exists()
+
     # validate reads its geometry file and prints a report; it takes no seed
     # and writes nothing, so neither flag is accepted
     @pytest.mark.parametrize(
@@ -723,6 +768,14 @@ class TestConfigValueTypes:
             pytest.param("generate", ("element_count",), True, id="generate-boolean"),
             pytest.param("generate", ("aperture_radius_mm",), "20", id="generate-string"),
             pytest.param("generate", ("seed",), -1, id="generate-negative-seed"),
+            pytest.param("generate", ("element_count",), 0, id="generate-zero-count"),
+            pytest.param("generate", ("aperture_radius_mm",), -20.0,
+                         id="generate-negative-aperture"),
+            pytest.param("generate", ("aperture_radius_mm",), float("inf"),
+                         id="generate-infinite-aperture"),
+            pytest.param("generate", ("aperture_radius_mm",), float("nan"),
+                         id="generate-nan-aperture"),
+            pytest.param("generate", ("min_spacing_mm",), -8.0, id="generate-negative-spacing"),
             pytest.param("design", ("geometry_file",), MISSING, id="design-missing"),
             pytest.param("design", ("pattern", "order"), 1.9, id="design-fractional-order"),
             pytest.param("design", ("grid_hz", "count"), 8.7, id="design-fractional-count"),
@@ -794,6 +847,7 @@ class TestConfigValueTypes:
             raise AssertionError("sampled a study its config refuses")
 
         monkeypatch.setattr(mc, "sample_element_stack", unreachable)
+        monkeypatch.setattr(cli, "sample_random_geometry", unreachable)
         if command == "evaluate":
             design = write_json(workspace / "design.json", self.CONFIGS["design"])
             assert main(["design", "--config", str(design), "--out", str(workspace / "design")]) == 0

@@ -79,6 +79,24 @@ def settle_none(*args):
     return chosen, np.zeros_like(settled), np.zeros_like(spent)
 
 
+def spend_lead():
+    """A `_walk_slots` for one stack that leaves every trial spent on its
+    first pass, the walk of the lead, as if each trial's first window were
+    too short to hold its candidates: every trial is then placed on windows
+    drawn again. Later passes walk as `_walk_slots` does."""
+    lead = []
+
+    def walk(window, steps, *rest):
+        chosen, settled, spent = _WALK_SLOTS(window, steps, *rest)
+        if not lead:
+            lead.append(steps)
+        if steps == lead[0]:
+            return chosen, np.zeros_like(settled), np.ones_like(spent)
+        return chosen, settled, spent
+
+    return walk
+
+
 def two_element_geometry(separation: float, min_spacing: float = 0.008):
     half = separation / 2.0
     return ArrayGeometry(
@@ -228,16 +246,17 @@ class TestBufferedSampler:
             assert str(got.value) == str(expected.value)
             assert "budget of 20000 draws exhausted" in str(got.value)
 
-    # the stacked sampler on its own; with first windows too short to hold a
-    # candidate, so that every trial is placed on redrawn windows; with
-    # every trial handed over to the single-geometry sampler by a walk that
-    # settles none; and with every trial of two or more elements handed
-    # over by a near-threshold band that takes in every distance
+    # the patches of each mode, built for one stack: the stacked sampler on
+    # its own; with a lead walk that spends every trial, so that every trial
+    # is placed on redrawn windows; with every trial handed over to the
+    # single-geometry sampler by a walk that settles none; and with every
+    # trial of two or more elements handed over by a near-threshold band
+    # that takes in every distance
     HAND_OVERS = {
-        "window": {},
-        "short-window": {"STACK_WINDOW": 2},
-        "unwalked": {"_walk_slots": settle_none},
-        "wide-band": {"_NEAR_SPACING": math.inf},
+        "window": lambda: {},
+        "short-window": lambda: {"_walk_slots": spend_lead()},
+        "unwalked": lambda: {"_walk_slots": settle_none},
+        "wide-band": lambda: {"_NEAR_SPACING": math.inf},
     }
 
     @staticmethod
@@ -254,7 +273,7 @@ class TestBufferedSampler:
             return single(*args)
 
         with pytest.MonkeyPatch.context() as patch:
-            for name, value in TestBufferedSampler.HAND_OVERS[hand_over].items():
+            for name, value in TestBufferedSampler.HAND_OVERS[hand_over]().items():
                 patch.setattr(geometry_module, name, value)
             patch.setattr(geometry_module, "sample_element_values", counted)
             values, reasons = geometry_module.sample_element_stack(
@@ -305,8 +324,9 @@ class TestBufferedSampler:
         seeds = np.arange(30, dtype=np.uint64)
         drawn = self.drawn_windows(monkeypatch)
         for elements in (1, 5, 9, 13, 17):
-            width = geometry_module.STACK_WINDOW * elements
             whole = geometry_module.sample_element_stack(elements, 0.02, 0.008, seeds)
+            # the first pass draws the narrowest windows, for every trial
+            width = drawn[0][1]
             assert [trials for trials, drawn_width in drawn if drawn_width == width] == [30]
             drawn.clear()
             # ten trials' first windows to a batch
@@ -334,8 +354,12 @@ class TestBufferedSampler:
         passes = {}
         for trials, width in drawn:
             passes.setdefault(width, []).append(trials)
+        # each pass walks S candidates over windows of 2(S + M) doubles, S
+        # from the lead doubling up to the cap
         widths = sorted(passes)
-        assert widths[0] == geometry_module.STACK_WINDOW * 15 and len(widths) >= 3
+        steps = [width // 2 - 15 for width in widths]
+        assert steps[0] == 15 * 15 // 2 + 3 and steps[-1] == geometry_module._PLACEMENT_CAP
+        assert steps[1:] == [min(2 * s, geometry_module._PLACEMENT_CAP) for s in steps[:-1]]
         for width, batches in passes.items():
             # every batch of a pass but its last is as full as the budget allows
             assert batches[:-1] == [budget // width] * (len(batches) - 1), width
@@ -368,40 +392,50 @@ class TestBufferedSampler:
 
     @pytest.mark.parametrize("aperture, spacing", [(0.02, 0.008), (0.03, 0.008), (0.02, 0.006)])
     def test_lead_walk_matches_whole_window_walk(self, monkeypatch, aperture, spacing):
-        # a trial walks its lead first and more candidates only when the
-        # lead runs out; either way it must take the candidates, and settle,
-        # as a first walk over its whole window does. A trial handed over
-        # gets its seed in every value, so the stacks show which were
+        # a pass walks the candidates its window holds, and a trial whose
+        # candidates run out walks more in a later pass; windows twice as
+        # wide, each walked whole up to the cap, must take the same
+        # candidates and settle the same trials. A trial handed over gets
+        # its seed in every value, so the stacks show which were
         monkeypatch.setattr(
             geometry_module, "sample_element_values",
             lambda count, aperture, spacing, seed: np.full((4, count), float(seed)),
         )
         seeds = trial_seeds(4242, 0, 700)
-        walk = geometry_module._walk_slots
-        settled_by_lead = rewalked_and_settled = 0
+        walk, windows = geometry_module._walk_slots, geometry_module.uniform_windows
+        cap = geometry_module._PLACEMENT_CAP
+
+        def wide_windows(batch_seeds, width):
+            return windows(batch_seeds, 2 * width)
+
+        def whole_window(window, steps, count, *rest):
+            return walk(window, min(window.shape[1] // 2 - count, cap), count, *rest)
+
+        settled_by_lead = settled_later = 0
         for elements in range(3, 18):
             walks = []
 
-            def counted(*args):
-                walks.append(walk(*args))
-                return walks[-1]
-
-            def whole_window(window, steps, count, *rest):
-                held = window.shape[1] // 2 - count
-                return walk(window, max(steps, held), count, *rest)
+            def counted(window, steps, *rest):
+                walks.append((steps, *walk(window, steps, *rest)))
+                return walks[-1][1:]
 
             stacks = []
-            for walker in (counted, whole_window):
+            for patches in ({"_walk_slots": counted},
+                            {"_walk_slots": whole_window, "uniform_windows": wide_windows}):
                 with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(geometry_module, "_walk_slots", walker)
+                    for name, value in patches.items():
+                        patch.setattr(geometry_module, name, value)
                     stacks.append(geometry_module.sample_element_stack(
                         elements, aperture, spacing, seeds
                     )[0])
             assert stacks[0].tobytes() == stacks[1].tobytes(), elements
-            (_, lead_settled, _), *rewalks = walks
-            settled_by_lead += np.count_nonzero(lead_settled)
-            rewalked_and_settled += sum(np.count_nonzero(settled) for _, settled, _ in rewalks)
-        assert settled_by_lead > 0 and rewalked_and_settled > 0
+            lead = walks[0][0]
+            for steps, _, settled, _ in walks:
+                if steps == lead:
+                    settled_by_lead += np.count_nonzero(settled)
+                else:
+                    settled_later += np.count_nonzero(settled)
+        assert settled_by_lead > 0 and settled_later > 0
 
     @pytest.mark.parametrize("master", [1, 4242, 2**40 + 7])
     @pytest.mark.parametrize("elements", [9, 11, 13, 15])

@@ -20,7 +20,6 @@ from diffbeam import (
 )
 from diffbeam._seeding import trial_seeds, uniform_windows
 from diffbeam.fileio import pattern_from_config
-from diffbeam.geometry import STACK_WINDOW
 from diffbeam.metrics import (
     coefficient_gains,
     filter_coefficients,
@@ -57,6 +56,18 @@ class TestConfigValidation:
     def test_requires_enough_elements(self):
         with pytest.raises(ValueError):
             small_config(order=3)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("element_count", 5.5), ("element_count", True), ("element_count", 0),
+         ("element_count", -3), ("angle_count", 0), ("angle_count", -3),
+         ("angle_count", 90.0)],
+    )
+    def test_counts_must_be_integers_of_at_least_one(self, key, value):
+        # a fractional element count would be truncated by the sampler, and
+        # an angle count below 1 would divide by zero or size an array below zero
+        with pytest.raises(ValueError, match=rf"^{key} must be an integer >= 1, got {value!r}$"):
+            small_config(**{key: value})
 
     def test_requires_positive_trials(self):
         with pytest.raises(ValueError):
@@ -139,11 +150,13 @@ class TestSeedDerivation:
 
     @pytest.mark.parametrize("master", SEED_MASTERS, ids=MASTER_IDS)
     def test_stacked_streams_match_default_rng(self, master):
-        width = STACK_WINDOW * 9
-        windows = uniform_windows(trial_seeds(master, 0, 2048), width)
-        for i, window in enumerate(windows):
-            expected = np.random.default_rng(trial_seed(master, i)).random(width)
-            assert np.array_equal(window, expected), i
+        # the sampler's windows: its first pass at M = 9 walks 9**2 // 2 + 3
+        # candidates, and its last the cap of 2000; each window holds 2(S + M)
+        for width, trials in ((2 * (9**2 // 2 + 3 + 9), 2048), (2 * (2000 + 9), 64)):
+            windows = uniform_windows(trial_seeds(master, 0, trials), width)
+            for i, window in enumerate(windows):
+                expected = np.random.default_rng(trial_seed(master, i)).random(width)
+                assert np.array_equal(window, expected), (width, i)
 
     @pytest.mark.parametrize("index", [2**32 - 1, 2**32], ids=["2^32-1", "2^32"])
     def test_index_past_one_word(self, index):
