@@ -8,10 +8,14 @@ algorithms. This copy runs them over a ``(T, words)`` entropy stack in
 uint32 arithmetic, so each row gets the words NumPy gives it, and one
 reused `PCG64` then replays every seed's stream: ``uniform_windows(seeds,
 width)[t]`` is ``np.random.default_rng(seeds[t]).random(width)``, bit for
-bit (``tests/test_montecarlo.py`` pins both).
+bit (``tests/test_montecarlo.py`` pins both), and a window may start past
+any number of doubles.
 """
 
 from __future__ import annotations
+
+import functools
+import operator
 
 import numpy as np
 
@@ -34,13 +38,15 @@ def _words(n: int) -> list[int]:
     return words
 
 
+@functools.cache
 def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The hash constant before and after each of ``count`` successive
-    hashmix steps, each shaped (count, 1) to broadcast over a stack."""
+    hashmix steps, each shaped (count, 1) to broadcast over a stack, read-only."""
     constants = [init]
     for _ in range(count):
         constants.append(constants[-1] * mult & _MASK32)
     table = np.array(constants, dtype=np.uint32)[:, None]
+    table.setflags(write=False)
     return table[:-1], table[1:]
 
 
@@ -105,17 +111,35 @@ def trial_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
     return _generate_state64(_pool(entropy), 1)[:, 0]
 
 
-def uniform_windows(seeds: np.ndarray, width: int) -> np.ndarray:
-    """The first ``width`` doubles of ``np.random.default_rng(seed)`` for each
-    uint64 seed, shape (T, width)."""
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    # a seed below 2**32 is one word, the zero second word is NumPy's padding
-    entropy = np.stack([seeds & np.uint64(_MASK32), seeds >> np.uint64(32)], axis=1)
-    keys = _generate_state64(_pool(entropy.astype(np.uint32)), 4).tolist()
+def seed_array(seeds) -> np.ndarray:
+    """``seeds``, non-negative integers, as a uint64 array, or as an array
+    of Python ints where one lies past 2**64 - 1."""
+    try:
+        return np.asarray(seeds, dtype=np.uint64)
+    except OverflowError:
+        return np.array([operator.index(seed) for seed in seeds], dtype=object)
+
+
+def uniform_windows(seeds, width: int, skips=None) -> np.ndarray:
+    """For each seed of a `seed_array`, the ``width`` doubles of
+    ``np.random.default_rng(seed)`` after its first ``skips[t]`` (none by
+    default), shape (T, width). Each double is one 64-bit `PCG64` draw, so
+    `PCG64.advance` skips exactly."""
+    seeds = seed_array(seeds)
+    if seeds.dtype == object:
+        # a seed past 2**64 - 1 is three or more words, and entropy wider
+        # than the pool is hashed at its own width, one seed at a time
+        keys = [_generate_state64(_pool(np.array([_words(seed)], dtype=np.uint32)), 4)[0].tolist()
+                for seed in seeds.tolist()]
+    else:
+        # a seed below 2**32 is one word, the zero second word is NumPy's padding
+        entropy = np.stack([seeds & np.uint64(_MASK32), seeds >> np.uint64(32)], axis=1)
+        keys = _generate_state64(_pool(entropy.astype(np.uint32)), 4).tolist()
+    skips = [0] * seeds.size if skips is None else skips.tolist()
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
     out = np.empty((seeds.size, width))
-    for row, (s_high, s_low, i_high, i_low) in zip(out, keys):
+    for row, (s_high, s_low, i_high, i_low), skip in zip(out, keys, skips):
         # PCG64's srandom: inc from the stream key, two steps around adding the state key
         inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
         state = ((inc + (s_high << 64 | s_low)) * _PCG_MULTIPLIER + inc) & _MASK128
@@ -125,5 +149,7 @@ def uniform_windows(seeds: np.ndarray, width: int) -> np.ndarray:
             "has_uint32": 0,
             "uinteger": 0,
         }
+        if skip:
+            bit_generator.advance(skip)
         generator.random(out=row)
     return out

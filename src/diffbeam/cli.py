@@ -30,6 +30,8 @@ from .errors import (
 )
 from .fileio import read, read_checked, read_constants
 from .geometry import (
+    check_count,
+    check_non_negative,
     geometry_digest,
     sample_random_geometry,
     validate_geometry,
@@ -48,7 +50,6 @@ from .modal import ELEMENT_MODELS
 from .montecarlo import (
     STATISTICS_FLOOR_DB,
     TrialConfig,
-    check_count,
     check_trials,
     keep_freed_memory,
     run_trials,
@@ -256,10 +257,12 @@ def _cmd_montecarlo(args) -> int:
     grid = _grid(config, context)
     trial_config = TrialConfig(
         trials=read_checked(config, "trials", object, context, check_trials),
-        element_count=read(config, "element_count", int, context),
+        element_count=read_checked(config, "element_count", int, context,
+                                   functools.partial(check_count, name="element_count")),
         target=target,
-        aperture_radius=read(config, "aperture_radius_mm", float, context) * 1e-3,
-        min_spacing=read(config, "min_spacing_mm", float, context) * 1e-3,
+        aperture_radius=fileio.read_length(config, "aperture_radius_mm", context),
+        # a study may set no spacing at all
+        min_spacing=fileio.read_length(config, "min_spacing_mm", context, check_non_negative),
         grid=grid,
         eval_frequency_hz=_eval_frequency(config, context, grid),
         master_seed=_seed(args, config, "master_seed", context),

@@ -155,11 +155,12 @@ def geometry_to_payload(geometry: ArrayGeometry) -> dict:
     }
 
 
-def read_length(mapping: dict, key: str, context: str) -> float:
+def read_length(mapping: dict, key: str, context: str, check=check_positive) -> float:
     """``mapping``'s length ``key``, written in millimeters, in meters, as
-    `read_checked` reads it with `ArrayGeometry`'s rule: positive and finite."""
+    `read_checked` reads it with ``check``, by default `ArrayGeometry`'s
+    rule: positive and finite."""
     return read_checked(mapping, key, float, context,
-                        functools.partial(check_positive, name=key)) * 1e-3
+                        functools.partial(check, name=key)) * 1e-3
 
 
 # each element key of a geometry file, with the ArrayElement field it sets

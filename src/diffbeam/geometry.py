@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from ._seeding import uniform_windows
+from ._seeding import seed_array, uniform_windows
 from .errors import InfeasibleGeometryError
 
 TWO_PI = 2.0 * math.pi
@@ -27,8 +29,9 @@ _PLACEMENT_CAP = 2000  # candidate draws per element before a full restart
 # each pass of a stacked sample draws the windows of its trials in batches
 # of about this many doubles, 1 MiB
 SAMPLE_BATCH_DOUBLES = 1 << 17
-# squared distances this close to min_spacing**2, relatively, are not decided
-# in the stack: np.cos and math.cos may differ in the last ulp
+# squared distances this close to min_spacing**2, relatively, are decided in
+# `math`, as the scalar rejection loop decides them: np.cos and math.cos may
+# differ in the last ulp
 _NEAR_SPACING = 1e-12
 
 
@@ -71,6 +74,13 @@ def check_positive(value: float, name: str) -> float:
     """``value`` if it is positive and finite, as `ArrayGeometry`'s lengths must be."""
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def check_non_negative(value: float, name: str) -> float:
+    """``value`` if it is non-negative and finite, as a study's spacing must be."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
     return value
 
 
@@ -185,6 +195,13 @@ def validate_geometry(geometry: ArrayGeometry) -> GeometryReport:
     return GeometryReport(out_of_aperture=out, spacing_violations=tuple(too_close))
 
 
+def check_count(value, name: str) -> int:
+    """``value`` if it is an integer >= 1; a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def sample_random_geometry(
     element_count: int,
     aperture_radius: float,
@@ -197,90 +214,29 @@ def sample_random_geometry(
     ``min_spacing`` to an already placed element are rejected and redrawn
     (with a full restart if an element cannot be placed at all). Shape
     coefficients are Uniform[0, 1] and element steering angles
-    Uniform[0, 2pi).
+    Uniform[0, 2pi). This is `sample_element_stack` over the one seed
+    ``seed``, any non-negative integer ``np.random.default_rng`` takes.
 
     Raises
     ------
+    ValueError
+        If ``element_count`` is not an integer >= 1.
     InfeasibleGeometryError
         If the area heuristic ``M * (min_spacing / 2)^2 > aperture_radius^2``
         rules the request out immediately, or the rejection budget of
         10^6 candidate draws is exhausted.
     """
-    values = sample_element_values(element_count, aperture_radius, min_spacing, seed)
+    values, (reason,) = sample_element_stack(
+        element_count, aperture_radius, min_spacing, [operator.index(seed)]
+    )
+    if reason is not None:
+        raise InfeasibleGeometryError(reason)
     elements = tuple(
-        ArrayElement(r=r, phi=phi, q=q, theta_steer=t) for r, phi, q, t in values.T.tolist()
+        ArrayElement(r=r, phi=phi, q=q, theta_steer=t) for r, phi, q, t in values[:, 0].T.tolist()
     )
     return ArrayGeometry(
         elements=elements, aperture_radius=aperture_radius, min_spacing=min_spacing
     )
-
-
-def _uniform_stream(rng: np.random.Generator, block: int):
-    # Uniform[0, 1) doubles in generator order, drawn a block at a time
-    while True:
-        yield from rng.random(block).tolist()
-
-
-def _clear_of(x: float, y: float, placed, min_sq: float) -> bool:
-    # the rejection test: no placed element closer than sqrt(min_sq)
-    for px, py in placed:
-        if (x - px) ** 2 + (y - py) ** 2 < min_sq:
-            return False
-    return True
-
-
-def sample_element_values(
-    element_count: int,
-    aperture_radius: float,
-    min_spacing: float,
-    seed: int,
-) -> np.ndarray:
-    """The element values `sample_random_geometry` draws for ``seed``.
-
-    Rows r, phi, q and theta_steer, shape (4, M), with both angles wrapped
-    to [0, 2pi). Each candidate consumes two doubles of the generator (the
-    radius, then the angle); the M shapes and the M steering angles follow.
-    Raises `InfeasibleGeometryError` as `sample_random_geometry` does.
-    """
-    element_count = int(element_count)
-    if element_count < 1:
-        raise ValueError("element_count must be >= 1")
-    if element_count * (min_spacing / 2.0) ** 2 > aperture_radius**2:
-        raise InfeasibleGeometryError(
-            f"{element_count} elements with {min_spacing} m spacing cannot fit "
-            f"an aperture of radius {aperture_radius} m"
-        )
-    uniform = _uniform_stream(np.random.default_rng(seed), 8 * element_count)
-    min_sq = min_spacing * min_spacing
-    attempts = 0
-    while True:
-        radii: list[float] = []
-        angles: list[float] = []
-        cartesian: list[tuple[float, float]] = []
-        for _ in range(element_count):
-            for _ in range(_PLACEMENT_CAP):
-                attempts += 1
-                if attempts > SAMPLING_BUDGET:
-                    raise InfeasibleGeometryError(
-                        f"rejection budget of {SAMPLING_BUDGET} draws exhausted "
-                        f"for M={element_count}, spacing={min_spacing}, "
-                        f"aperture={aperture_radius}"
-                    )
-                radius = aperture_radius * math.sqrt(next(uniform))
-                angle = TWO_PI * next(uniform)
-                x, y = radius * math.cos(angle), radius * math.sin(angle)
-                if _clear_of(x, y, cartesian, min_sq):
-                    radii.append(radius)
-                    angles.append(wrap_angle(angle))
-                    cartesian.append((x, y))
-                    break
-            else:
-                break  # dead end: restart the whole placement
-        else:
-            break
-    shapes = [next(uniform) for _ in range(element_count)]
-    steers = [wrap_angle(TWO_PI * next(uniform)) for _ in range(element_count)]
-    return np.array([radii, angles, shapes, steers])
 
 
 def sample_element_stack(
@@ -289,71 +245,71 @@ def sample_element_stack(
     min_spacing: float,
     seeds,
 ) -> tuple[np.ndarray, list[str | None]]:
-    """`sample_element_values` for every seed, as one stack.
+    """The element values `sample_random_geometry` draws for every seed, as one stack.
 
-    Returns the values, shape (4, T, M), and one reason per trial: None
-    for a sampled trial, else the message of the `InfeasibleGeometryError`
-    `sample_element_values` raises for its seed (its values are then NaN).
+    Returns the values, shape (4, T, M), rows r, phi, q and theta_steer,
+    and one reason per trial: None for a sampled trial, else the message
+    of the `InfeasibleGeometryError` `sample_random_geometry` raises for
+    its seed (its values are then NaN). ``seeds`` are as `seed_array` takes them.
 
-    The trials are placed in passes. A pass walks S candidates per trial
-    slot by slot, over windows of the 2(S + M) doubles that hold them and
-    the M shapes and M steering angles after the last, drawn from each
-    trial's seed in batches of about ``SAMPLE_BATCH_DOUBLES``. The first
-    pass walks the leading M^2/2 + 3 candidates, and each later pass the
-    trials whose candidates ran out, at S = min(2S, ``_PLACEMENT_CAP``,
-    ``SAMPLING_BUDGET``), a cap within which no trial restarts or runs
-    out of draws. A walk takes each trial's first candidate past its
-    last element that is not rejected, the scalar sampler's choice however
-    long the window is.
-
-    `sample_element_values` samples the rest from scratch, so every
-    trial's values are its bits: a trial past that cap, one whose
-    placement turns on a squared distance within ``_NEAR_SPACING``
-    (relative) of ``min_spacing**2``, and every trial of a request the
-    area heuristic refuses.
+    The values are the scalar rejection loop's over each seed's stream
+    (``loop_sample`` in ``tests/test_geometry.py``), bit for bit: a
+    candidate takes two doubles, and the M shapes and M steering angles
+    follow the last placed one. Each pass walks every pending trial's
+    window from the first candidate of its attempt, S candidates in the
+    2(S + M) doubles that hold them and that tail, drawn in batches of
+    about ``SAMPLE_BATCH_DOUBLES``. An attempt starts at S = M^2/2 + 3. A
+    trial whose window runs out walks again from the same start at 2S; an
+    attempt that dead-ends restarts where `_walk_slots` says, at M^2/2 + 3.
+    No window reaches past candidate ``SAMPLING_BUDGET``: a trial that
+    needs one is refused.
     """
-    count = int(element_count)
-    if count < 1:
-        raise ValueError("element_count must be >= 1")
-    seeds = np.asarray(seeds, dtype=np.uint64)
+    count = check_count(element_count, "element_count")
+    seeds = seed_array(seeds)
     values = np.full((4, seeds.size, count), np.nan)
-    settled = np.zeros(seeds.size, dtype=bool)
-    # a request the area heuristic rules out is left to `sample_element_values` to refuse
-    if count * (min_spacing / 2.0) ** 2 <= aperture_radius**2:
-        limit = min(_PLACEMENT_CAP, SAMPLING_BUDGET)
-        steps = min(count * count // 2 + 3, limit)
-        pending = np.arange(seeds.size)
-        while pending.size:
+    if count * (min_spacing / 2.0) ** 2 > aperture_radius**2:
+        reason = (f"{count} elements with {min_spacing} m spacing cannot fit "
+                  f"an aperture of radius {aperture_radius} m")
+        return values, [reason] * seeds.size
+    exhausted = (f"rejection budget of {SAMPLING_BUDGET} draws exhausted "
+                 f"for M={count}, spacing={min_spacing}, aperture={aperture_radius}")
+    reasons: list[str | None] = [None] * seeds.size
+    lead = count * count // 2 + 3
+    # each trial's attempt starts at candidate starts[t], and its next walk
+    # takes steps[t] candidates, 0 once the trial is placed or refused
+    starts = np.zeros(seeds.size, dtype=np.int64)
+    steps = np.full(seeds.size, min(lead, SAMPLING_BUDGET), dtype=np.int64)
+    while (pending := np.flatnonzero(steps)).size:
+        walks = steps[pending]
+        for walked in sorted(set(walks.tolist())):
+            group = pending[walks == walked]
             # the candidates, then the M shapes and the M steering angles
-            width = 2 * (steps + count)
+            width = 2 * (walked + count)
             batch = max(1, SAMPLE_BATCH_DOUBLES // width)
-            spent = []
-            for start in range(0, pending.size, batch):
-                trials = pending[start : start + batch]
-                window = uniform_windows(seeds[trials], width)
-                chosen, done, out = _walk_slots(window, steps, count, aperture_radius, min_spacing)
-                rows = np.flatnonzero(done)
-                picks, column, placed = chosen[rows], rows[:, None], trials[rows]
-                values[0, placed] = aperture_radius * np.sqrt(window[column, 2 * picks])
-                values[1, placed] = np.mod(TWO_PI * window[column, 2 * picks + 1], TWO_PI)
+            for first in range(0, group.size, batch):
+                trials = group[first : first + batch]
+                window = uniform_windows(seeds[trials], width, 2 * starts[trials])
+                chosen, placed, resume = _walk_slots(
+                    window, walked, count, aperture_radius, min_spacing
+                )
+                rows = np.flatnonzero(placed)
+                picks, column, done = chosen[rows], rows[:, None], trials[rows]
+                values[0, done] = aperture_radius * np.sqrt(window[column, 2 * picks])
+                values[1, done] = np.mod(TWO_PI * window[column, 2 * picks + 1], TWO_PI)
                 # the M shapes and the M steering angles follow the last placed candidate
                 tail = window[column, 2 * (picks[:, -1:] + 1) + np.arange(2 * count)]
-                values[2, placed] = tail[:, :count]
-                values[3, placed] = np.mod(TWO_PI * tail[:, count:], TWO_PI)
-                settled[placed] = True
-                spent.append(trials[out])
-            pending = np.concatenate(spent)
-            if steps == limit:
-                break
-            steps = min(2 * steps, limit)
-    reasons: list[str | None] = [None] * seeds.size
-    for t in np.flatnonzero(~settled):
-        try:
-            values[:, t] = sample_element_values(
-                count, aperture_radius, min_spacing, int(seeds[t])
-            )
-        except InfeasibleGeometryError as err:
-            reasons[t] = str(err)
+                values[2, done] = tail[:, :count]
+                values[3, done] = np.mod(TWO_PI * tail[:, count:], TWO_PI)
+                # a window that ran out is walked again at 2S and a dead end
+                # restarts at the lead, neither past the budget
+                ran_out = resume == 0
+                starts[trials] += resume
+                steps[trials] = np.minimum(np.where(ran_out, 2 * walked, lead),
+                                           SAMPLING_BUDGET - starts[trials])
+                refused = ~placed & (steps[trials] <= np.where(ran_out, walked, 0))
+                for t in trials[refused].tolist():
+                    reasons[t] = exhausted
+                steps[trials[placed | refused]] = 0
     return values, reasons
 
 
@@ -361,17 +317,18 @@ def _walk_slots(
     window: np.ndarray, steps: int, count: int, aperture_radius: float, min_spacing: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Place ``count`` elements slot by slot from each trial's first ``steps``
-    candidates: the chosen candidates (T, M), the trials settled, and the
-    trials whose candidates ran out at some slot.
+    candidates, those of one attempt: the chosen candidates (T, M), the
+    trials placed, and for every other one the candidate its attempt
+    restarts at, or 0 where its window ran out first.
 
     Element 0 is candidate 0. Each further slot measures every candidate
-    against the element placed last, and a candidate stays rejected once a
-    squared distance falls below the band around ``min_spacing**2``, or
-    once it is placed, and near once one falls at or below the band's
-    top. A trial takes its first candidate that is not rejected, which is
-    the candidate the scalar sampler accepts, since every earlier one is
-    placed or rejected; one that is near leaves the trial unsettled, as
-    does one that is missing.
+    against the element placed last, and a candidate stays rejected once it
+    is placed or a squared distance falls below ``min_spacing**2``; one
+    within ``_NEAR_SPACING`` (relative) of it is decided as the scalar
+    rejection loop decides it, in `math`. A slot takes the first candidate
+    not rejected, the loop's choice, if it lies within
+    ``_PLACEMENT_CAP`` of the last pick. Else the attempt dead-ends one past
+    the cap's last candidate where the window holds it, and runs out where not.
     """
     trials = window.shape[0]
     radius = aperture_radius * np.sqrt(window[:, 0 : 2 * steps : 2])
@@ -382,28 +339,48 @@ def _walk_slots(
     above = min_sq + _NEAR_SPACING * min_sq
     rows = np.arange(trials)
     chosen = np.zeros((trials, count), dtype=np.intp)
-    settled = np.ones(trials, dtype=bool)
-    spent = np.zeros(trials, dtype=bool)
+    found = np.ones((trials, count), dtype=bool)
     free = np.ones((trials, steps), dtype=bool)
     free[:, 0] = False
-    near = np.zeros((trials, steps), dtype=bool)
-    pick = chosen[:, 0]
+    last = chosen[:, 0]
     for slot in range(1, count):
-        # (x_c - x_last)**2 + (y_c - y_last)**2, the scalar sampler's test, in place
-        dist_sq = x - x[rows, pick][:, None]
-        dy = y - y[rows, pick][:, None]
+        # (x_c - x_last)**2 + (y_c - y_last)**2, the rejection loop's test, in place
+        dist_sq = x - x[rows, last][:, None]
+        dy = y - y[rows, last][:, None]
         dist_sq *= dist_sq
         dy *= dy
         dist_sq += dy
         free &= dist_sq >= below
-        near |= dist_sq <= above
-        pick = free.argmax(axis=1)
-        found = free[rows, pick]
-        spent |= ~found
-        settled &= found & ~near[rows, pick]
-        free[rows, pick] = False
-        chosen[:, slot] = pick
-    return chosen, settled, spent
+        near = dist_sq <= above
+        near &= free
+        if near.any():
+            pairs, candidates = near.nonzero()
+            free[pairs, candidates] = _clear_in_math(
+                window, pairs, candidates, last[pairs], aperture_radius, min_sq
+            )
+        # a trial past its first missing slot walks on, and is not read
+        last = free.argmax(axis=1)
+        found[:, slot] = free[rows, last]
+        free[rows, last] = False
+        chosen[:, slot] = last
+    found[:, 1:] &= np.diff(chosen, axis=1) <= _PLACEMENT_CAP
+    placed = found.all(axis=1)
+    # a dead end restarts one past the cap's last candidate after the last element placed
+    cap_end = chosen[rows, found.argmin(axis=1) - 1] + _PLACEMENT_CAP
+    return chosen, placed, np.where(~placed & (cap_end < steps), cap_end + 1, 0)
+
+
+def _clear_in_math(window, rows, candidates, placed, aperture_radius, min_sq) -> list[bool]:
+    """The scalar rejection loop's test of each row's candidate against the
+    row's element ``placed``, in `math` as that loop takes it."""
+    def position(u_radius: float, u_angle: float) -> tuple[float, float]:
+        radius, angle = aperture_radius * math.sqrt(u_radius), TWO_PI * u_angle
+        return radius * math.cos(angle), radius * math.sin(angle)
+
+    doubles = 2 * np.stack([candidates, candidates, placed, placed], axis=1) + [0, 1, 0, 1]
+    pairs = window[rows[:, None], doubles].tolist()
+    return [(x - px) ** 2 + (y - py) ** 2 >= min_sq
+            for (x, y), (px, py) in ((position(a, b), position(c, d)) for a, b, c, d in pairs)]
 
 
 def geometry_digest(geometry: ArrayGeometry) -> str:

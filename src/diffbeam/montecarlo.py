@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import math
-import numbers
 import platform
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -28,7 +26,13 @@ import numpy as np
 
 from ._seeding import trial_seeds
 from .errors import AllTrialsFailedError
-from .geometry import PhysicalConstants, sample_element_stack
+from .geometry import (
+    PhysicalConstants,
+    check_count,
+    check_non_negative,
+    check_positive,
+    sample_element_stack,
+)
 from .metrics import (
     check_floor_db,
     coefficient_gains,
@@ -75,14 +79,8 @@ class TrialConfig:
         check_trials(self.trials)
         check_count(self.element_count, "element_count")
         check_count(self.angle_count, "angle_count")
-        if not (math.isfinite(self.aperture_radius) and self.aperture_radius > 0.0):
-            raise ValueError(
-                f"aperture_radius must be positive and finite, got {self.aperture_radius!r} m"
-            )
-        if not (math.isfinite(self.min_spacing) and self.min_spacing >= 0.0):
-            raise ValueError(
-                f"min_spacing must be non-negative and finite, got {self.min_spacing!r} m"
-            )
+        check_positive(self.aperture_radius, "aperture_radius")
+        check_non_negative(self.min_spacing, "min_spacing")
         check_floor_db(self.db_floor, "db_floor")
         if self.element_model not in ELEMENT_MODELS:
             raise ValueError(f"unknown element model {self.element_model!r}")
@@ -94,13 +92,6 @@ class TrialConfig:
         # before any trial is sampled: every element lies within the aperture
         check_reach(self.aperture_radius, np.max(self.grid.omegas), self.speed_of_sound,
                     "aperture radius")
-
-
-def check_count(value, name: str) -> int:
-    """``value`` if it is an integer >= 1; a boolean is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return value
 
 
 def check_trials(trials) -> int:

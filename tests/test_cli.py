@@ -492,13 +492,19 @@ class TestMontecarloCommand:
         "key, value, message",
         [
             pytest.param("aperture_radius_mm", -5.0,
-                         "aperture_radius must be positive and finite", id="negative-aperture"),
+                         "aperture_radius_mm must be positive and finite, got -5.0",
+                         id="negative-aperture"),
             pytest.param("aperture_radius_mm", 0.0,
-                         "aperture_radius must be positive and finite", id="zero-aperture"),
+                         "aperture_radius_mm must be positive and finite, got 0.0",
+                         id="zero-aperture"),
             pytest.param("min_spacing_mm", -1.0,
-                         "min_spacing must be non-negative and finite", id="negative-spacing"),
+                         "min_spacing_mm must be non-negative and finite, got -1.0",
+                         id="negative-spacing"),
             pytest.param("min_spacing_mm", float("nan"),
-                         "min_spacing must be non-negative and finite", id="nan-spacing"),
+                         "min_spacing_mm must be non-negative and finite, got nan",
+                         id="nan-spacing"),
+            pytest.param("element_count", 0, "element_count must be an integer >= 1, got 0",
+                         id="zero-elements"),
             pytest.param("trials", 2.5, "trials must be an integer >= 1, got 2.5",
                          id="fractional-trials"),
             pytest.param("trials", True, "trials must be an integer >= 1, got True",
@@ -515,6 +521,13 @@ class TestMontecarloCommand:
         assert main(["montecarlo", "--config", str(path), "--out", str(out)]) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
+
+    def test_zero_spacing_accepted(self, tmp_path):
+        # a study may set no spacing at all, though a geometry file may not
+        config = json.loads(self.mc_config(tmp_path).read_text())
+        config["min_spacing_mm"] = 0.0
+        path = write_json(tmp_path / "no_spacing.json", config)
+        assert main(["montecarlo", "--config", str(path), "--out", str(tmp_path / "mc")]) == 0
 
     def test_angle_step_zero_refused(self, tmp_path, capsys):
         config = json.loads(self.mc_config(tmp_path).read_text())
@@ -700,7 +713,8 @@ class TestConfigValueTypes:
     """Every config value is read as its JSON type. A missing key, a
     fractional integer, a boolean, a number in a string, a section that is
     not an object, a coefficient vector that is not an array, a negative
-    seed, a key the run config or its ``pattern`` or ``grid_hz`` section
+    seed, an element count below 1, an aperture or spacing outside its
+    domain, a key the run config or its ``pattern`` or ``grid_hz`` section
     does not hold, an unknown element model or pattern family, an
     evaluation frequency off the grid, a dB floor whose amplitude overflows
     a double, an angle step that does not divide 360 degrees or gives more
@@ -807,6 +821,18 @@ class TestConfigValueTypes:
             pytest.param("montecarlo", ("pattern", "a"), [True, 1],
                          id="montecarlo-coefficient-boolean"),
             pytest.param("montecarlo", ("master_seed",), -1, id="montecarlo-negative-seed"),
+            pytest.param("montecarlo", ("element_count",), 0, id="montecarlo-zero-count"),
+            pytest.param("montecarlo", ("element_count",), -3, id="montecarlo-negative-count"),
+            pytest.param("montecarlo", ("aperture_radius_mm",), -20.0,
+                         id="montecarlo-negative-aperture"),
+            pytest.param("montecarlo", ("aperture_radius_mm",), 0.0,
+                         id="montecarlo-zero-aperture"),
+            pytest.param("montecarlo", ("aperture_radius_mm",), float("inf"),
+                         id="montecarlo-infinite-aperture"),
+            pytest.param("montecarlo", ("min_spacing_mm",), -8.0,
+                         id="montecarlo-negative-spacing"),
+            pytest.param("montecarlo", ("min_spacing_mm",), float("nan"),
+                         id="montecarlo-nan-spacing"),
             pytest.param("generate", ("element_cuont",), 9, id="generate-unknown"),
             pytest.param("design", ("grid",), {"count": 8}, id="design-unknown"),
             pytest.param("design", ("pattern", "steer"), 60.0, id="design-unknown-in-pattern"),

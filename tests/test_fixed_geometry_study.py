@@ -191,7 +191,7 @@ def test_floor_past_a_double_refused(study, tmp_path, capsys, floor_db):
         (["--f-count", "0"], "arguments --f-min, --f-max and --f-count: count must be >= 1"),
         (["--f-min", "0"], "arguments --f-min, --f-max and --f-count: need 0 < f_min <= f_max"),
         (["--c-mps", "0"], "argument --c-mps: speed of sound must be positive and finite, got 0.0"),
-        (["--elements", "0"], "arguments --elements and --seed: element_count must be >= 1"),
+        (["--elements", "0"], "arguments --elements and --seed: element_count must be an integer >= 1, got 0"),
         (["--elements", "5", "--orders", "1,4"], "order 4 needs at least 9 elements, got 5"),
     ],
     ids=["orders", "f-count", "f-min", "c-mps", "elements", "order-past-the-elements"],

@@ -13,7 +13,7 @@ from diffbeam import (
     sample_random_geometry,
 )
 from diffbeam import solver
-from diffbeam.geometry import ArrayElement, ArrayGeometry, sample_element_values
+from diffbeam.geometry import ArrayElement, ArrayGeometry, sample_element_stack
 from diffbeam.metrics import parseval_reach
 from diffbeam.modal import element_harmonics, model_values
 from diffbeam.solver import RANK_RTOL, design_rhs, design_weights, solve_wide
@@ -119,9 +119,7 @@ class TestGramReuse:
     @pytest.mark.parametrize("order, elements", [(1, 3), (2, 5), (2, 9), (3, 7), (4, 13)])
     def test_bit_identical_to_the_scaled_gram(self, order, elements):
         # 16 desk-scale trials over the 80-point desk grid, low orders refused
-        values = np.stack(
-            [sample_element_values(elements, 0.02, 0.008, seed=s) for s in range(16)], axis=1
-        )
+        values, _ = sample_element_stack(elements, 0.02, 0.008, range(16))
         omegas = FrequencyGrid(50.0, 4000.0, 80).omegas
         xi = element_harmonics(values, omegas, order, 343.0)
         rhs = design_rhs(steered_hypercardioid(order))
