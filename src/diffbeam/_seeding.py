@@ -7,9 +7,9 @@ words. NumPy's stream-compatibility policy (NEP 19) fixes both
 algorithms. This copy runs them over a ``(T, words)`` entropy stack in
 uint32 arithmetic, so each row gets the words NumPy gives it, and one
 reused `PCG64` then replays every seed's stream: ``uniform_windows(seeds,
-width)[t]`` is ``np.random.default_rng(seeds[t]).random(width)``, bit for
-bit (``tests/test_montecarlo.py`` pins both), and a window may start past
-any number of doubles.
+width, skips)[t]`` is the ``width`` doubles of
+``np.random.default_rng(seeds[t])`` after its first ``skips[t]``, bit for
+bit (``tests/test_montecarlo.py`` and ``tests/test_geometry.py`` pin both).
 """
 
 from __future__ import annotations
@@ -120,11 +120,11 @@ def seed_array(seeds) -> np.ndarray:
         return np.array([operator.index(seed) for seed in seeds], dtype=object)
 
 
-def uniform_windows(seeds, width: int, skips=None) -> np.ndarray:
+def uniform_windows(seeds, width: int, skips: np.ndarray) -> np.ndarray:
     """For each seed of a `seed_array`, the ``width`` doubles of
-    ``np.random.default_rng(seed)`` after its first ``skips[t]`` (none by
-    default), shape (T, width). Each double is one 64-bit `PCG64` draw, so
-    `PCG64.advance` skips exactly."""
+    ``np.random.default_rng(seed)`` after its first ``skips[t]``, shape
+    (T, width). Each double is one 64-bit `PCG64` draw, so `PCG64.advance`
+    skips exactly."""
     seeds = seed_array(seeds)
     if seeds.dtype == object:
         # a seed past 2**64 - 1 is three or more words, and entropy wider
@@ -135,11 +135,10 @@ def uniform_windows(seeds, width: int, skips=None) -> np.ndarray:
         # a seed below 2**32 is one word, the zero second word is NumPy's padding
         entropy = np.stack([seeds & np.uint64(_MASK32), seeds >> np.uint64(32)], axis=1)
         keys = _generate_state64(_pool(entropy.astype(np.uint32)), 4).tolist()
-    skips = [0] * seeds.size if skips is None else skips.tolist()
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
     out = np.empty((seeds.size, width))
-    for row, (s_high, s_low, i_high, i_low), skip in zip(out, keys, skips):
+    for row, (s_high, s_low, i_high, i_low), skip in zip(out, keys, skips.tolist()):
         # PCG64's srandom: inc from the stream key, two steps around adding the state key
         inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
         state = ((inc + (s_high << 64 | s_low)) * _PCG_MULTIPLIER + inc) & _MASK128

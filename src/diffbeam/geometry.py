@@ -206,7 +206,7 @@ def sample_random_geometry(
     element_count: int,
     aperture_radius: float,
     min_spacing: float,
-    seed: int,
+    seed: int | None,
 ) -> ArrayGeometry:
     """Draw a random admissible geometry, deterministically from ``seed``.
 
@@ -215,7 +215,8 @@ def sample_random_geometry(
     (with a full restart if an element cannot be placed at all). Shape
     coefficients are Uniform[0, 1] and element steering angles
     Uniform[0, 2pi). This is `sample_element_stack` over the one seed
-    ``seed``, any non-negative integer ``np.random.default_rng`` takes.
+    ``seed``, any non-negative integer; None draws one from fresh entropy,
+    as ``np.random.default_rng(None)`` does.
 
     Raises
     ------
@@ -226,9 +227,8 @@ def sample_random_geometry(
         rules the request out immediately, or the rejection budget of
         10^6 candidate draws is exhausted.
     """
-    values, (reason,) = sample_element_stack(
-        element_count, aperture_radius, min_spacing, [operator.index(seed)]
-    )
+    seed = np.random.SeedSequence().entropy if seed is None else operator.index(seed)
+    values, (reason,) = sample_element_stack(element_count, aperture_radius, min_spacing, [seed])
     if reason is not None:
         raise InfeasibleGeometryError(reason)
     elements = tuple(

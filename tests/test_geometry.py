@@ -204,6 +204,14 @@ class TestSampling:
         b = sample_random_geometry(9, 0.02, 0.008, seed=8)
         assert a != b
 
+    def test_no_seed_draws_from_fresh_entropy(self):
+        # as np.random.default_rng(None) does
+        a = sample_random_geometry(9, 0.02, 0.008, seed=None)
+        b = sample_random_geometry(9, 0.02, 0.008, seed=None)
+        assert a.size == b.size == 9
+        assert validate_geometry(a).ok and validate_geometry(b).ok
+        assert a != b
+
     def test_infeasible_request_rejected_immediately(self):
         with pytest.raises(InfeasibleGeometryError):
             sample_random_geometry(50, 0.02, 0.008, seed=1)
@@ -307,17 +315,17 @@ class TestBufferedSampler:
 
     def assert_matches_loop_oracle(self, mode, element_count, seeds):
         """The stack's values and reasons are `loop_sample`'s, bit for bit;
-        returns the number of attempts its walks restarted."""
+        returns the reasons and the number of attempts its walks restarted."""
         values, reasons, restarts = self.stack_sample(mode, element_count, seeds)
         for t, seed in enumerate(seeds):
             expected, reason = loop_outcome(element_count, 0.02, 0.008, seed)
             assert reasons[t] == reason, (element_count, seed)
             assert values[:, t].tobytes() == expected.tobytes(), (element_count, seed)
-        return restarts
+        return reasons, restarts
 
     @pytest.mark.parametrize("mode", MODES)
     def test_stack_matches_loop_oracle_bit_for_bit(self, mode):
-        restarts = [self.assert_matches_loop_oracle(mode, elements, range(30))
+        restarts = [self.assert_matches_loop_oracle(mode, elements, range(30))[1]
                     for elements in range(1, 18)]
         # trials restart at 15 and 17 elements, and at no count up to 13
         assert restarts[14] > 0 and restarts[16] > 0
@@ -332,15 +340,15 @@ class TestBufferedSampler:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_stack_restarts_match_loop_oracle(self, mode):
-        assert self.assert_matches_loop_oracle(mode, 17, range(20)) > 0
+        assert self.assert_matches_loop_oracle(mode, 17, range(20))[1] > 0
 
     @pytest.mark.parametrize("mode", MODES)
     def test_stack_budget_exhaustion_matches_oracle(self, monkeypatch, mode):
         # every seed restarts a few times before it runs out of draws
-        monkeypatch.setattr(geometry_module, "SAMPLING_BUDGET", 8_000)
-        self.assert_matches_loop_oracle(mode, 25, range(3))
-        reasons = self.stack_sample(mode, 25, range(3))[1]
-        assert all("budget of 8000 draws exhausted" in reason for reason in reasons)
+        monkeypatch.setattr(geometry_module, "SAMPLING_BUDGET", 20_000)
+        reasons, restarts = self.assert_matches_loop_oracle(mode, 25, range(3))
+        assert all("budget of 20000 draws exhausted" in reason for reason in reasons)
+        assert restarts >= 3 * len(reasons)
 
     @pytest.mark.parametrize("budget", [1, 20, 60, 2_500, 6_000])
     def test_budget_cutting_a_window_matches_oracle(self, monkeypatch, budget):
@@ -378,12 +386,12 @@ class TestBufferedSampler:
 
     @staticmethod
     def drawn_windows(monkeypatch):
-        """Patch `uniform_windows` to log each call's (trials, width)."""
+        """Patch `uniform_windows` to log each call's (seeds, width)."""
         windows = geometry_module.uniform_windows
         drawn = []
 
         def counted(batch_seeds, width, skips):
-            drawn.append((len(batch_seeds), width))
+            drawn.append((batch_seeds.tolist(), width))
             return windows(batch_seeds, width, skips)
 
         monkeypatch.setattr(geometry_module, "uniform_windows", counted)
@@ -396,7 +404,7 @@ class TestBufferedSampler:
             whole = geometry_module.sample_element_stack(elements, 0.02, 0.008, seeds)
             # the first pass draws the leading windows, for every trial
             width = 2 * (elements * elements // 2 + 3 + elements)
-            assert drawn[0] == (30, width)
+            assert (len(drawn[0][0]), drawn[0][1]) == (30, width)
             drawn.clear()
             # ten trials' first windows to a batch
             with pytest.MonkeyPatch.context() as patch:
@@ -404,7 +412,7 @@ class TestBufferedSampler:
                 values, reasons = geometry_module.sample_element_stack(
                     elements, 0.02, 0.008, seeds
                 )
-            assert drawn[:3] == [(10, width)] * 3
+            assert [(len(trials), w) for trials, w in drawn[:3]] == [(10, width)] * 3
             assert values.tobytes() == whole[0].tobytes()
             assert reasons == whole[1]
             drawn.clear()
@@ -420,16 +428,32 @@ class TestBufferedSampler:
         values, reasons = geometry_module.sample_element_stack(15, 0.02, 0.008, seeds)
         assert values.tobytes() == whole[0].tobytes()
         assert reasons == whole[1]
-        for trials, width in drawn:
-            assert trials <= max(1, budget // width), width
+        # a pass walks each pending trial once, so a seed drawn again starts
+        # the next pass; a pass draws the trials of each S as one group
+        assert len(set(seeds.tolist())) == seeds.size
+        passes, seen = [], set()
+        for batch_seeds, width in drawn:
+            if not passes or seen & set(batch_seeds):
+                passes.append({})
+                seen = set()
+            seen |= set(batch_seeds)
+            passes[-1].setdefault(width, []).append(len(batch_seeds))
+        for groups in passes:
+            for width, batches in groups.items():
+                # every batch of a group but its last is as full as the budget allows
+                full = max(1, budget // width)
+                assert batches[:-1] == [full] * (len(batches) - 1), width
+                assert batches[-1] <= full, width
         # a walk takes S candidates over windows of 2(S + M) doubles, S the
         # lead doubled; a walk that finds a dead end reaches past the cap
-        steps = sorted({width // 2 - 15 for _, width in drawn})
+        widths = sorted({width for groups in passes for width in groups})
+        steps = [width // 2 - 15 for width in widths]
         assert steps == [(15 * 15 // 2 + 3) << k for k in range(len(steps))]
         assert steps[-1] > geometry_module._PLACEMENT_CAP
-        # a pass on redrawn windows is split as well
-        assert any(trials == budget // width > 1 for trials, width in drawn
-                   if width > drawn[0][1])
+        # the first pass is split, and a pass on redrawn windows as well
+        assert len(passes[0][widths[0]]) > 1
+        assert any(len(batches) > 1 for groups in passes[1:]
+                   for width, batches in groups.items() if width > widths[0])
 
     @pytest.mark.parametrize("aperture, spacing", [(0.02, 0.008), (0.03, 0.008), (0.02, 0.006)])
     def test_lead_walk_matches_whole_window_walk(self, monkeypatch, aperture, spacing):
@@ -474,14 +498,14 @@ class TestBufferedSampler:
 
     @pytest.mark.parametrize("master", [1, 4242, 2**40 + 7])
     @pytest.mark.parametrize("elements", [9, 11, 13, 15])
-    def test_stack_of_500_matches_one_seed_stacks(self, master, elements):
+    def test_stack_of_500_matches_loop_oracle(self, master, elements):
+        # two-word seeds, in passes that group the pending trials by S
         seeds = trial_seeds(master, 0, 500)
         values, reasons = geometry_module.sample_element_stack(elements, 0.02, 0.008, seeds)
         assert reasons == [None] * seeds.size
-        # every fifth trial, against a stack of its seed alone
-        for t, seed in enumerate(seeds.tolist()[::5]):
-            expected = sample_random_geometry(elements, 0.02, 0.008, seed).element_values
-            assert values[:, 5 * t].tobytes() == expected.tobytes(), (elements, seed)
+        for t, seed in enumerate(seeds.tolist()):
+            expected, _ = loop_outcome(elements, 0.02, 0.008, seed)
+            assert values[:, t].tobytes() == expected.tobytes(), (elements, seed)
 
     def test_element_values_rows(self):
         values, reasons = geometry_module.sample_element_stack(9, 0.02, 0.008, [4])

@@ -151,9 +151,10 @@ class TestSeedDerivation:
     @pytest.mark.parametrize("master", SEED_MASTERS, ids=MASTER_IDS)
     def test_stacked_streams_match_default_rng(self, master):
         # the sampler's windows: its first pass at M = 9 walks 9**2 // 2 + 3
-        # candidates, and its last the cap of 2000; each window holds 2(S + M)
+        # candidates, and a long walk 2000; each window holds 2(S + M)
         for width, trials in ((2 * (9**2 // 2 + 3 + 9), 2048), (2 * (2000 + 9), 64)):
-            windows = uniform_windows(trial_seeds(master, 0, trials), width)
+            skips = np.zeros(trials, dtype=np.int64)
+            windows = uniform_windows(trial_seeds(master, 0, trials), width, skips)
             for i, window in enumerate(windows):
                 expected = np.random.default_rng(trial_seed(master, i)).random(width)
                 assert np.array_equal(window, expected), (width, i)
